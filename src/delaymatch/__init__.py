@@ -75,7 +75,14 @@ from .penalty import (
     run_mpmdfp,
     verify_benchmark_inequality,
 )
-from .stiltwalker import Engine, EngineRun, TimerMode, recompute_state, run
+from .stiltwalker import (
+    Engine,
+    EngineRun,
+    TimerMode,
+    recompute_state,
+    replay_parity,
+    run,
+)
 
 __all__ = [
     "AppRealization",
@@ -123,6 +130,7 @@ __all__ = [
     "pair_cost",
     "partition_phases",
     "recompute_state",
+    "replay_parity",
     "run",
     "run_experiment",
     "run_mpmdfp",

@@ -1,7 +1,8 @@
 """Potential ledgers, exact cost identities, and phase partitions.
 
 Everything here is pure analysis over an engine trace, an offline schedule
-and the tree; nothing re-runs the engine.  The central quantities, per
+and the tree; nothing re-runs the engine.  The online state between events
+comes from `stiltwalker.replay_parity`, which rebuilds it from the trace.  The central quantities, per
 internal vertex v with children u1, u2 (D(t) is the set of odd-count
 vertices under the online evolution, D*(t) under the offline schedule):
 
@@ -48,7 +49,7 @@ import numpy as np
 from .core import CostBreakdown, Request, Schedule
 from .embedding import Hsbt
 from .errors import IdentityViolation, InvariantViolation, OutOfDomain, TraceMismatch
-from .stiltwalker import Engine, EngineTrace, TimerMode
+from .stiltwalker import Engine, EngineTrace, TimerMode, replay_parity
 
 __all__ = [
     "PotentialLedger",
@@ -212,7 +213,7 @@ def track_potentials(
     prev_t = 0.0
     prev_eff: tuple[int, ...] = ()
     root_odd = False
-    for e in trace.events:
+    for e, parity, effective in replay_parity(tree, trace):
         dt = e.t - prev_t
         if dt < 0:
             raise TraceMismatch("trace events out of order")
@@ -225,8 +226,8 @@ def track_potentials(
         elif e.kind == "flush":
             c_end += tree.weight[e.vertex]
         prev_t = e.t
-        prev_eff = e.effective_after
-        root_odd = tree.root in e.odd_after
+        prev_eff = tuple(effective)
+        root_odd = bool(parity[tree.root])
     if abs(c_end - trace.c_end_space) > 1e-9 * max(1.0, trace.c_end_space):
         raise TraceMismatch(
             f"flush cost {c_end} disagrees with trace summary {trace.c_end_space}"
@@ -421,16 +422,14 @@ def partition_phases(
 
     # --- the four child-parity signals and their XOR
     online_pieces: list[tuple[float, float, int]] = []
-    prev_t, odd = 0.0, frozenset()
-    for e in trace.events:
+    prev_t, y = 0.0, 0
+    for e, parity, _ in replay_parity(tree, trace):
         if e.t > prev_t:
-            online_pieces.append(
-                (prev_t, e.t, int(u1 in odd) ^ int(u2 in odd))
-            )
+            online_pieces.append((prev_t, e.t, y))
             prev_t = e.t
-        odd = e.odd_after
+        y = parity[u1] ^ parity[u2]
     if t_end > prev_t:
-        online_pieces.append((prev_t, t_end, int(u1 in odd) ^ int(u2 in odd)))
+        online_pieces.append((prev_t, t_end, y))
     offline_pieces = [
         (a, b, int(u1 in odd) ^ int(u2 in odd)) for a, b, odd in segments
     ]

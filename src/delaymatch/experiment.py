@@ -30,7 +30,7 @@ from .errors import ConfigInvalid, InvariantViolation, TooLarge
 from .metric import MetricSpace
 from .offline import OfflineSolution, greedy_mpmd, optimal_mpmd, optimal_mpmdfp
 from .penalty import run_mpmdfp
-from .stiltwalker import Engine, TimerMode
+from .stiltwalker import Engine, TimerMode, replay_parity
 
 __all__ = [
     "CSV_COLUMNS",
@@ -319,10 +319,14 @@ def check_flush_budget(
             tree, requests, mode=TimerMode.EXPONENTIAL, seed=trial_seed(master_seed, i)
         ).run(flush=False)
         t_end = run.trace.t_end
-        effective: tuple[int, ...] = ()
-        for e in run.trace.events:
+        effective: list[int] = []
+        arrivals_left = len(requests)
+        for e, _, live in replay_parity(tree, run.trace):
             if e.kind in ("arrival", "same_leaf"):
-                effective = e.effective_after
+                arrivals_left -= 1
+                if not arrivals_left:  # the state just after the last arrival
+                    effective = sorted(live)
+                    break
         extras[i] = sum(
             2.0 * (t - t_end) for _, _, t in run.schedule.pairings if t > t_end
         )

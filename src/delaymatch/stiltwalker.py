@@ -25,6 +25,15 @@ active request.  The flush space cost is hard-asserted against the
 (#points / 2) * w(root) ceiling.  With `flush=False` the engine keeps running
 past t_end with the same timers until no active request remains.
 
+State upkeep.  An arrival flips parity along one leaf-to-root path and a
+match along the two feet-to-vertex paths below the matched vertex, so only
+the vertices on those paths can change parity and only their parents can
+gain or lose effectiveness.  `flip_path` updates the parity list and the
+effective set along such a path and nowhere else, making an event cost
+O(height + |effective set|).  The trace keeps no state snapshots;
+`replay_parity` rebuilds the state after every event from the trace alone,
+with the same `flip_path` step.
+
 Determinism.  Each internal vertex draws from its own named RNG stream keyed
 by (master seed, vertex id), so runs are bit-for-bit reproducible and the
 timers of one subtree can be varied while all other streams stay fixed.
@@ -38,7 +47,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -48,6 +57,7 @@ from .errors import (
     InvariantViolation,
     NotEffective,
     OddRequestSet,
+    TraceMismatch,
     UnknownLocation,
 )
 
@@ -58,7 +68,9 @@ __all__ = [
     "EngineTrace",
     "EngineRun",
     "Engine",
+    "flip_path",
     "recompute_state",
+    "replay_parity",
     "run",
     "vertex_streams",
 ]
@@ -111,14 +123,36 @@ def recompute_state(tree: Hsbt, active_leaves: Sequence[int]) -> StiltState:
     )
 
 
+def flip_path(
+    tree: Hsbt, parity: list[int], effective: set[int], leaf: int, top: int = -1
+) -> None:
+    """Flip parity from `leaf` up to, not including, `top` (-1: the root too).
+
+    Every flipped vertex changes one child of its parent, so exactly those
+    parents (`top` among them) are re-tested for effectiveness.  `top` must
+    be -1 or an ancestor of `leaf`.
+    """
+    parent, children = tree.parent, tree.children
+    v = leaf
+    while v != top:
+        if v < 0:
+            raise InvariantViolation(f"vertex {top} is not above leaf {leaf}")
+        parity[v] ^= 1
+        v = parent[v]
+        if v >= 0:
+            c1, c2 = children[v]
+            if parity[c1] and parity[c2]:
+                effective.add(v)
+            else:
+                effective.discard(v)
+
+
 @dataclass(frozen=True)
 class EngineEvent:
     t: float
     kind: str                      # arrival | same_leaf | match | flush
     vertex: int | None             # matched-across vertex, or the leaf itself
     requests: tuple[int, ...]      # request ids involved
-    odd_after: frozenset[int]
-    effective_after: tuple[int, ...]
 
 
 @dataclass
@@ -137,6 +171,37 @@ class EngineTrace:
                 if e.requests:
                     row["requests"] = list(e.requests)
                 fh.write(json.dumps(row) + "\n")
+
+
+def replay_parity(
+    tree: Hsbt, trace: EngineTrace
+) -> Iterator[tuple[EngineEvent, list[int], set[int]]]:
+    """Rebuild the online stilt state after every event of a trace.
+
+    Yields each event with the parity list and effective set that hold just
+    after it.  Both are updated in place as the replay moves on, so copy
+    what must outlive one step.  Request leaves come from the trace's own
+    arrival events; a match or flush across a vertex that the replayed state
+    does not hold effective raises TraceMismatch.
+    """
+    parity = [0] * len(tree)
+    effective: set[int] = set()
+    leaf_of: dict[int, int] = {}
+    for e in trace.events:
+        if e.kind == "arrival":
+            leaf_of[e.requests[0]] = e.vertex
+            flip_path(tree, parity, effective, e.vertex)
+        elif e.kind == "same_leaf":
+            flip_path(tree, parity, effective, e.vertex)
+        else:
+            if e.vertex not in effective:
+                raise TraceMismatch(
+                    f"{e.kind} across vertex {e.vertex} at t={e.t}, "
+                    "which the replay does not hold effective"
+                )
+            for rid in e.requests:
+                flip_path(tree, parity, effective, leaf_of[rid], e.vertex)
+        yield e, parity, effective
 
 
 @dataclass
@@ -190,18 +255,18 @@ class Engine:
             ]
         self.streams = streams
         n_v = len(tree)
-        self.budget = np.zeros(n_v)
+        self.budget = [0.0] * n_v
         for v in range(n_v):
             if not tree.is_leaf(v):
                 self.budget[v] = self._draw(v)
 
         self.parity = [0] * n_v
         self.active_at: dict[int, int] = {}  # leaf -> request id
-        self.effective: list[int] = []       # sorted vertex ids
+        self.effective: set[int] = set()
         self.now = 0.0
         self.arrival_index = 0
-        self.tau = np.zeros(n_v)
-        self.sigma = np.zeros(n_v)
+        self.tau = [0.0] * n_v
+        self.sigma = [0.0] * n_v
         self.trace = EngineTrace()
         self.pairings: list[tuple[int, int, float]] = []
         self.t_end = self.requests[-1].t if self.requests else 0.0
@@ -215,32 +280,16 @@ class Engine:
 
     # -- state maintenance ----------------------------------------------------
 
-    def state(self) -> StiltState:
-        return recompute_state(self.tree, sorted(self.active_at))
-
-    def _flip_path(self, leaf: int) -> None:
-        v = leaf
-        while v >= 0:
-            self.parity[v] ^= 1
-            v = self.tree.parent[v]
-
-    def _refresh_effective(self) -> None:
-        t = self.tree
-        self.effective = [
-            v
-            for v in range(len(t))
-            if len(t.children[v]) == 2
-            and self.parity[t.children[v][0]]
-            and self.parity[t.children[v][1]]
-        ]
+    def _flip_path(self, leaf: int, top: int = -1) -> None:
+        flip_path(self.tree, self.parity, self.effective, leaf, top)
 
     def _foot(self, v: int) -> int:
-        t = self.tree
-        while not t.is_leaf(v):
-            kids = [c for c in t.children[v] if self.parity[c]]
-            if len(kids) != 1:
+        children, parity = self.tree.children, self.parity
+        while children[v]:
+            c1, c2 = children[v]
+            if parity[c1] == parity[c2]:
                 raise InvariantViolation("odd vertex without a unique odd child")
-            v = kids[0]
+            v = c1 if parity[c1] else c2
         return v
 
     def _supporting(self, v: int) -> tuple[int, int]:
@@ -253,20 +302,14 @@ class Engine:
         if dt < 0:
             raise InvariantViolation("time went backwards")
         if dt:
+            budget, tau = self.budget, self.tau
             for v in self.effective:
-                self.budget[v] -= dt
-                self.tau[v] += dt
+                budget[v] -= dt
+                tau[v] += dt
         self.now = t
 
     def _record(self, kind: str, vertex, requests) -> EngineEvent:
-        ev = EngineEvent(
-            t=self.now,
-            kind=kind,
-            vertex=vertex,
-            requests=tuple(requests),
-            odd_after=frozenset(v for v in range(len(self.tree)) if self.parity[v]),
-            effective_after=tuple(self.effective),
-        )
+        ev = EngineEvent(self.now, kind, vertex, requests)
         self.trace.events.append(ev)
         return ev
 
@@ -280,11 +323,9 @@ class Engine:
             # leaf's path parity flips exactly once
             self.pairings.append((partner, req.id, self.now))
             self._flip_path(leaf)
-            self._refresh_effective()
             return self._record("same_leaf", leaf, (partner, req.id))
         self.active_at[leaf] = req.id
         self._flip_path(leaf)
-        self._refresh_effective()
         return self._record("arrival", leaf, (req.id,))
 
     def match_across(self, v: int, kind: str = "match") -> EngineEvent:
@@ -295,12 +336,12 @@ class Engine:
         r1 = self.active_at.pop(f1)
         r2 = self.active_at.pop(f2)
         self.pairings.append((r1, r2, self.now))
-        self._flip_path(f1)
-        self._flip_path(f2)
+        # above v the two flips cancel: parities there stay as they are
+        self._flip_path(f1, v)
+        self._flip_path(f2, v)
         if kind != "flush":
             self.sigma[v] += self.tree.weight[v]
         self.budget[v] = self._draw(v)
-        self._refresh_effective()
         return self._record(kind, v, (r1, r2))
 
     # -- stepping -----------------------------------------------------------------
@@ -318,9 +359,10 @@ class Engine:
             else None
         )
         fire_v, fire_t = None, None
-        for v in self.effective:  # ascending ids == (depth, index) order
-            cand = self.now + self.budget[v]
-            if fire_t is None or cand < fire_t:
+        now, budget = self.now, self.budget
+        for v in self.effective:  # lowest id == (depth, index) order on ties
+            cand = now + budget[v]
+            if fire_t is None or cand < fire_t or (cand == fire_t and v < fire_v):
                 fire_v, fire_t = v, cand
         if next_arrival is not None and (fire_t is None or next_arrival <= fire_t):
             self._advance(next_arrival)
@@ -371,7 +413,10 @@ class Engine:
                 break
         schedule = Schedule(pairings=tuple(self.pairings))
         return EngineRun(
-            schedule=schedule, trace=self.trace, tau=self.tau, sigma=self.sigma
+            schedule=schedule,
+            trace=self.trace,
+            tau=np.array(self.tau),
+            sigma=np.array(self.sigma),
         )
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delaymatch.core import make_requests, total_cost
 from delaymatch.embedding import build_hsbt, sample_hsbt, tree_metric
@@ -9,6 +11,7 @@ from delaymatch.stiltwalker import (
     Engine,
     TimerMode,
     recompute_state,
+    replay_parity,
     run,
     vertex_streams,
 )
@@ -85,12 +88,17 @@ def test_same_leaf_match_is_instant_and_free():
     tree = four_leaf_tree()
     space = tree_metric(tree)
     reqs = make_requests(space, [("a", 0.0), ("a", 0.5)])
-    result = run(tree, reqs, mode=TimerMode.DETERMINISTIC, flush=False)
+    engine = Engine(tree, reqs, mode=TimerMode.DETERMINISTIC)
+    result = engine.run(flush=False)
     assert result.schedule.pairings == ((0, 1, 0.5),)
     ev = result.trace.events[-1]
     assert ev.kind == "same_leaf"
-    assert ev.odd_after == frozenset()
-    assert not ev.effective_after
+    assert _odd(engine.parity) == frozenset()
+    assert not engine.effective
+    *_, (last, parity, effective) = replay_parity(tree, result.trace)
+    assert last is ev
+    assert _odd(parity) == frozenset()
+    assert not effective
 
 
 def test_budget_frozen_while_not_effective():
@@ -148,12 +156,27 @@ def _random_instance(rng, n_points, n_requests):
     return gen_random("uniform", n_points, n_requests, horizon=5.0, rng=rng)
 
 
+def _odd(parity):
+    return frozenset(v for v, p in enumerate(parity) if p)
+
+
+def _assert_state(tree, active_leaves, odd, effective):
+    """An incrementally kept state agrees with a from-scratch recompute."""
+    st = recompute_state(tree, sorted(active_leaves))
+    assert st.odd == odd
+    assert [v for v, _, _ in st.effective] == sorted(effective)
+    # two active requests stand behind each effective vertex, plus one
+    # on the root stilt when the root is odd
+    assert len(active_leaves) == (0 in st.odd) + 2 * len(st.effective)
+
+
 def _replay_check(tree, reqs, result):
-    """Independent parity oracle: rebuild the stilt state from the active set
-    after every event and compare against the engine's snapshots."""
+    """Independent parity oracle: rebuild the active set from the events and
+    the requests' own points, and hold the trace replay's state after every
+    event against a recompute from it."""
     leaf_of = {r.id: tree.point_leaf[r.point] for r in reqs}
     active: set[int] = set()
-    for ev in result.trace.events:
+    for ev, parity, effective in replay_parity(tree, result.trace):
         if ev.kind == "arrival":
             active.add(leaf_of[ev.requests[0]])
         elif ev.kind == "same_leaf":
@@ -161,12 +184,21 @@ def _replay_check(tree, reqs, result):
         else:
             for rid in ev.requests:
                 active.remove(leaf_of[rid])
-        st = recompute_state(tree, sorted(active))
-        assert st.odd == ev.odd_after
-        assert [v for v, _, _ in st.effective] == sorted(ev.effective_after)
-        # two active requests stand behind each effective vertex, plus one
-        # on the root stilt when the root is odd
-        assert len(active) == (0 in st.odd) + 2 * len(st.effective)
+        _assert_state(tree, active, _odd(parity), effective)
+    assert not active
+
+
+def _step_check(tree, reqs, mode, seed, flush):
+    """Step an engine event by event, checking its live state after each."""
+    engine = Engine(tree, reqs, mode=mode, seed=seed)
+    while True:
+        if flush and engine.arrival_index == len(engine.requests):
+            engine.flush_now()
+        elif engine.advance_to_next_event() is not None:
+            _assert_state(tree, engine.active_at, _odd(engine.parity), engine.effective)
+            continue
+        _assert_state(tree, engine.active_at, _odd(engine.parity), engine.effective)
+        return engine
 
 
 @pytest.mark.parametrize("flush", [True, False])
@@ -179,6 +211,30 @@ def test_trace_snapshots_match_independent_replay(seed, flush):
     _replay_check(tree, reqs, result)
     cost = total_cost(tree_metric(tree), reqs, result.schedule)
     assert cost.total >= 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["line", "square", "uniform"]),
+    n_points=st.integers(2, 12),
+    pairs=st.integers(1, 12),
+    horizon=st.sampled_from([0.5, 5.0]),
+    instance_seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 2**32 - 1),
+    mode=st.sampled_from(list(TimerMode)),
+    flush=st.booleans(),
+)
+def test_live_state_matches_recompute_after_every_event(
+    kind, n_points, pairs, horizon, instance_seed, seed, mode, flush
+):
+    rng = np.random.default_rng(instance_seed)
+    space, reqs = gen_random(kind, n_points, 2 * pairs, horizon, rng)
+    tree = sample_hsbt(space, rng)
+    engine = _step_check(tree, reqs, mode, seed, flush)
+    result = run(tree, reqs, mode=mode, seed=seed, flush=flush)
+    assert tuple(engine.pairings) == result.schedule.pairings
+    assert engine.trace.events == result.trace.events
+    _replay_check(tree, reqs, result)
 
 
 def test_vertex_seed_fn_defaults_to_seed_vertex_pairs():
