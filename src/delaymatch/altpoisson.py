@@ -20,7 +20,10 @@ Exact laws verified by the test-suite (and checkable via `verify_digestion`):
   with V the remaining color volume, so in particular for iteration 1;
 * digest identity:     E[sum_j G_j]  =  E[N] / lambda;
 * alternation count:   N <= K+1 surely (K = color discontinuity count), and
-  N is stochastically dominated by 1 + 2 Pois(lambda * min(V1, V2)).
+  N is stochastically dominated by 1 + 2 Pois(lambda * min(V1, V2)); the
+  sampled check (`count_dominance`) is an exact binomial test per level
+  with a Bonferroni correction, so a correct run fails it with probability
+  at most DOMINANCE_ALPHA.
 
 The rate-varying form replaces the unit-rate exponential clock by an
 inhomogeneous one with piecewise-constant rate profile bounded by a cap;
@@ -46,6 +49,7 @@ __all__ = [
     "AppReport",
     "volume",
     "closed_form_digest",
+    "count_dominance",
     "simulate_app",
     "simulate_rate_varying",
     "verify_digestion",
@@ -54,6 +58,9 @@ __all__ = [
 ]
 
 Color = int | None
+
+# family-wise false-alarm rate of one sampled dominance check
+DOMINANCE_ALPHA = 1e-6
 
 
 class Coloring:
@@ -244,8 +251,8 @@ class AppReport:
     identity_rel_error: float        # | lam*mean(G) - mean(N) | / mean(N)
     first_digest_rel_error: float    # iteration-1 mean digest vs closed form
     count_bound_violations: int      # realizations with N > K+1
-    dominance_ok: bool               # empirical CDF of N below 1+2*Pois CDF
-    dominance_margin: float          # min over k of allowed - observed tail
+    dominance_ok: bool               # N dominated by 1+2*Pois at DOMINANCE_ALPHA
+    dominance_margin: float          # smallest adjusted p-value minus alpha
 
     def to_dict(self) -> dict:
         return {
@@ -257,6 +264,35 @@ class AppReport:
             "dominance_ok": self.dominance_ok,
             "dominance_margin": self.dominance_margin,
         }
+
+
+def count_dominance(
+    counts: np.ndarray,
+    mu: float,
+    discontinuities: int,
+    alpha: float = DOMINANCE_ALPHA,
+) -> tuple[bool, float]:
+    """Test sampled counts N against N <=_st 1 + 2 Pois(mu); (ok, margin).
+
+    At level L the law bounds P(N >= L) by q_L = P(Pois(mu) >= L // 2), so
+    the number of samples with N >= L is stochastically at most
+    Binomial(n, q_L) and its exact upper tail is a valid p-value.  The
+    levels tested are L = 2 .. K+2: levels 0 and 1 hold surely, and every
+    level above K+2 is empty while the separately checked cap N <= K+1
+    holds.  Bonferroni over these K+1 levels: the check fails when some
+    p_L <= alpha / (K+1), so a correct run fails it with probability at
+    most alpha.  The margin is the smallest adjusted p-value,
+    min_L min(1, (K+1) p_L), minus alpha; it is positive iff the check
+    passes.
+    """
+    counts = np.asarray(counts, dtype=int)
+    levels = np.arange(2, discontinuities + 3)
+    hist = np.bincount(counts, minlength=levels[-1] + 1)
+    observed = hist[::-1].cumsum()[::-1][levels]   # samples with N >= L
+    q = _sps.poisson.sf(levels // 2 - 1, mu)
+    p = _sps.binom.sf(observed - 1, len(counts), q)
+    margin = float(np.minimum(1.0, len(levels) * p).min()) - alpha
+    return margin > 0.0, margin
 
 
 def verify_digestion(
@@ -290,18 +326,7 @@ def verify_digestion(
     violations = int((counts > k + 1).sum())
 
     v2 = coloring.volume(2, coloring.t0, coloring.t1)
-    mu = lam * min(v1, v2)
-    margin = math.inf
-    ok = True
-    for level in range(0, int(counts.max(initial=0)) + 2):
-        observed = float((counts >= level).mean())
-        # P(1 + 2*Pois(mu) >= level) = P(Pois(mu) >= ceil((level-1)/2))
-        need = math.ceil((level - 1) / 2)
-        allowed = float(_sps.poisson.sf(need - 1, mu)) if need > 0 else 1.0
-        slack = 3.0 * math.sqrt(max(allowed * (1 - allowed), 0.0) / trials)
-        margin = min(margin, allowed + slack - observed)
-        if observed > allowed + slack:
-            ok = False
+    ok, margin = count_dominance(counts, lam * min(v1, v2), k)
     return AppReport(
         trials=trials,
         lam=lam,

@@ -6,6 +6,7 @@ import pytest
 from delaymatch.altpoisson import (
     Coloring,
     closed_form_digest,
+    count_dominance,
     dump_coloring,
     load_coloring,
     simulate_app,
@@ -142,6 +143,25 @@ def test_digestion_report_smoke():
     assert rep.first_digest_rel_error < 0.05
     assert rep.dominance_ok
     assert rep.to_dict()["trials"] == 4000
+
+
+def test_dominance_rule_on_synthetic_level_counts():
+    rng = np.random.default_rng(11)
+    mu, k = 0.8, 30
+    # counts drawn exactly at the bound 1 + 2 Pois(mu) pass
+    for _ in range(20):
+        ok, margin = count_dominance(1 + 2 * rng.poisson(mu, 10_000), mu, k)
+        assert ok and margin > 0
+    # a single deep realization is an ordinary draw: P(Pois(0.3) >= 5) is
+    # 1.6e-5, so one in 625 has p ~ 0.01, far above alpha / (K + 1)
+    assert count_dominance(np.array([1] * 624 + [11]), 0.3, k)[0]
+    # counts clearly above the bound fail
+    for above in (1 + 2 * rng.poisson(1.2 * mu, 10_000), np.full(10_000, 3)):
+        ok, margin = count_dominance(above, mu, k)
+        assert not ok and margin < 0
+    # with mu = 0 (one color absent) any count of 2 or more is a violation
+    assert count_dominance(np.ones(100, dtype=int), 0.0, k)[0]
+    assert not count_dominance(np.array([1] * 99 + [3]), 0.0, k)[0]
 
 
 def test_rate_varying_validates_profile():
