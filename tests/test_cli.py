@@ -1,6 +1,9 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
-from delaymatch.cli import load_bundle, main, save_bundle
+from delaymatch.cli import _build_parser, load_bundle, main, save_bundle
 from delaymatch.embedding import Hsbt
 
 
@@ -157,3 +160,15 @@ def test_save_bundle_round_trip(tmp_path):
     assert space2.points == space.points
     assert [r.point for r in reqs2] == [r.point for r in reqs]
     assert [r.t for r in reqs2] == [r.t for r in reqs]
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"## Command line\n+```sh\n(.*?)```", readme, re.S).group(1)
+    lines = [ln for ln in block.splitlines() if ln.strip()]
+    assert len(lines) == 8
+    parser = _build_parser()
+    for line in lines:
+        argv = shlex.split(line)
+        assert argv[0] == "delaymatch", line
+        parser.parse_args(argv[1:])
