@@ -75,14 +75,7 @@ from .penalty import (
     run_mpmdfp,
     verify_benchmark_inequality,
 )
-from .stiltwalker import (
-    Engine,
-    EngineRun,
-    TimerMode,
-    recompute_state,
-    replay_parity,
-    run,
-)
+from .stiltwalker import Engine, EngineRun, TimerMode, recompute_state, run
 
 __all__ = [
     "AppRealization",
@@ -130,7 +123,6 @@ __all__ = [
     "pair_cost",
     "partition_phases",
     "recompute_state",
-    "replay_parity",
     "run",
     "run_experiment",
     "run_mpmdfp",

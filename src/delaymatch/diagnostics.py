@@ -2,9 +2,10 @@
 
 Everything here is pure analysis over an engine trace, an offline schedule
 and the tree; nothing re-runs the engine.  The online state between events
-comes from `stiltwalker.replay_parity`, which rebuilds it from the trace.  The central quantities, per
-internal vertex v with children u1, u2 (D(t) is the set of odd-count
-vertices under the online evolution, D*(t) under the offline schedule):
+comes from `stiltwalker.replay_parity`, which rebuilds it from the trace.
+The central quantities, per internal vertex v with children u1, u2 (D(t) is
+the set of odd-count vertices under the online evolution, D*(t) under the
+offline schedule):
 
     tau_v        time v spends effective (both children odd) online
     sigma_v      w(v) x number of non-flush online matches across v

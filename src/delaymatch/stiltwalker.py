@@ -280,9 +280,6 @@ class Engine:
 
     # -- state maintenance ----------------------------------------------------
 
-    def _flip_path(self, leaf: int, top: int = -1) -> None:
-        flip_path(self.tree, self.parity, self.effective, leaf, top)
-
     def _foot(self, v: int) -> int:
         children, parity = self.tree.children, self.parity
         while children[v]:
@@ -322,10 +319,10 @@ class Engine:
             # zero-distance match; the standing active vanishes, so the
             # leaf's path parity flips exactly once
             self.pairings.append((partner, req.id, self.now))
-            self._flip_path(leaf)
+            flip_path(self.tree, self.parity, self.effective, leaf)
             return self._record("same_leaf", leaf, (partner, req.id))
         self.active_at[leaf] = req.id
-        self._flip_path(leaf)
+        flip_path(self.tree, self.parity, self.effective, leaf)
         return self._record("arrival", leaf, (req.id,))
 
     def match_across(self, v: int, kind: str = "match") -> EngineEvent:
@@ -337,8 +334,8 @@ class Engine:
         r2 = self.active_at.pop(f2)
         self.pairings.append((r1, r2, self.now))
         # above v the two flips cancel: parities there stay as they are
-        self._flip_path(f1, v)
-        self._flip_path(f2, v)
+        flip_path(self.tree, self.parity, self.effective, f1, v)
+        flip_path(self.tree, self.parity, self.effective, f2, v)
         if kind != "flush":
             self.sigma[v] += self.tree.weight[v]
         self.budget[v] = self._draw(v)

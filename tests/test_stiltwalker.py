@@ -162,12 +162,12 @@ def _odd(parity):
 
 def _assert_state(tree, active_leaves, odd, effective):
     """An incrementally kept state agrees with a from-scratch recompute."""
-    st = recompute_state(tree, sorted(active_leaves))
-    assert st.odd == odd
-    assert [v for v, _, _ in st.effective] == sorted(effective)
+    state = recompute_state(tree, sorted(active_leaves))
+    assert state.odd == odd
+    assert [v for v, _, _ in state.effective] == sorted(effective)
     # two active requests stand behind each effective vertex, plus one
     # on the root stilt when the root is odd
-    assert len(active_leaves) == (0 in st.odd) + 2 * len(st.effective)
+    assert len(active_leaves) == (0 in state.odd) + 2 * len(state.effective)
 
 
 def _replay_check(tree, reqs, result):
@@ -191,14 +191,14 @@ def _replay_check(tree, reqs, result):
 def _step_check(tree, reqs, mode, seed, flush):
     """Step an engine event by event, checking its live state after each."""
     engine = Engine(tree, reqs, mode=mode, seed=seed)
-    while True:
-        if flush and engine.arrival_index == len(engine.requests):
-            engine.flush_now()
-        elif engine.advance_to_next_event() is not None:
-            _assert_state(tree, engine.active_at, _odd(engine.parity), engine.effective)
-            continue
+    while not (flush and engine.arrival_index == len(engine.requests)):
+        if engine.advance_to_next_event() is None:
+            break
         _assert_state(tree, engine.active_at, _odd(engine.parity), engine.effective)
-        return engine
+    if flush:
+        engine.flush_now()
+        _assert_state(tree, engine.active_at, _odd(engine.parity), engine.effective)
+    return engine
 
 
 @pytest.mark.parametrize("flush", [True, False])
