@@ -252,7 +252,7 @@ class AppReport:
     first_digest_rel_error: float    # iteration-1 mean digest vs closed form
     count_bound_violations: int      # realizations with N > K+1
     dominance_ok: bool               # N dominated by 1+2*Pois at DOMINANCE_ALPHA
-    dominance_margin: float          # smallest adjusted p-value minus alpha
+    dominance_margin: float          # smallest adjusted p-value minus the alpha
 
     def to_dict(self) -> dict:
         return {
@@ -267,10 +267,7 @@ class AppReport:
 
 
 def count_dominance(
-    counts: np.ndarray,
-    mu: float,
-    discontinuities: int,
-    alpha: float = DOMINANCE_ALPHA,
+    counts: np.ndarray, mu: float, discontinuities: int
 ) -> tuple[bool, float]:
     """Test sampled counts N against N <=_st 1 + 2 Pois(mu); (ok, margin).
 
@@ -280,10 +277,10 @@ def count_dominance(
     levels tested are L = 2 .. K+2: levels 0 and 1 hold surely, and every
     level above K+2 is empty while the separately checked cap N <= K+1
     holds.  Bonferroni over these K+1 levels: the check fails when some
-    p_L <= alpha / (K+1), so a correct run fails it with probability at
-    most alpha.  The margin is the smallest adjusted p-value,
-    min_L min(1, (K+1) p_L), minus alpha; it is positive iff the check
-    passes.
+    p_L <= DOMINANCE_ALPHA / (K+1), so a correct run fails it with
+    probability at most DOMINANCE_ALPHA.  The margin is the smallest
+    adjusted p-value, min_L min(1, (K+1) p_L), minus DOMINANCE_ALPHA; it is
+    positive iff the check passes.
     """
     counts = np.asarray(counts, dtype=int)
     levels = np.arange(2, discontinuities + 3)
@@ -291,7 +288,7 @@ def count_dominance(
     observed = hist[::-1].cumsum()[::-1][levels]   # samples with N >= L
     q = _sps.poisson.sf(levels // 2 - 1, mu)
     p = _sps.binom.sf(observed - 1, len(counts), q)
-    margin = float(np.minimum(1.0, len(levels) * p).min()) - alpha
+    margin = float(np.minimum(1.0, len(levels) * p).min()) - DOMINANCE_ALPHA
     return margin > 0.0, margin
 
 

@@ -30,7 +30,7 @@ from .errors import ConfigInvalid, InvariantViolation, TooLarge
 from .metric import MetricSpace
 from .offline import OfflineSolution, greedy_mpmd, optimal_mpmd, optimal_mpmdfp
 from .penalty import run_mpmdfp
-from .stiltwalker import Engine, TimerMode, replay_parity
+from .stiltwalker import Engine, TimerMode
 
 __all__ = [
     "CSV_COLUMNS",
@@ -315,18 +315,15 @@ def check_flush_budget(
     extras = np.empty(trials)
     budgets = np.empty(trials)
     for i in range(trials):
-        run = Engine(
+        engine = Engine(
             tree, requests, mode=TimerMode.EXPONENTIAL, seed=trial_seed(master_seed, i)
-        ).run(flush=False)
+        )
+        # arrivals win ties with timers, so this stops just after the last one
+        while engine.arrival_index < len(engine.requests):
+            engine.advance_to_next_event()
+        effective = sorted(engine.effective)
+        run = engine.run(flush=False)
         t_end = run.trace.t_end
-        effective: list[int] = []
-        arrivals_left = len(requests)
-        for e, _, live in replay_parity(tree, run.trace):
-            if e.kind in ("arrival", "same_leaf"):
-                arrivals_left -= 1
-                if not arrivals_left:  # the state just after the last arrival
-                    effective = sorted(live)
-                    break
         extras[i] = sum(
             2.0 * (t - t_end) for _, _, t in run.schedule.pairings if t > t_end
         )

@@ -28,11 +28,11 @@ past t_end with the same timers until no active request remains.
 State upkeep.  An arrival flips parity along one leaf-to-root path and a
 match along the two feet-to-vertex paths below the matched vertex, so only
 the vertices on those paths can change parity and only their parents can
-gain or lose effectiveness.  `flip_path` updates the parity list and the
+gain or lose effectiveness.  `_flip_path` updates the parity list and the
 effective set along such a path and nowhere else, making an event cost
 O(height + |effective set|).  The trace keeps no state snapshots;
 `replay_parity` rebuilds the state after every event from the trace alone,
-with the same `flip_path` step.
+with the same `_flip_path` step.
 
 Determinism.  Each internal vertex draws from its own named RNG stream keyed
 by (master seed, vertex id), so runs are bit-for-bit reproducible and the
@@ -68,7 +68,6 @@ __all__ = [
     "EngineTrace",
     "EngineRun",
     "Engine",
-    "flip_path",
     "recompute_state",
     "replay_parity",
     "run",
@@ -123,7 +122,7 @@ def recompute_state(tree: Hsbt, active_leaves: Sequence[int]) -> StiltState:
     )
 
 
-def flip_path(
+def _flip_path(
     tree: Hsbt, parity: list[int], effective: set[int], leaf: int, top: int = -1
 ) -> None:
     """Flip parity from `leaf` up to, not including, `top` (-1: the root too).
@@ -190,9 +189,9 @@ def replay_parity(
     for e in trace.events:
         if e.kind == "arrival":
             leaf_of[e.requests[0]] = e.vertex
-            flip_path(tree, parity, effective, e.vertex)
+            _flip_path(tree, parity, effective, e.vertex)
         elif e.kind == "same_leaf":
-            flip_path(tree, parity, effective, e.vertex)
+            _flip_path(tree, parity, effective, e.vertex)
         else:
             if e.vertex not in effective:
                 raise TraceMismatch(
@@ -200,7 +199,7 @@ def replay_parity(
                     "which the replay does not hold effective"
                 )
             for rid in e.requests:
-                flip_path(tree, parity, effective, leaf_of[rid], e.vertex)
+                _flip_path(tree, parity, effective, leaf_of[rid], e.vertex)
         yield e, parity, effective
 
 
@@ -319,10 +318,10 @@ class Engine:
             # zero-distance match; the standing active vanishes, so the
             # leaf's path parity flips exactly once
             self.pairings.append((partner, req.id, self.now))
-            flip_path(self.tree, self.parity, self.effective, leaf)
+            _flip_path(self.tree, self.parity, self.effective, leaf)
             return self._record("same_leaf", leaf, (partner, req.id))
         self.active_at[leaf] = req.id
-        flip_path(self.tree, self.parity, self.effective, leaf)
+        _flip_path(self.tree, self.parity, self.effective, leaf)
         return self._record("arrival", leaf, (req.id,))
 
     def match_across(self, v: int, kind: str = "match") -> EngineEvent:
@@ -334,8 +333,8 @@ class Engine:
         r2 = self.active_at.pop(f2)
         self.pairings.append((r1, r2, self.now))
         # above v the two flips cancel: parities there stay as they are
-        flip_path(self.tree, self.parity, self.effective, f1, v)
-        flip_path(self.tree, self.parity, self.effective, f2, v)
+        _flip_path(self.tree, self.parity, self.effective, f1, v)
+        _flip_path(self.tree, self.parity, self.effective, f2, v)
         if kind != "flush":
             self.sigma[v] += self.tree.weight[v]
         self.budget[v] = self._draw(v)
