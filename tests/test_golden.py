@@ -1,20 +1,29 @@
-"""Seeded engine runs must reproduce the golden corpus bit for bit.
+"""Seeded runs must reproduce the golden corpora bit for bit.
 
 `tests/golden/engine_runs.json` holds exponential runs with and without the
 final flush, deterministic runs (including the adversarial gamma family,
 whose timers tie with arrivals), and the penalty reduction's two-copies runs
 with aliased vertex streams.  See `tests/golden/make_golden.py` for the
-format.  Any difference is an engine defect, not a reason to rewrite the
-corpus.
+format.  `tests/golden/batch_runs.json` holds greedy offline schedules and
+the byte-exact outputs of `run` and `embed` (see
+`tests/golden/make_batch_golden.py`).  Any difference is a defect, not a
+reason to rewrite a corpus.
 """
 
+import dataclasses
+import io
 import json
 import os
+from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 
+from delaymatch import cli
 from delaymatch.core import Request
 from delaymatch.embedding import Hsbt
+from delaymatch.metric import MetricSpace
+from delaymatch.offline import greedy_mpmd
 from delaymatch.stiltwalker import TimerMode, run
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "engine_runs.json")
@@ -70,3 +79,57 @@ def test_engine_reproduces_golden_run(case):
     assert _hex(out.sigma) == want["sigma"]
     assert float(out.trace.c_end_space).hex() == want["c_end_space"]
     assert out.trace.flushed == want["flushed"]
+
+
+# ---------------------------------------------------------------------------
+# batch path: greedy baseline and CLI outputs (tests/golden/make_batch_golden.py)
+# ---------------------------------------------------------------------------
+
+BATCH = os.path.join(os.path.dirname(__file__), "golden", "batch_runs.json")
+
+with open(BATCH) as _fh:
+    BATCH_CORPUS = json.load(_fh)
+
+
+def test_batch_corpus_covers_every_kind_of_run():
+    greedy = [c["name"] for c in BATCH_CORPUS["greedy"]]
+    assert any(n.startswith("ties-") for n in greedy)
+    for kind in ("line", "square", "uniform"):
+        assert any(f"-{kind}-" in n for n in greedy)
+    runs = [c["args"] for c in BATCH_CORPUS["cli"]]
+    assert any(a[0] == "run" and "--no-flush" not in a and "--penalty" not in a
+               for a in runs)
+    assert any("--no-flush" in a for a in runs)
+    assert any("--penalty" in a for a in runs)
+    assert any(a[0] == "embed" for a in runs)
+
+
+@pytest.mark.parametrize(
+    "case", BATCH_CORPUS["greedy"], ids=[c["name"] for c in BATCH_CORPUS["greedy"]]
+)
+def test_greedy_reproduces_golden_schedule(case):
+    space = MetricSpace(case["points"], np.array(case["dist"]))
+    requests = tuple(Request(id=i, point=p, t=t) for i, p, t in case["requests"])
+    sol = greedy_mpmd(space, requests)
+    assert [list(p) for p in sol.schedule.pairings] == case["expected"]["pairings"]
+    assert list(dataclasses.astuple(sol.cost)) == case["expected"]["cost"]
+
+
+@pytest.mark.parametrize(
+    "case", BATCH_CORPUS["cli"], ids=[c["name"] for c in BATCH_CORPUS["cli"]]
+)
+def test_cli_reproduces_golden_output(case, tmp_path):
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(BATCH_CORPUS["bundles"][case["bundle"]]))
+    args = case["args"]
+    argv = args[:1] + ["--instance", str(path)] + args[1:]
+    if args[0] == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    stdout = io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(io.StringIO()):
+        assert cli.main(argv) == 0
+    want = case["expected"]
+    assert stdout.getvalue() == want["stdout"]
+    for name in ("report.json", "trials.csv"):
+        if name in want:
+            assert (tmp_path / "out" / name).read_text() == want[name]
