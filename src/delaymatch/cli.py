@@ -131,15 +131,12 @@ def _cmd_embed(args) -> int:
     space, _ = load_bundle(args.instance)
     rng = np.random.default_rng(args.seed)
     tree = sample_hsbt(space, rng)
-    stretches = []
-    for i, a in enumerate(space.points):
-        for b in space.points[i + 1:]:
-            d = space.distance(a, b)
-            stretches.append(tree.point_distance(a, b) / d)
+    pairs = np.triu_indices(space.n, 1)
+    stretches = tree.leaf_distances(space.points)[pairs] / space.dist[pairs]
     print(f"vertices {len(tree)}")
     print(f"height {tree.height}")
     print(f"alpha {tree.alpha!r}")
-    print(f"max_stretch {max(stretches)!r}")
+    print(f"max_stretch {float(stretches.max())!r}")
     print(f"mean_stretch {float(np.mean(stretches))!r}")
     if args.out:
         out = _out_dir(args)

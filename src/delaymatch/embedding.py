@@ -51,7 +51,6 @@ __all__ = [
     "frt_embed",
     "binarize",
     "sample_hsbt",
-    "tree_distance",
     "tree_metric",
     "build_hsbt",
 ]
@@ -119,6 +118,29 @@ class _Tree:
 
     def point_distance(self, a: str, b: str) -> float:
         return self.tree_distance(self.point_leaf[a], self.point_leaf[b])
+
+    def leaf_distances(self, points: Sequence[str]) -> np.ndarray:
+        """`point_distance` over every pair of `points`, as a matrix in that order.
+
+        Row a of `paths` is the root-to-leaf path of point a, padded with its
+        leaf, which is no other row's ancestor, so padding never matches.
+        Two paths agree exactly on their shared ancestors, a common prefix,
+        so the number of agreeing positions is the LCA's depth plus one and
+        a fixed number of array operations finds every LCA at any height.
+        """
+        parent, depth = self.parent, self.depth
+        rows = []
+        for p in points:
+            v = self.point_leaf[p]
+            row = [v] * (self.height + 1)
+            for d in range(depth[v] - 1, -1, -1):
+                v = parent[v]
+                row[d] = v
+            rows.append(row)
+        paths = np.array(rows, dtype=np.intp)
+        shared = (paths[:, None, :] == paths[None, :, :]).sum(axis=2)
+        lca = paths[np.arange(len(rows))[:, None], shared - 1]
+        return np.asarray(self.weight)[lca]
 
     def subtree(self, v: int) -> list[int]:
         out = [v]
@@ -227,20 +249,16 @@ class Hsbt(_Tree):
         return cls(parent, children, weight, leaf_point, obj["alpha"])
 
 
-def tree_distance(tree: _Tree, x: int, y: int) -> float:
-    """Weight of the least common ancestor of leaves x and y."""
-    return tree.tree_distance(x, y)
-
-
 def tree_metric(tree: _Tree) -> MetricSpace:
     """The tree's leaf points as a metric space under tree distance."""
     points = sorted(tree.point_leaf)
-    n = len(points)
-    dist = np.zeros((n, n))
-    for i, a in enumerate(points):
-        for j in range(i + 1, n):
-            dist[i, j] = dist[j, i] = tree.point_distance(a, points[j])
-    return MetricSpace(points, dist)
+    return MetricSpace(points, tree.leaf_distances(points))
+
+
+def _first_pair(bad: np.ndarray) -> tuple[int, int] | None:
+    """First (i, j) with i < j and bad[i, j], in row-major order."""
+    hits = np.argwhere(np.triu(bad, 1))
+    return (int(hits[0, 0]), int(hits[0, 1])) if len(hits) else None
 
 
 # ---------------------------------------------------------------------------
@@ -451,14 +469,16 @@ def _renumber(parent, children, weight, leaf_point, alpha) -> Hsbt:
 def _assert_sandwich(h: Hst, t: Hsbt) -> None:
     """Every leaf pair: d_H <= d_T' <= 2*d_H (exact up to float round-off)."""
     pts = sorted(h.point_leaf)
-    for i, a in enumerate(pts):
-        for b in pts[i + 1:]:
-            dh = h.point_distance(a, b)
-            dt = t.point_distance(a, b)
-            if not (dh * (1 - 1e-12) <= dt <= 2 * dh * (1 + 1e-12)):
-                raise InvariantViolation(
-                    f"binarized distance {dt} for ({a},{b}) outside [{dh}, {2 * dh}]"
-                )
+    dh_all = h.leaf_distances(pts)
+    dt_all = t.leaf_distances(pts)
+    inside = (dh_all * (1 - 1e-12) <= dt_all) & (dt_all <= 2 * dh_all * (1 + 1e-12))
+    pair = _first_pair(~inside)
+    if pair is not None:
+        i, j = pair
+        dh, dt = float(dh_all[i, j]), float(dt_all[i, j])
+        raise InvariantViolation(
+            f"binarized distance {dt} for ({pts[i]},{pts[j]}) outside [{dh}, {2 * dh}]"
+        )
 
 
 def sample_hsbt(
@@ -469,12 +489,12 @@ def sample_hsbt(
     t = binarize(h, space.n)
     if verify:
         tol = 1e-12 * float(space.dist.max())
-        for i, a in enumerate(space.points):
-            for b in space.points[i + 1:]:
-                if t.point_distance(a, b) + tol < space.dist[i, space.index[b]]:
-                    raise DominationViolation(
-                        f"tree distance for ({a},{b}) below metric distance"
-                    )
+        pair = _first_pair(t.leaf_distances(space.points) + tol < space.dist)
+        if pair is not None:
+            a, b = (space.points[k] for k in pair)
+            raise DominationViolation(
+                f"tree distance for ({a},{b}) below metric distance"
+            )
     return t
 
 

@@ -24,6 +24,9 @@ from .errors import (
 )
 
 TRIANGLE_RTOL = 1e-9
+# entries per triangle-scan temporary (512 KB of doubles): blocks this small
+# stay in cache, and memory stays O(n^2) however large n grows
+_TRIANGLE_BLOCK = 1 << 16
 
 __all__ = [
     "MetricSpace",
@@ -82,11 +85,21 @@ class MetricSpace:
                 f"non-positive distance d({self.points[i]},{self.points[j]})={d[i, j]}"
             )
         tol = TRIANGLE_RTOL * float(d.max(initial=0.0))
-        # all (i,k,j): d[i,j] <= d[i,k] + d[k,j] + tol
-        through = d[:, :, None] + d[None, :, :]  # through[i,k,j]
-        slack = d[:, None, :] - through
-        if np.any(slack > tol):
-            i, k, j = (int(x) for x in np.argwhere(slack > tol)[0])
+        # all (i,k,j): d[i,j] <= d[i,k] + d[k,j] + tol, scanned in blocks of
+        # rows i in increasing order, so the first hit is the first in (i,k,j)
+        # order and each temporary holds at most max(n^2, _TRIANGLE_BLOCK)
+        rows = max(1, _TRIANGLE_BLOCK // (n * n))
+        slack = np.empty((min(rows, n), n, n))  # d[i,j] - (d[i,k] + d[k,j])
+        over = np.empty(slack.shape, dtype=bool)
+        for lo in range(0, n, rows):
+            block = d[lo:lo + rows]
+            s, o = slack[: len(block)], over[: len(block)]
+            np.add(block[:, :, None], d[None, :, :], out=s)
+            np.subtract(block[:, None, :], s, out=s)
+            if not np.greater(s, tol, out=o).any():
+                continue
+            i, k, j = (int(x) for x in np.argwhere(o)[0])
+            i += lo
             raise TriangleViolation(
                 f"d({self.points[i]},{self.points[j]})={d[i, j]} > "
                 f"d({self.points[i]},{self.points[k]})+d({self.points[k]},{self.points[j]})"

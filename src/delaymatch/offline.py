@@ -8,12 +8,19 @@ by exhaustive enumeration over partitions, walking the recursion that always
 decides the lowest-id unserved request first; the recursion is memoized on
 the bitmask of unserved requests, which collapses repeated subproblems
 without changing what is enumerated.
+
+Above the oracles' size caps, `greedy_mpmd` gives an upper bound: it pairs
+the cheapest remaining pair first, ties going to the lowest (i, j) in
+request-id order.  It sorts all pair costs once and takes pairs in that
+order, O(n^2 log n) for n requests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .core import CostBreakdown, Request, Schedule, total_cost
 from .errors import OddRequestSet, TooLarge
@@ -144,23 +151,31 @@ def optimal_mpmdfp(
 
 
 def greedy_mpmd(space: MetricSpace, requests: Sequence[Request]) -> OfflineSolution:
-    """Repeatedly pair the two unserved requests with the smallest d + |dt|."""
+    """Repeatedly pair the two unserved requests with the smallest d + |dt|.
+
+    Ties go to the first pair (i, j), i < j, in request-id order.  All pair
+    costs are computed once and sorted once by (cost, i, j); one pass then
+    takes each pair whose two requests are both still unserved.  The first
+    such pair is always the least of the remaining ones, so this is the
+    round-by-round rescan's schedule in O(n^2 log n) time and O(n^2) memory.
+    """
     reqs = sorted(requests, key=lambda r: r.id)
-    if len(reqs) % 2 != 0:
+    n = len(reqs)
+    if n % 2 != 0:
         raise OddRequestSet("greedy matching needs an even request count")
-    left = list(range(len(reqs)))
+    at = np.array([space.index[r.point] for r in reqs], dtype=np.intp)
+    t = np.array([r.t for r in reqs], dtype=float)
+    first, second = np.triu_indices(n, 1)
+    edge = space.dist[at[first], at[second]] + np.abs(t[first] - t[second])
+    order = np.lexsort((second, first, edge))
+    free = [True] * n
     pairs = []
-    while left:
-        b, arg = float("inf"), None
-        for ai, i in enumerate(left):
-            for j in left[ai + 1:]:
-                c = _edge_cost(space, reqs[i], reqs[j])
-                if c < b:
-                    b, arg = c, (i, j)
-        i, j = arg
-        pairs.append((reqs[i].id, reqs[j].id, max(reqs[i].t, reqs[j].t)))
-        left.remove(i)
-        left.remove(j)
+    for i, j in zip(first[order].tolist(), second[order].tolist()):
+        if free[i] and free[j]:
+            free[i] = free[j] = False
+            pairs.append((reqs[i].id, reqs[j].id, max(reqs[i].t, reqs[j].t)))
+            if 2 * len(pairs) == n:
+                break
     schedule = Schedule(pairings=tuple(pairs))
     cost = total_cost(space, reqs, schedule)
     return OfflineSolution(schedule=schedule, cost=cost, optimal=False)

@@ -37,6 +37,8 @@ with the same `_flip_path` step.
 Determinism.  Each internal vertex draws from its own named RNG stream keyed
 by (master seed, vertex id), so runs are bit-for-bit reproducible and the
 timers of one subtree can be varied while all other streams stay fixed.
+A stream is created at its vertex's first draw, so leaves and
+deterministic runs build none; the values drawn are the same either way.
 Simultaneous events are ordered: arrivals first (by request id), then vertex
 timers by (depth, vertex id); vertex ids are depth-sorted, so plain id order
 implements that rule.
@@ -242,17 +244,11 @@ class Engine:
                 raise UnknownLocation(f"request {r.id} at {r.point!r} not a tree leaf")
         self.leaf_of = {r.id: tree.point_leaf[r.point] for r in self.requests}
 
-        if vertex_seed_fn is None:
-            streams = vertex_streams(tree, seed)
-        else:
-            # vertex_seed_fn maps a vertex id to the full entropy key of its
-            # stream, letting callers alias streams across vertices (the
-            # two-copies penalty construction keys mirrored vertices alike)
-            streams = [
-                np.random.default_rng(np.random.SeedSequence(vertex_seed_fn(v)))
-                for v in range(len(tree))
-            ]
-        self.streams = streams
+        # vertex_seed_fn maps a vertex id to the full entropy key of its
+        # stream, letting callers alias streams across vertices (the
+        # two-copies penalty construction keys mirrored vertices alike)
+        self._stream_key = vertex_seed_fn or (lambda v: (seed, v))
+        self._streams: dict[int, np.random.Generator] = {}  # built at first draw
         n_v = len(tree)
         self.budget = [0.0] * n_v
         for v in range(n_v):
@@ -275,7 +271,12 @@ class Engine:
         w = self.tree.weight[v]
         if self.mode is TimerMode.DETERMINISTIC:
             return w
-        return float(self.streams[v].exponential(scale=w))
+        stream = self._streams.get(v)
+        if stream is None:
+            stream = self._streams[v] = np.random.default_rng(
+                np.random.SeedSequence(self._stream_key(v))
+            )
+        return float(stream.exponential(scale=w))
 
     # -- state maintenance ----------------------------------------------------
 

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from delaymatch import embedding
 from delaymatch.embedding import (
     Hsbt,
+    _assert_sandwich,
+    _first_pair,
     binarize,
     build_hsbt,
     frt_embed,
@@ -14,7 +17,7 @@ from delaymatch.embedding import (
     separation_alpha,
     tree_metric,
 )
-from delaymatch.errors import InvariantViolation, OutOfDomain
+from delaymatch.errors import DominationViolation, InvariantViolation, OutOfDomain
 from delaymatch.metric import from_coords
 
 
@@ -118,6 +121,91 @@ def test_tree_metric_matches_oracle():
                 t.parent, t.weight, t.point_leaf[a], t.point_leaf[b]
             )
             assert m.distance(a, b) == pytest.approx(want, rel=1e-12)
+
+
+def pair_loop_distances(tree, points):
+    """Reference leaf-distance matrix: one point_distance LCA walk per pair."""
+    return np.array([[tree.point_distance(a, b) for b in points] for a in points])
+
+
+@pytest.mark.parametrize("n", [2, 9, 64])
+def test_leaf_distances_equal_the_pair_loop(n):
+    rng = np.random.default_rng(n)
+    space = from_coords(rng.uniform(size=(n, 2)))
+    h = frt_embed(space, rng)
+    t = binarize(h, n)
+    points = [str(p) for p in rng.permutation(space.points)]
+    for tree in (h, t):
+        got = tree.leaf_distances(points)
+        assert np.array_equal(got, pair_loop_distances(tree, points))
+
+
+def sandwich_scan(h, t):
+    """The pair-loop sandwich check: its message for the first bad pair."""
+    pts = sorted(h.point_leaf)
+    for i, a in enumerate(pts):
+        for b in pts[i + 1:]:
+            dh = h.point_distance(a, b)
+            dt = t.point_distance(a, b)
+            if not (dh * (1 - 1e-12) <= dt <= 2 * dh * (1 + 1e-12)):
+                return f"binarized distance {dt} for ({a},{b}) outside [{dh}, {2 * dh}]"
+    return None
+
+
+def domination_scan(space, t):
+    """The pair-loop domination check: its message for the first bad pair."""
+    tol = 1e-12 * float(space.dist.max())
+    for i, a in enumerate(space.points):
+        for b in space.points[i + 1:]:
+            if t.point_distance(a, b) + tol < space.dist[i, space.index[b]]:
+                return f"tree distance for ({a},{b}) below metric distance"
+    return None
+
+
+def test_first_pair_scans_the_upper_triangle_row_major():
+    bad = np.zeros((6, 6), dtype=bool)
+    assert _first_pair(bad) is None
+    bad[3, 0] = bad[4, 4] = True  # below and on the diagonal: never a pair
+    assert _first_pair(bad) is None
+    bad[1, 2] = bad[0, 5] = True  # (0, 5) precedes (1, 2) row by row
+    assert _first_pair(bad) == (0, 5)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("factor", [3.0, 1 / 3])
+def test_sandwich_check_names_first_corrupted_pair(seed, factor):
+    rng = np.random.default_rng(seed)
+    space = from_coords(rng.uniform(size=(12, 2)))
+    h = frt_embed(space, rng)
+    t = binarize(h, space.n)
+    inner = t.internal_vertices()
+    t.weight[inner[len(inner) // 2]] *= factor  # after binarize's own check
+    want = sandwich_scan(h, t)
+    assert want is not None
+    with pytest.raises(InvariantViolation) as err:
+        _assert_sandwich(h, t)
+    assert str(err.value) == want
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_domination_check_names_first_underweighted_pair(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    space = from_coords(rng.uniform(size=(12, 2)))
+    binarize_real, built = embedding.binarize, []
+
+    def underweighted(h, n):
+        t = binarize_real(h, n)
+        inner = t.internal_vertices()
+        t.weight[inner[len(inner) // 2]] *= 1e-3
+        built.append(t)
+        return t
+
+    monkeypatch.setattr(embedding, "binarize", underweighted)
+    with pytest.raises(DominationViolation) as err:
+        sample_hsbt(space, rng)
+    want = domination_scan(space, built[0])
+    assert want is not None
+    assert str(err.value) == want
 
 
 def test_build_hsbt_renumbers_depth_first_input():

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -68,6 +71,62 @@ def test_triangle_violation_names_points():
     with pytest.raises(TriangleViolation) as err:
         MetricSpace(["x", "y", "z"], d)
     assert "x" in str(err.value) and "z" in str(err.value)
+
+
+def triangle_scan(names, d):
+    """The whole-cube triangle check: its message for the first bad (i, k, j)."""
+    slack = d[:, None, :] - (d[:, :, None] + d[None, :, :])
+    hits = np.argwhere(slack > 1e-9 * d.max())
+    if not len(hits):
+        return None
+    i, k, j = hits[0]
+    return (
+        f"d({names[i]},{names[j]})={d[i, j]} > "
+        f"d({names[i]},{names[k]})+d({names[k]},{names[j]})={d[i, k] + d[k, j]}"
+    )
+
+
+@pytest.mark.parametrize(
+    "n, planted", [(5, [(1, 3)]), (40, [(30, 2), (35, 33)]), (100, [(70, 71), (64, 99)])]
+)
+def test_triangle_violation_names_first_triple(n, planted):
+    rng = np.random.default_rng(n)
+    names = [f"q{i}" for i in range(n)]
+    d = from_coords(rng.uniform(size=(n, 2))).dist.copy()
+    for i, j in planted:
+        d[i, j] = d[j, i] = 3.0 * d.max()
+    want = triangle_scan(names, d)
+    assert want is not None
+    with pytest.raises(TriangleViolation) as err:
+        MetricSpace(names, d)
+    assert str(err.value) == want
+
+
+VALIDATE_1000 = """
+import resource
+import numpy as np
+from delaymatch.metric import MetricSpace
+
+x = np.random.default_rng(0).uniform(size=1000)
+d = np.subtract.outer(x, x)
+np.abs(d, out=d)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+MetricSpace([f"p{i}" for i in range(1000)], d)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+def test_validation_memory_stays_quadratic():
+    # an n^3 scan would need 8 GB at n=1000; the matrix itself is 8 MB
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", VALIDATE_1000],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    growth_kb = int(out.stdout.strip())  # ru_maxrss is in KB on Linux
+    assert growth_kb < 100 * 1024
 
 
 def test_duplicate_names_rejected():

@@ -3,10 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from delaymatch.core import make_requests, total_cost
+from delaymatch.core import Request, make_requests, total_cost
 from delaymatch.errors import OddRequestSet, TooLarge
 from delaymatch.instances import gen_random
-from delaymatch.metric import from_coords
+from delaymatch.metric import MetricSpace, from_coords
 from delaymatch.offline import (
     MAX_EXACT,
     MAX_EXACT_FP,
@@ -140,6 +140,65 @@ def test_greedy_is_strictly_suboptimal_sometimes():
     e = optimal_mpmd(space, reqs)
     assert g.cost.total > e.cost.total + 0.1
     assert e.cost.space == pytest.approx(2.0, abs=1e-5)
+
+
+def greedy_scan(space, requests):
+    """Reference greedy: rescan every remaining pair each round, O(n^3).
+
+    Each round takes the first strict minimum of d + |dt| in (i, j) order
+    over the requests still unserved, in request-id order.
+    """
+    reqs = sorted(requests, key=lambda r: r.id)
+    left = list(range(len(reqs)))
+    pairs = []
+    while left:
+        b, arg = float("inf"), None
+        for ai, i in enumerate(left):
+            for j in left[ai + 1:]:
+                ri, rj = reqs[i], reqs[j]
+                c = space.distance(ri.point, rj.point) + abs(ri.t - rj.t)
+                if c < b:
+                    b, arg = c, (i, j)
+        i, j = arg
+        pairs.append((reqs[i].id, reqs[j].id, max(reqs[i].t, reqs[j].t)))
+        left.remove(i)
+        left.remove(j)
+    return tuple(pairs)
+
+
+def _tie_heavy_instance(seed):
+    """Integer line or grid points and integer times: many equal pair costs."""
+    rng = np.random.default_rng(seed)
+    if seed % 3 == 0:
+        space = from_coords(np.arange(float(rng.integers(3, 9))))
+    elif seed % 3 == 1:
+        side = int(rng.integers(2, 4))
+        space = from_coords([[x, y] for x in range(side) for y in range(side)])
+    else:
+        k = int(rng.integers(2, 7))
+        space = MetricSpace([f"u{i}" for i in range(k)], np.ones((k, k)) - np.eye(k))
+    count = 2 * int(rng.integers(1, 16))
+    where = rng.integers(0, space.n, count)
+    times = rng.integers(0, int(rng.integers(1, 4)), count)
+    order = rng.permutation(count)  # ids need not follow arrival order
+    return space, tuple(
+        Request(id=int(order[i]), point=space.points[int(w)], t=float(t))
+        for i, (w, t) in enumerate(zip(where, times))
+    )
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_greedy_matches_pair_rescan_on_random_instances(seed):
+    kind = ("line", "square", "uniform")[seed % 3]
+    rng = np.random.default_rng(seed + 300)
+    space, reqs = gen_random(kind, 3 + seed, 2 * (4 + 3 * seed), 5.0, rng)
+    assert greedy_mpmd(space, reqs).schedule.pairings == greedy_scan(space, reqs)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_greedy_matches_pair_rescan_on_tied_costs(seed):
+    space, reqs = _tie_heavy_instance(seed)
+    assert greedy_mpmd(space, reqs).schedule.pairings == greedy_scan(space, reqs)
 
 
 def test_size_caps_enforced():
