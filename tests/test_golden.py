@@ -6,7 +6,10 @@ whose timers tie with arrivals), and the penalty reduction's two-copies runs
 with aliased vertex streams.  See `tests/golden/make_golden.py` for the
 format.  `tests/golden/batch_runs.json` holds greedy offline schedules and
 the byte-exact outputs of `run` and `embed` (see
-`tests/golden/make_batch_golden.py`).  Any difference is a defect, not a
+`tests/golden/make_batch_golden.py`).  `tests/golden/exact_runs.json` holds
+the exact oracles' schedules and the byte-exact outputs of
+`verify-identities` and of exact `run` batches (see
+`tests/golden/make_exact_golden.py`).  Any difference is a defect, not a
 reason to rewrite a corpus.
 """
 
@@ -23,7 +26,7 @@ from delaymatch import cli
 from delaymatch.core import Request
 from delaymatch.embedding import Hsbt
 from delaymatch.metric import MetricSpace
-from delaymatch.offline import greedy_mpmd
+from delaymatch.offline import greedy_mpmd, optimal_mpmd, optimal_mpmdfp
 from delaymatch.stiltwalker import TimerMode, run
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "engine_runs.json")
@@ -115,12 +118,9 @@ def test_greedy_reproduces_golden_schedule(case):
     assert list(dataclasses.astuple(sol.cost)) == case["expected"]["cost"]
 
 
-@pytest.mark.parametrize(
-    "case", BATCH_CORPUS["cli"], ids=[c["name"] for c in BATCH_CORPUS["cli"]]
-)
-def test_cli_reproduces_golden_output(case, tmp_path):
+def _replay_cli(corpus, case, tmp_path):
     path = tmp_path / "bundle.json"
-    path.write_text(json.dumps(BATCH_CORPUS["bundles"][case["bundle"]]))
+    path.write_text(json.dumps(corpus["bundles"][case["bundle"]]))
     args = case["args"]
     argv = args[:1] + ["--instance", str(path)] + args[1:]
     if args[0] == "run":
@@ -133,3 +133,83 @@ def test_cli_reproduces_golden_output(case, tmp_path):
     for name in ("report.json", "trials.csv"):
         if name in want:
             assert (tmp_path / "out" / name).read_text() == want[name]
+
+
+@pytest.mark.parametrize(
+    "case", BATCH_CORPUS["cli"], ids=[c["name"] for c in BATCH_CORPUS["cli"]]
+)
+def test_cli_reproduces_golden_output(case, tmp_path):
+    _replay_cli(BATCH_CORPUS, case, tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# exact oracles and the CLI paths on them (tests/golden/make_exact_golden.py)
+# ---------------------------------------------------------------------------
+
+EXACT = os.path.join(os.path.dirname(__file__), "golden", "exact_runs.json")
+
+with open(EXACT) as _fh:
+    EXACT_CORPUS = json.load(_fh)
+
+
+def test_exact_corpus_covers_every_size_and_kind():
+    for key, sizes in (("mpmd", range(2, 17, 2)), ("mpmdfp", range(1, 13))):
+        names = [c["name"] for c in EXACT_CORPUS[key]]
+        for family in ("random", "ties"):
+            for kind in ("line", "square", "uniform"):
+                for n in sizes:
+                    stem = f"{family}-{kind}-{n}"
+                    assert any(x == stem or x.startswith(stem + "-p") for x in names)
+    fp = [c["expected"] for c in EXACT_CORPUS["mpmdfp"]]
+    assert any(e["clears"] and e["pairings"] for e in fp)
+    assert any(e["clears"] and not e["pairings"] for e in fp)
+    assert any(e["pairings"] and not e["clears"] for e in fp)
+    runs = [c["args"] for c in EXACT_CORPUS["cli"]]
+    assert sum(a[0] == "verify-identities" for a in runs) == 3
+    assert any(a[0] == "run" and "--penalty" not in a for a in runs)
+    assert any(a[0] == "run" and "--penalty" in a for a in runs)
+    for case in EXACT_CORPUS["cli"]:
+        if case["args"][0] == "run":
+            assert "opt_exact yes" in case["expected"]["stdout"]
+
+
+def _exact_input(case):
+    dist = np.array([[float.fromhex(x) for x in row] for row in case["dist"]])
+    space = MetricSpace(case["points"], dist)
+    requests = tuple(
+        Request(id=i, point=p, t=float.fromhex(t)) for i, p, t in case["requests"]
+    )
+    return space, requests
+
+
+def _exact_output(sol):
+    return {
+        "pairings": [[a, b, t.hex()] for a, b, t in sol.schedule.pairings],
+        "clears": [[i, t.hex()] for i, t in sol.schedule.clears],
+        "cost": _hex(dataclasses.astuple(sol.cost)),
+    }
+
+
+@pytest.mark.parametrize(
+    "case", EXACT_CORPUS["mpmd"], ids=[c["name"] for c in EXACT_CORPUS["mpmd"]]
+)
+def test_optimal_mpmd_reproduces_golden_schedule(case):
+    sol = optimal_mpmd(*_exact_input(case))
+    assert sol.optimal
+    assert _exact_output(sol) == case["expected"]
+
+
+@pytest.mark.parametrize(
+    "case", EXACT_CORPUS["mpmdfp"], ids=[c["name"] for c in EXACT_CORPUS["mpmdfp"]]
+)
+def test_optimal_mpmdfp_reproduces_golden_schedule(case):
+    sol = optimal_mpmdfp(*_exact_input(case), float.fromhex(case["penalty"]))
+    assert sol.optimal
+    assert _exact_output(sol) == case["expected"]
+
+
+@pytest.mark.parametrize(
+    "case", EXACT_CORPUS["cli"], ids=[c["name"] for c in EXACT_CORPUS["cli"]]
+)
+def test_exact_cli_reproduces_golden_output(case, tmp_path):
+    _replay_cli(EXACT_CORPUS, case, tmp_path)
