@@ -47,7 +47,6 @@ __all__ = [
     "Coloring",
     "AppRealization",
     "AppReport",
-    "volume",
     "closed_form_digest",
     "count_dominance",
     "simulate_app",
@@ -109,10 +108,6 @@ class Coloring:
             if c == color:
                 total += max(0.0, min(e, b) - max(s, a))
         return total
-
-
-def volume(coloring: Coloring, color: int, a: float, b: float) -> float:
-    return coloring.volume(color, a, b)
 
 
 def closed_form_digest(remaining_volume: float, lam: float) -> float:

@@ -144,6 +144,11 @@ def cli_cases():
         ("embed-line-16", "line-16", ["embed", "--seed", "3"]),
         ("embed-uniform-12", "uniform-12", ["embed", "--seed", "4"]),
     ]
+    return bundles, run_cli_cases(bundles, runs)
+
+
+def run_cli_cases(bundles, runs):
+    """Run each (name, bundle, args) in a scratch directory; returns the cases."""
     cases = []
     with tempfile.TemporaryDirectory() as workdir:
         for name, bundle, args in runs:
@@ -160,7 +165,7 @@ def cli_cases():
                 "args": args,
                 "expected": {"stdout": stdout, **files},
             })
-    return bundles, cases
+    return cases
 
 
 def main() -> None:

@@ -29,15 +29,12 @@ its output; do not rerun this script to absorb it.
 from __future__ import annotations
 
 import dataclasses
-import io
 import json
 import os
-import tempfile
-from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
+from make_batch_golden import _bundle, run_cli_cases
 
-from delaymatch import cli
 from delaymatch.core import Request
 from delaymatch.instances import gen_random
 from delaymatch.metric import MetricSpace, from_coords
@@ -96,7 +93,7 @@ def _ties(kind: str, count: int, seed: int):
 
 
 def _instances(sizes, seed0):
-    """(name, space, requests) on every size, random and tie-heavy, each kind."""
+    """(name, space, requests, tie-heavy?) at every size, for each kind."""
     for count in sizes:
         for k, kind in enumerate(KINDS):
             seed = seed0 + 10 * count + k
@@ -127,36 +124,6 @@ def mpmdfp_cases():
     return cases
 
 
-def _bundle(kind, n_points, n_requests, seed):
-    rng = np.random.default_rng(seed)
-    space, requests = gen_random(kind, n_points, n_requests, 5.0, rng)
-    return {
-        "points": list(space.points),
-        "dist": space.dist.tolist(),
-        "requests": [
-            {"point": r.point, "t": r.t} for r in sorted(requests, key=lambda r: r.id)
-        ],
-    }
-
-
-def _call(argv, workdir):
-    """Run the CLI in-process; returns its stdout and any files under --out."""
-    out_dir = os.path.join(workdir, "out")
-    stdout = io.StringIO()
-    with redirect_stdout(stdout), redirect_stderr(io.StringIO()):
-        rc = cli.main(argv)
-    if rc != 0:
-        raise RuntimeError(f"delaymatch {' '.join(argv)} exited {rc}")
-    files = {}
-    for name in ("report.json", "trials.csv"):
-        path = os.path.join(out_dir, name)
-        if os.path.exists(path):
-            with open(path) as fh:
-                files[name] = fh.read()
-            os.remove(path)
-    return stdout.getvalue(), files
-
-
 def cli_cases():
     bundles = {
         "line-8": _bundle("line", 8, 16, 61),
@@ -177,23 +144,7 @@ def cli_cases():
         ("run-exact-penalty-line-7", "line-7",
          ["run", "--trials", "4", "--seed", "15", "--penalty", "0.3"]),
     ]
-    cases = []
-    with tempfile.TemporaryDirectory() as workdir:
-        for name, bundle, args in runs:
-            path = os.path.join(workdir, f"{bundle}.json")
-            with open(path, "w") as fh:
-                json.dump(bundles[bundle], fh)
-            argv = args[:1] + ["--instance", path] + args[1:]
-            if args[0] == "run":
-                argv += ["--out", os.path.join(workdir, "out")]
-            stdout, files = _call(argv, workdir)
-            cases.append({
-                "name": name,
-                "bundle": bundle,
-                "args": args,
-                "expected": {"stdout": stdout, **files},
-            })
-    return bundles, cases
+    return bundles, run_cli_cases(bundles, runs)
 
 
 def main() -> None:

@@ -12,7 +12,6 @@ from delaymatch.altpoisson import (
     simulate_app,
     simulate_rate_varying,
     verify_digestion,
-    volume,
 )
 from delaymatch.errors import ConfigInvalid, RateAboveCap
 
@@ -81,7 +80,7 @@ def test_volume_matches_riemann_oracle():
             a, b = sorted(rng.uniform(c.t0, c.t1, size=2))
             inside = (mids >= a) & (mids < b) & (colors == color)
             want = float(inside.sum()) * step
-            assert volume(c, color, float(a), float(b)) == pytest.approx(
+            assert c.volume(color, float(a), float(b)) == pytest.approx(
                 want, abs=3 * step
             )
 

@@ -2,14 +2,17 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from delaymatch.core import Request, make_requests, total_cost
+from delaymatch.core import Request, Schedule, make_requests, total_cost
 from delaymatch.errors import OddRequestSet, TooLarge
 from delaymatch.instances import gen_random
 from delaymatch.metric import MetricSpace, from_coords
 from delaymatch.offline import (
     MAX_EXACT,
     MAX_EXACT_FP,
+    _plan,
     greedy_mpmd,
     optimal_mpmd,
     optimal_mpmdfp,
@@ -209,8 +212,158 @@ def test_size_caps_enforced():
         optimal_mpmdfp(space, reqs[: MAX_EXACT_FP + 2], penalty=1.0)
 
 
+def test_rejected_sizes_build_no_plan():
+    space, reqs = random_instance(9, n_points=6, n_requests=MAX_EXACT + 2)
+    before = _plan.cache_info().currsize
+    with pytest.raises(TooLarge):
+        optimal_mpmd(space, reqs)
+    with pytest.raises(OddRequestSet):
+        optimal_mpmd(space, reqs[:MAX_EXACT + 1])
+    with pytest.raises(TooLarge):
+        optimal_mpmdfp(space, reqs[: MAX_EXACT_FP + 1], penalty=1.0)
+    assert _plan.cache_info().currsize == before
+
+
+def test_plan_counts_and_read_only_arrays():
+    # lowest-first masks over 16 requests: Fibonacci(17) states
+    plan = _plan(16, False)
+    cell, sub, start, _ = plan
+    assert (len(start) - 1, len(cell)) == (1597, 10226)
+    assert len(_plan(12, True)[2]) - 1 == 377
+    assert _plan(16, False) is plan
+    for a in (cell, sub, start):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1
+
+
 def test_empty_request_set():
     space, _ = random_instance(1)
     sol = optimal_mpmd(space, [])
     assert sol.cost.total == 0.0
     assert sol.schedule.pairings == ()
+
+
+def recursive_oracle(space, requests, penalty=None):
+    """Reference exact oracle: the memoized lowest-first recursion on bitmasks.
+
+    It decides the lowest-id unserved request i first: clear it (only when
+    `penalty` is given), or pair it with some unserved k > i in ascending
+    k, keeping the first strict minimum of `cost + solve(rest)`.
+    """
+    reqs = sorted(requests, key=lambda r: r.id)
+    n = len(reqs)
+    edge = [
+        [space.distance(a.point, b.point) + abs(a.t - b.t) for b in reqs]
+        for a in reqs
+    ]
+    best = {0: 0.0}
+    choice = {}
+
+    def solve(mask):
+        if mask in best:
+            return best[mask]
+        i = (mask & -mask).bit_length() - 1
+        rest = mask & ~(1 << i)
+        b, arg = float("inf"), None
+        if penalty is not None:
+            b, arg = penalty + solve(rest), i
+        j = rest
+        while j:
+            k = (j & -j).bit_length() - 1
+            c = edge[i][k] + solve(rest & ~(1 << k))
+            if c < b:
+                b, arg = c, (i, k)
+            j &= j - 1
+        best[mask] = b
+        choice[mask] = arg
+        return b
+
+    mask = (1 << n) - 1
+    solve(mask)
+    pairs, clears = [], []
+    while mask:
+        arg = choice[mask]
+        if isinstance(arg, tuple):
+            i, k = arg
+            pairs.append((reqs[i].id, reqs[k].id, max(reqs[i].t, reqs[k].t)))
+            mask &= ~(1 << i) & ~(1 << k)
+        else:
+            clears.append((reqs[arg].id, reqs[arg].t))
+            mask &= ~(1 << arg)
+    schedule = Schedule(pairings=tuple(pairs), clears=tuple(clears))
+    return schedule, total_cost(space, reqs, schedule, penalty_p=penalty)
+
+
+def _assert_same_solution(sol, space, reqs, penalty=None):
+    schedule, cost = recursive_oracle(space, reqs, penalty)
+    assert sol.schedule == schedule
+    assert [x.hex() for x in (sol.cost.space, sol.cost.time, sol.cost.penalty)] == [
+        x.hex() for x in (cost.space, cost.time, cost.penalty)
+    ]
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_exact_matches_recursive_oracle_on_seeded_instances(seed):
+    kind = ("line", "square", "uniform")[seed % 3]
+    rng = np.random.default_rng(seed + 700)
+    count = 2 * int(rng.integers(0, MAX_EXACT // 2 + 1))
+    space, reqs = gen_random(kind, 2 + seed % 7, count, 4.0, rng)
+    _assert_same_solution(optimal_mpmd(space, reqs), space, reqs)
+    fp = reqs[: int(rng.integers(0, MAX_EXACT_FP + 1))]
+    penalty = [0.05, 0.3, 1.0, 4.0][seed % 4]
+    _assert_same_solution(optimal_mpmdfp(space, fp, penalty), space, fp, penalty)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_exact_matches_recursive_oracle_on_tied_costs(seed):
+    space, reqs = _tie_heavy_instance(seed)
+    reqs = reqs[:MAX_EXACT]
+    _assert_same_solution(optimal_mpmd(space, reqs), space, reqs)
+    fp = reqs[:MAX_EXACT_FP - seed % 2]
+    for penalty in (1.0, 2.0):
+        _assert_same_solution(optimal_mpmdfp(space, fp, penalty), space, fp, penalty)
+
+
+@st.composite
+def tie_instances(draw, max_requests):
+    """Integer metrics, and times that are integers (ties) or arbitrary."""
+    kind = draw(st.sampled_from(["line", "square", "uniform"]))
+    size = draw(st.integers(2, 5))
+    if kind == "line":
+        space = from_coords(np.arange(float(size)))
+    elif kind == "square":
+        space = from_coords([[x, y] for x in range(size) for y in range(2)])
+    else:
+        space = MetricSpace([f"u{i}" for i in range(size)],
+                            np.ones((size, size)) - np.eye(size))
+    count = draw(st.integers(0, max_requests))
+    if draw(st.booleans()):
+        times = st.integers(0, 3).map(float)
+    else:
+        times = st.floats(0.0, 4.0, allow_nan=False, allow_infinity=False)
+    where = draw(st.lists(st.integers(0, space.n - 1), min_size=count, max_size=count))
+    arrivals = draw(st.lists(times, min_size=count, max_size=count))
+    ids = draw(st.permutations(range(count)))
+    return space, tuple(
+        Request(id=ids[j], point=space.points[w], t=t)
+        for j, (w, t) in enumerate(zip(where, arrivals))
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(tie_instances(MAX_EXACT))
+def test_exact_matches_recursive_oracle_hypothesis(instance):
+    space, reqs = instance
+    reqs = reqs[: len(reqs) // 2 * 2]
+    _assert_same_solution(optimal_mpmd(space, reqs), space, reqs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tie_instances(MAX_EXACT_FP),
+    st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.01, 5.0),
+)
+def test_exact_fp_matches_recursive_oracle_hypothesis(instance, penalty):
+    space, reqs = instance
+    _assert_same_solution(optimal_mpmdfp(space, reqs, penalty), space, reqs, penalty)
