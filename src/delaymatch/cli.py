@@ -15,13 +15,20 @@ violation (a bug in the library, not in the input).  Reports are
 deterministic byte for byte given the configuration; wall-clock timing goes
 to stderr only.
 
-Instance bundles are JSON objects holding either "points" + "dist" or
-"coords", plus an optional "requests" array of {"point", "t"} rows.
+Instance bundles are JSON objects.  The metric is either "dist", a square
+matrix of distances with optional "points" names (default p0, p1, ...), or
+"coords", one coordinate row per point for a Euclidean metric, again with
+optional "points".  An optional "requests" array holds {"point", "t"} rows:
+each point must name a point of the metric, and arrival times must be
+finite, at least 0 and pairwise distinct.  `load_bundle` and `save_bundle`
+are the one reader and writer of this format; any other shape is rejected
+as a user error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -34,14 +41,14 @@ from .core import make_requests, total_cost
 from .diagnostics import track_potentials, verify_cost_identities
 from .embedding import Hsbt, sample_hsbt, tree_metric
 from .errors import InstanceLoadError, InvariantViolation, UserError
-from .experiment import ExperimentConfig, run_experiment
+from .experiment import ExperimentConfig, batch_summary, run_experiment
 from .instances import (
     GammaConfig,
     gen_adversarial_gamma,
     gen_random,
     gen_two_point,
 )
-from .metric import MetricSpace, stats, validate as validate_metric
+from .metric import MetricSpace, from_coords, stats, validate as validate_metric
 from .offline import optimal_mpmd
 from .stiltwalker import Engine, TimerMode
 
@@ -61,7 +68,7 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 def load_bundle(path: str):
-    """Instance bundle -> (space, requests or None)."""
+    """Instance bundle -> (space, requests or None); see the module doc."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
@@ -69,20 +76,25 @@ def load_bundle(path: str):
         raise InstanceLoadError(f"cannot read instance {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise InstanceLoadError("instance file must hold a JSON object")
-    if "dist" in obj:
-        pts = obj.get("points") or [f"p{i}" for i in range(len(obj["dist"]))]
-        space = validate_metric(pts, obj["dist"])
-    elif "coords" in obj:
-        from .metric import from_coords
-
-        space = from_coords(obj["coords"], obj.get("points"))
-    else:
-        raise InstanceLoadError("instance needs either 'dist' or 'coords'")
+    try:
+        if "dist" in obj:
+            dist = np.asarray(obj["dist"], dtype=float)
+            pts = obj.get("points") or [f"p{i}" for i in range(len(dist))]
+            space = validate_metric(pts, dist)
+        elif "coords" in obj:
+            space = from_coords(obj["coords"], obj.get("points"))
+        else:
+            raise InstanceLoadError("instance needs either 'dist' or 'coords'")
+    except (TypeError, ValueError) as exc:
+        raise InstanceLoadError(f"malformed metric: {exc}") from exc
     requests = None
     if "requests" in obj:
+        rows = obj["requests"]
+        if not isinstance(rows, list):
+            raise InstanceLoadError("'requests' must be a JSON array")
         try:
-            arrivals = [(row["point"], float(row["t"])) for row in obj["requests"]]
-        except (TypeError, KeyError) as exc:
+            arrivals = [(row["point"], float(row["t"])) for row in rows]
+        except (TypeError, KeyError, ValueError) as exc:
             raise InstanceLoadError(f"bad request row: {exc}") from exc
         requests = make_requests(space, arrivals, require_even=False)
     return space, requests
@@ -105,10 +117,9 @@ def save_bundle(space: MetricSpace, requests, path: str) -> None:
 
 
 def _out_dir(args) -> str | None:
-    out = getattr(args, "out", None) or os.environ.get("DELAYMATCH_OUT")
-    if out:
-        os.makedirs(out, exist_ok=True)
-    return out
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+    return args.out
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +246,7 @@ def _cmd_verify_identities(args) -> int:
 def _cmd_gen(args) -> int:
     out = _out_dir(args)
     if not out:
-        raise UserError("gen needs --out (or the DELAYMATCH_OUT variable)")
+        raise UserError("gen needs --out")
     if args.generator == "random":
         rng = np.random.default_rng(args.seed)
         space, requests = gen_random(
@@ -293,16 +304,12 @@ def _cmd_report(args) -> int:
         opt_total = float(rows[0]["opt_total"])
     except (KeyError, ValueError) as exc:
         raise InstanceLoadError(f"bad trials file: {exc}") from exc
-    mean = float(np.mean(ratios))
-    if len(ratios) > 1:
-        ci = 1.96 * float(np.std(ratios, ddof=1)) / float(np.sqrt(len(ratios)))
-    else:
-        ci = 0.0
+    mean, ci, residual = batch_summary(ratios, totals, opt_total)
     print(f"trials {len(rows)}")
     print(f"opt_total {opt_total!r}")
     print(f"ratio_mean {mean!r}")
     print(f"ratio_ci95 {ci!r}")
-    print(f"residual {float(np.mean(totals)) - mean * opt_total!r}")
+    print(f"residual {residual!r}")
     return 0
 
 
@@ -310,7 +317,9 @@ def _cmd_report(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """The argument parser, built once: parsing keeps no state in it."""
     p = _Parser(prog="delaymatch", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

@@ -5,16 +5,16 @@ time t >= both arrivals costs their connection distance (space) plus the two
 waiting times (t - t1) + (t - t2).  With a penalty parameter p a request may
 instead be cleared at time t >= its arrival for p plus its waiting time.
 
-Arrival times within one request set must be pairwise distinct; generators
-jitter coincident arrivals by ~1e-9 before handing sets to the loader.
+Arrival times must be finite and at least 0, and pairwise distinct within
+one request set; generators jitter coincident arrivals by ~1e-9 before
+handing sets to the loader.
 """
 
 from __future__ import annotations
 
-import csv
-import json
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import (
     DoubleService,
@@ -34,9 +34,6 @@ __all__ = [
     "make_requests",
     "pair_cost",
     "total_cost",
-    "load_requests",
-    "dump_requests",
-    "dump_schedule",
 ]
 
 
@@ -74,9 +71,14 @@ def make_requests(
     """Validate and freeze a request sequence (sorted by arrival)."""
     reqs = []
     for i, (point, t) in enumerate(arrivals):
-        if point not in space.index:
+        if not isinstance(point, str) or point not in space.index:
             raise UnknownLocation(f"request {i} at unknown point {point!r}")
-        reqs.append(Request(id=i, point=point, t=float(t)))
+        t = float(t)
+        if not 0.0 <= t < math.inf:
+            raise InstanceLoadError(
+                f"request {i} arrives at t={t}; times must be finite and >= 0"
+            )
+        reqs.append(Request(id=i, point=point, t=t))
     times = sorted(r.t for r in reqs)
     for a, b in zip(times, times[1:]):
         if a == b:
@@ -136,36 +138,3 @@ def total_cost(
     if missing:
         raise UncoveredRequest(f"requests never served: {sorted(missing)}")
     return CostBreakdown(space=space_cost, time=time_cost, penalty=penalty_cost)
-
-
-def load_requests(space: MetricSpace, path: str, require_even: bool = True):
-    """Read requests from JSON: [{"point": name, "t": time}, ...]."""
-    try:
-        with open(path) as fh:
-            rows = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InstanceLoadError(f"cannot read requests {path}: {exc}") from exc
-    if not isinstance(rows, list):
-        raise InstanceLoadError("requests file must hold a JSON array")
-    try:
-        arrivals = [(row["point"], float(row["t"])) for row in rows]
-    except (TypeError, KeyError) as exc:
-        raise InstanceLoadError(f"bad request row: {exc}") from exc
-    return make_requests(space, arrivals, require_even=require_even)
-
-
-def dump_requests(requests: Iterable[Request], path: str) -> None:
-    rows = [{"point": r.point, "t": r.t} for r in sorted(requests, key=lambda r: r.id)]
-    with open(path, "w") as fh:
-        json.dump(rows, fh, indent=1)
-        fh.write("\n")
-
-
-def dump_schedule(schedule: Schedule, path: str) -> None:
-    """CSV rows: `id1,id2,match_time` for pairings, `id,clear_time` for clears."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        for id1, id2, t in schedule.pairings:
-            w.writerow([id1, id2, repr(t)])
-        for rid, t in schedule.clears:
-            w.writerow([rid, repr(t)])

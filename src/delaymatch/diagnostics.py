@@ -3,6 +3,11 @@
 Everything here is pure analysis over an engine trace, an offline schedule
 and the tree; nothing re-runs the engine.  The online state between events
 comes from `stiltwalker.replay_parity`, which rebuilds it from the trace.
+The offline state comes from one replay of the offline schedule,
+`_replay_offline`, shared by the tau* ledger and the phase partition: it
+keeps each vertex's count of odd children under path flips, so an offline
+event costs O(height) and each stretch between event times O(number of
+vertices with an odd child), not O(|V|).
 The central quantities, per internal vertex v with children u1, u2 (D(t) is
 the set of odd-count vertices under the online evolution, D*(t) under the
 offline schedule):
@@ -43,7 +48,8 @@ the one the deposit structure actually guarantees.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -86,11 +92,16 @@ def _replay_offline(
     tree: Hsbt,
     arrivals: dict[int, tuple[float, int]],
     offline: Schedule,
-) -> tuple[list[tuple[float, float, frozenset[int]]], list[tuple[float, int, int, int]]]:
+) -> Iterator[tuple[float, dict[int, int], tuple[int, int, int] | None]]:
     """Evolve the odd-vertex set D* under the offline schedule.
 
-    Returns piecewise-constant segments (start, end, odd set) covering
-    [first event, last event], and the match records (t, leaf1, leaf2, lca).
+    Yields (t, odd_kids, match) once per event (arrivals before matches at
+    equal times), just before applying it, so `odd_kids` is the state on the
+    stretch that ends at t.  It maps every vertex with an odd child to its
+    number of odd children (1 or 2) and is updated in place; `match` is
+    (leaf1, leaf2, lca) for a match and None for an arrival.  An arrival
+    flips its leaf-to-root path and a match the two paths below its lca, so
+    an event costs O(height) and a stretch costs O(|odd_kids|).
     """
     if offline.clears:
         raise TraceMismatch("offline replay handles pure matching schedules only")
@@ -113,34 +124,35 @@ def _replay_offline(
         raise TraceMismatch("offline schedule leaves some requests unserved")
     events.sort(key=lambda e: (e[0], e[1]))
 
+    parent = tree.parent
     parity = [0] * len(tree)
+    odd_kids: dict[int, int] = {}
 
-    def flip(leaf: int) -> None:
+    def flip(leaf: int, top: int) -> None:
         v = leaf
-        while v >= 0:
+        while v != top:
             parity[v] ^= 1
-            v = tree.parent[v]
+            v_odd = parity[v]
+            v = parent[v]
+            if v >= 0:
+                c = odd_kids.get(v, 0) + (1 if v_odd else -1)
+                if c:
+                    odd_kids[v] = c
+                else:
+                    del odd_kids[v]
 
-    segments: list[tuple[float, float, frozenset[int]]] = []
-    matches: list[tuple[float, int, int, int]] = []
-    now = events[0][0] if events else 0.0
     for t, _, payload in events:
-        if t > now:
-            segments.append(
-                (now, t, frozenset(v for v in range(len(tree)) if parity[v]))
-            )
-            now = t
         if len(payload) == 1:
-            flip(payload[0])
+            yield t, odd_kids, None
+            flip(payload[0], -1)
         else:
             la, lb = payload
-            if la != lb:
-                flip(la)
-                flip(lb)
-            matches.append((t, la, lb, tree.lca(la, lb)))
+            u = tree.lca(la, lb)
+            yield t, odd_kids, (la, lb, u)
+            flip(la, u)
+            flip(lb, u)
     if any(parity):
         raise TraceMismatch("offline replay ended with odd vertices left over")
-    return segments, matches
 
 
 def _deposit_star(tree: Hsbt, sigma_star: np.ndarray, la: int, lb: int, u: int) -> None:
@@ -162,16 +174,15 @@ def _star_ledgers(
     n_v = len(tree)
     tau_star = np.zeros(n_v)
     sigma_star = np.zeros(n_v)
-    segments, matches = _replay_offline(tree, arrivals, offline)
-    internal = [v for v in range(n_v) if not tree.is_leaf(v)]
-    for a, b, odd in segments:
-        dt = b - a
-        for v in internal:
-            u1, u2 = tree.children[v]
-            tau_star[v] += dt * ((u1 in odd) + (u2 in odd))
-    for t, la, lb, u in matches:
-        if la != lb:
-            _deposit_star(tree, sigma_star, la, lb, u)
+    prev_t = None
+    for t, odd_kids, match in _replay_offline(tree, arrivals, offline):
+        if prev_t is not None and t > prev_t:
+            dt = t - prev_t
+            for v, c in odd_kids.items():
+                tau_star[v] += dt * c
+        prev_t = t
+        if match is not None and match[0] != match[1]:
+            _deposit_star(tree, sigma_star, *match)
     return tau_star, sigma_star
 
 
@@ -411,17 +422,25 @@ def partition_phases(
         (a, b) for a, b in zip(phase_cuts, phase_cuts[1:]) if b > a
     ] or [(0.0, t_end)]
 
-    # --- subphase boundaries: offline matches across or on top of the vertex
-    segments, matches = _replay_offline(tree, arrivals, offline)
+    # --- subphase boundaries: offline matches across or on top of the
+    # vertex; the offline child-parity XOR is its odd-children count mod 2
     sub_cut_times: list[float] = []
-    for t, la, lb, u in matches:
+    offline_pieces: list[tuple[float, float, int]] = []
+    prev_t = None
+    for t, odd_kids, match in _replay_offline(tree, arrivals, offline):
+        if prev_t is not None and t > prev_t:
+            offline_pieces.append((prev_t, t, odd_kids.get(vertex, 0) & 1))
+        prev_t = t
+        if match is None:
+            continue
+        la, lb, u = match
         tops = (u == vertex) or (
             u in ancestors and ((la in in_subtree) != (lb in in_subtree))
         )
         if tops and 0.0 < t < t_end:
             sub_cut_times.append(t)
 
-    # --- the four child-parity signals and their XOR
+    # --- the online child-parity signal and its XOR with the offline one
     online_pieces: list[tuple[float, float, int]] = []
     prev_t, y = 0.0, 0
     for e, parity, _ in replay_parity(tree, trace):
@@ -431,9 +450,6 @@ def partition_phases(
         y = parity[u1] ^ parity[u2]
     if t_end > prev_t:
         online_pieces.append((prev_t, t_end, y))
-    offline_pieces = [
-        (a, b, int(u1 in odd) ^ int(u2 in odd)) for a, b, odd in segments
-    ]
     y_pieces = _merge_signal(online_pieces, offline_pieces, 0.0, t_end)
 
     def bit_on(a: float, b: float) -> int:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import IO
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -37,6 +37,7 @@ __all__ = [
     "TrialRecord",
     "ExperimentConfig",
     "ExperimentReport",
+    "batch_summary",
     "FlushBudgetReport",
     "trial_seed",
     "trial_rng",
@@ -143,6 +144,22 @@ def offline_baseline(
         return min(candidates, key=lambda s: s.cost.total)
 
 
+def batch_summary(
+    ratios: Sequence[float], totals: Sequence[float], opt_total: float
+) -> tuple[float, float, float]:
+    """(ratio_mean, ratio_ci95, residual) of one batch of trials.
+
+    ratio_ci95 is the half-width of the normal-approximation 95% interval
+    for the mean ratio (0 for a single trial); residual is the additive
+    slack, mean online total minus ratio_mean x offline total.
+    """
+    mean = float(np.mean(ratios))
+    ci = 0.0
+    if len(ratios) > 1:
+        ci = 1.96 * float(np.std(ratios, ddof=1)) / math.sqrt(len(ratios))
+    return mean, ci, float(np.mean(totals)) - mean * opt_total
+
+
 @dataclass
 class ExperimentReport:
     config: ExperimentConfig
@@ -153,23 +170,26 @@ class ExperimentReport:
     def opt_total(self) -> float:
         return self.opt.cost.total
 
+    def _summary(self) -> tuple[float, float, float]:
+        return batch_summary(
+            [r.ratio for r in self.records],
+            [r.total for r in self.records],
+            self.opt_total,
+        )
+
     @property
     def ratio_mean(self) -> float:
-        return float(np.mean([r.ratio for r in self.records]))
+        return self._summary()[0]
 
     @property
     def ratio_ci95(self) -> float:
         """Half-width of the normal-approximation 95% interval for the mean."""
-        if len(self.records) < 2:
-            return 0.0
-        sd = float(np.std([r.ratio for r in self.records], ddof=1))
-        return 1.96 * sd / math.sqrt(len(self.records))
+        return self._summary()[1]
 
     @property
     def residual(self) -> float:
         """Additive slack: mean online total minus ratio_mean x offline total."""
-        mean_total = float(np.mean([r.total for r in self.records]))
-        return mean_total - self.ratio_mean * self.opt_total
+        return self._summary()[2]
 
     @property
     def c_end_values(self) -> list[float]:

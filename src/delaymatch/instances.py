@@ -273,6 +273,8 @@ def gen_random(
     """Random instance: `kind` is "line", "square" or "uniform"."""
     if n_points < 2:
         raise OutOfDomain("need at least two points")
+    if not 0.0 <= horizon < math.inf:
+        raise ConfigInvalid(f"horizon must be finite and >= 0, got {horizon}")
     names = [f"p{i}" for i in range(n_points)]
     if kind == "line":
         coords = np.sort(rng.uniform(0.0, 1.0, n_points))
@@ -317,7 +319,12 @@ def gen_two_point(
     if pattern == "pair_at_0":
         arrivals = [("a", 0.0), ("b", jitter)]
     elif pattern.startswith("stagger:"):
-        k = int(pattern.split(":", 1)[1])
+        try:
+            k = int(pattern.split(":", 1)[1])
+        except ValueError:
+            raise ConfigInvalid(
+                f"stagger pattern needs an integer k, got {pattern!r}"
+            ) from None
         if k < 1:
             raise ConfigInvalid("stagger pattern needs k >= 1")
         arrivals = [("a" if i % 2 == 0 else "b", i * spacing) for i in range(2 * k)]

@@ -1,4 +1,4 @@
-"""Finite metric spaces: validation, statistics, file I/O.
+"""Finite metric spaces: validation and statistics.
 
 Every downstream component assumes a genuine metric (symmetry, zero diagonal,
 positive off-diagonal entries, triangle inequality), so the constructor here
@@ -9,7 +9,6 @@ coordinate inputs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,8 +33,6 @@ __all__ = [
     "validate",
     "from_coords",
     "stats",
-    "load_instance",
-    "dump_instance",
 ]
 
 
@@ -139,33 +136,3 @@ def stats(space: MetricSpace) -> MetricStats:
     d_min = float(off.min())
     d_max = float(off.max())
     return MetricStats(d_min=d_min, d_max=d_max, aspect_ratio=d_max / d_min)
-
-
-def _parse_metric(obj: dict) -> MetricSpace:
-    if "dist" in obj:
-        pts = obj.get("points")
-        if pts is None:
-            pts = [f"p{i}" for i in range(len(obj["dist"]))]
-        return validate(pts, obj["dist"])
-    if "coords" in obj:
-        return from_coords(obj["coords"], obj.get("points"))
-    raise InstanceLoadError("instance needs either 'dist' or 'coords'")
-
-
-def load_instance(path: str) -> MetricSpace:
-    """Load a metric from JSON: {"points", "dist"} or {"coords"}."""
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InstanceLoadError(f"cannot read instance {path}: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise InstanceLoadError("instance file must hold a JSON object")
-    return _parse_metric(obj)
-
-
-def dump_instance(space: MetricSpace, path: str) -> None:
-    obj = {"points": list(space.points), "dist": space.dist.tolist()}
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1)
-        fh.write("\n")

@@ -73,7 +73,6 @@ __all__ = [
     "recompute_state",
     "replay_parity",
     "run",
-    "vertex_streams",
 ]
 
 
@@ -213,14 +212,6 @@ class EngineRun:
     # effective time and connection cost deposited by non-flush matches
     tau: np.ndarray
     sigma: np.ndarray
-
-
-def vertex_streams(tree: Hsbt, seed: int) -> list[np.random.Generator]:
-    """One independent named stream per vertex, keyed by (seed, vertex id)."""
-    return [
-        np.random.default_rng(np.random.SeedSequence((seed, v)))
-        for v in range(len(tree))
-    ]
 
 
 class Engine:

@@ -3,6 +3,8 @@ import re
 import shlex
 from pathlib import Path
 
+import pytest
+
 from delaymatch.cli import _build_parser, load_bundle, main, save_bundle
 from delaymatch.embedding import Hsbt
 
@@ -69,8 +71,9 @@ def test_report_recomputes_run_summary(tmp_path, capsys):
     )
     code, rep_text, _ = run_cli(capsys, "report", "--csv", f"{out}/trials.csv")
     assert code == 0
-    want = next(l for l in run_text.splitlines() if l.startswith("ratio_mean"))
-    assert want in rep_text
+    for key in ("opt_total", "ratio_mean", "ratio_ci95", "residual"):
+        want = next(l for l in run_text.splitlines() if l.startswith(key + " "))
+        assert want in rep_text.splitlines()
 
 
 def test_run_penalty_and_no_flush_paths(tmp_path, capsys):
@@ -162,13 +165,69 @@ def test_save_bundle_round_trip(tmp_path):
     assert [r.t for r in reqs2] == [r.t for r in reqs]
 
 
-def test_readme_command_lines_parse():
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     block = re.search(r"## Command line\n+```sh\n(.*?)```", readme, re.S).group(1)
     lines = [ln for ln in block.splitlines() if ln.strip()]
     assert len(lines) == 8
-    parser = _build_parser()
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "coloring.json").write_text(json.dumps([
+        {"start": 0.0, "end": 1.0, "color": 1},
+        {"start": 1.0, "end": 2.0, "color": 2},
+        {"start": 2.0, "end": 3.0, "color": 1},
+    ]))
     for line in lines:
         argv = shlex.split(line)
         assert argv[0] == "delaymatch", line
-        parser.parse_args(argv[1:])
+        code, _, err = run_cli(capsys, *argv[1:])
+        assert code == 0, (line, err)
+    assert _build_parser() is _build_parser()
+
+
+_VALID_BUNDLE = {
+    "points": ["p0", "p1"],
+    "dist": [[0.0, 1.0], [1.0, 0.0]],
+    "requests": [{"point": "p0", "t": 0.0}],
+}
+_TIME_RULE = "times must be finite and >= 0"
+_BAD_BUNDLES = {  # overrides of the valid bundle (None drops a key), message
+    "negative-time": ({"requests": [{"point": "p0", "t": -5}]}, _TIME_RULE),
+    "nan-time": ({"requests": [{"point": "p0", "t": float("nan")}]}, _TIME_RULE),
+    "infinite-time": (
+        {"requests": [{"point": "p0", "t": float("inf")}]}, _TIME_RULE
+    ),
+    "string-time": ({"requests": [{"point": "p0", "t": "abc"}]}, "bad request row"),
+    "list-point": ({"requests": [{"point": ["p0"], "t": 0.0}]}, "unknown point"),
+    "requests-object": ({"requests": {"point": "p0", "t": 0.0}}, "JSON array"),
+    "string-dist": ({"dist": "abc"}, "malformed metric"),
+    "ragged-dist": ({"dist": [[0.0, 1.0], [1.0]]}, "malformed metric"),
+    "scalar-dist": ({"points": None, "dist": 5}, "malformed metric"),
+    "string-coords": ({"dist": None, "coords": "abc"}, "malformed metric"),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "verify-identities"])
+@pytest.mark.parametrize("case", sorted(_BAD_BUNDLES))
+def test_bad_bundle_is_user_error(tmp_path, capsys, case, command):
+    override, message = _BAD_BUNDLES[case]
+    bundle = {**_VALID_BUNDLE, **override}
+    if isinstance(bundle["requests"], list):
+        bundle["requests"] = bundle["requests"] + [{"point": "p1", "t": 1.0}]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({k: v for k, v in bundle.items() if v is not None}))
+    code, _, err = run_cli(capsys, command, "--instance", str(path))
+    assert code == 1
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["two-point", "--pattern", "stagger:x"],
+    ["two-point", "--pattern", "stagger:2", "--spacing", "-1"],
+    ["random", "--horizon", "-1"],
+])
+def test_bad_gen_argument_is_user_error(tmp_path, capsys, argv):
+    code, _, err = run_cli(capsys, "gen", *argv, "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

@@ -1,11 +1,13 @@
+import importlib
+import json
+import pkgutil
+
 import pytest
 
+from delaymatch.cli import load_bundle, save_bundle
 from delaymatch.core import (
     Request,
     Schedule,
-    dump_requests,
-    dump_schedule,
-    load_requests,
     make_requests,
     pair_cost,
     total_cost,
@@ -117,22 +119,28 @@ def test_total_cost_clear_before_arrival(line):
 
 def test_requests_round_trip(tmp_path, line):
     reqs = make_requests(line, [("a", 1.0), ("b", 2.5)])
-    path = str(tmp_path / "reqs.json")
-    dump_requests(reqs, path)
-    back = load_requests(line, path)
+    path = str(tmp_path / "bundle.json")
+    save_bundle(line, reqs, path)
+    _, back = load_bundle(path)
     assert back == reqs
 
 
-def test_load_requests_bad_shape(tmp_path, line):
-    path = tmp_path / "reqs.json"
-    path.write_text('{"point": "a"}')
+def test_load_requests_bad_shape(tmp_path):
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(
+        {"coords": [[0], [5]], "points": ["a", "b"], "requests": {"point": "a"}}
+    ))
     with pytest.raises(InstanceLoadError):
-        load_requests(line, str(path))
+        load_bundle(str(path))
 
 
-def test_dump_schedule_rows(tmp_path):
-    sched = Schedule(pairings=((0, 1, 2.5),), clears=((2, 4.0),))
-    path = tmp_path / "sched.csv"
-    dump_schedule(sched, str(path))
-    rows = path.read_text().strip().splitlines()
-    assert rows == ["0,1,2.5", "2,4.0"]
+def test_every_public_name_resolves():
+    import delaymatch
+
+    modules = [delaymatch] + [
+        importlib.import_module(f"delaymatch.{m.name}")
+        for m in pkgutil.iter_modules(delaymatch.__path__)
+    ]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name}"

@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from delaymatch import diagnostics
 from delaymatch.core import Schedule, make_requests, total_cost
 from delaymatch.diagnostics import (
     monte_carlo_sigma_tau,
@@ -11,7 +16,7 @@ from delaymatch.diagnostics import (
 from delaymatch.embedding import build_hsbt, sample_hsbt, tree_metric
 from delaymatch.errors import IdentityViolation, OutOfDomain, TraceMismatch
 from delaymatch.instances import gen_random
-from delaymatch.offline import optimal_mpmd
+from delaymatch.offline import greedy_mpmd, optimal_mpmd
 from delaymatch.stiltwalker import Engine, TimerMode, run
 
 
@@ -270,3 +275,175 @@ def test_sigma_tau_with_flush_is_all_zero():
     )
     assert report.mean_sigma[0] == 0.0
     assert report.violations == ()
+
+
+# ---------------------------------------------------------------------------
+# reference oracle: the offline replay as one frozenset of odd vertices per
+# segment, O(|V|) per event; the library's replay must agree bit for bit
+# ---------------------------------------------------------------------------
+
+def reference_replay_offline(tree, arrivals, offline):
+    """(segments (start, end, odd set), matches (t, leaf1, leaf2, lca))."""
+    if offline.clears:
+        raise TraceMismatch("offline replay handles pure matching schedules only")
+    events = []
+    for rid, (t, leaf) in arrivals.items():
+        events.append((t, 0, (leaf,)))
+    served = set()
+    for a, b, t in offline.pairings:
+        if a not in arrivals or b not in arrivals:
+            raise TraceMismatch(f"offline pairing ({a},{b}) names unknown requests")
+        if a in served or b in served or a == b:
+            raise TraceMismatch(f"offline pairing ({a},{b}) serves a request twice")
+        served.update((a, b))
+        ta, la = arrivals[a]
+        tb, lb = arrivals[b]
+        if t < ta or t < tb:
+            raise TraceMismatch(f"offline match ({a},{b}) at t={t} precedes arrival")
+        events.append((t, 1, (la, lb)))
+    if served != set(arrivals):
+        raise TraceMismatch("offline schedule leaves some requests unserved")
+    events.sort(key=lambda e: (e[0], e[1]))
+
+    parity = [0] * len(tree)
+
+    def flip(leaf):
+        v = leaf
+        while v >= 0:
+            parity[v] ^= 1
+            v = tree.parent[v]
+
+    segments, matches = [], []
+    now = events[0][0] if events else 0.0
+    for t, _, payload in events:
+        if t > now:
+            segments.append(
+                (now, t, frozenset(v for v in range(len(tree)) if parity[v]))
+            )
+            now = t
+        if len(payload) == 1:
+            flip(payload[0])
+        else:
+            la, lb = payload
+            if la != lb:
+                flip(la)
+                flip(lb)
+            matches.append((t, la, lb, tree.lca(la, lb)))
+    if any(parity):
+        raise TraceMismatch("offline replay ended with odd vertices left over")
+    return segments, matches
+
+
+def reference_star_ledgers(tree, arrivals, offline):
+    n_v = len(tree)
+    tau_star = np.zeros(n_v)
+    sigma_star = np.zeros(n_v)
+    segments, matches = reference_replay_offline(tree, arrivals, offline)
+    internal = [v for v in range(n_v) if not tree.is_leaf(v)]
+    for a, b, odd in segments:
+        dt = b - a
+        for v in internal:
+            u1, u2 = tree.children[v]
+            tau_star[v] += dt * ((u1 in odd) + (u2 in odd))
+    for t, la, lb, u in matches:
+        if la != lb:
+            diagnostics._deposit_star(tree, sigma_star, la, lb, u)
+    return tau_star, sigma_star
+
+
+def _odd_kid_counts(tree, odd):
+    counts = {}
+    for v in tree.internal_vertices():
+        c = sum(u in odd for u in tree.children[v])
+        if c:
+            counts[v] = c
+    return counts
+
+
+def reference_stream(tree, arrivals, offline):
+    """The reference replay in the library replay's (t, odd_kids, match) shape."""
+    segments, matches = reference_replay_offline(tree, arrivals, offline)
+    items = [(segments[0][0], 0, {}, None)] if segments else []
+    items += [(b, 0, _odd_kid_counts(tree, odd), None) for a, b, odd in segments]
+    items += [(t, 1, None, (la, lb, u)) for t, la, lb, u in matches]
+    for t, _, kids, match in sorted(items, key=lambda x: (x[0], x[1])):
+        yield t, kids, match
+
+
+def assert_replay_matches_reference(tree, arrivals, offline):
+    segments, matches = reference_replay_offline(tree, arrivals, offline)
+    got_segments, got_matches = [], []
+    prev_t = None
+    for t, odd_kids, match in diagnostics._replay_offline(tree, arrivals, offline):
+        if prev_t is not None and t > prev_t:
+            got_segments.append((prev_t, t, dict(odd_kids)))
+        prev_t = t
+        if match is not None:
+            got_matches.append((t, *match))
+    assert got_matches == matches
+    assert got_segments == [
+        (a, b, _odd_kid_counts(tree, odd)) for a, b, odd in segments
+    ]
+    tau_star, sigma_star = diagnostics._star_ledgers(tree, arrivals, offline)
+    ref_tau, ref_sigma = reference_star_ledgers(tree, arrivals, offline)
+    assert [x.hex() for x in tau_star] == [x.hex() for x in ref_tau]
+    assert [x.hex() for x in sigma_star] == [x.hex() for x in ref_sigma]
+
+
+def assert_partitions_match_reference(tree, trace, offline):
+    for v in tree.internal_vertices():
+        got = partition_phases(tree, v, trace, offline)
+        with mock.patch.object(diagnostics, "_replay_offline", reference_stream):
+            want = partition_phases(tree, v, trace, offline)
+        assert got == want
+
+
+@pytest.mark.parametrize("kind", ["line", "square", "uniform"])
+@pytest.mark.parametrize("seed", range(4))
+def test_offline_replay_matches_reference_on_seeded_instances(kind, seed):
+    rng = np.random.default_rng(900 + seed)
+    space, reqs = gen_random(kind, 4 + 2 * seed, 8 + 2 * seed, horizon=3.0, rng=rng)
+    tree = sample_hsbt(space, rng)
+    space_t = tree_metric(tree)
+    result = run(tree, reqs, seed=seed)
+    arrivals = diagnostics._trace_arrivals(result.trace)
+    for offline in (optimal_mpmd(space_t, reqs), greedy_mpmd(space_t, reqs)):
+        assert_replay_matches_reference(tree, arrivals, offline.schedule)
+        assert_partitions_match_reference(tree, result.trace, offline.schedule)
+
+
+@st.composite
+def tied_offline_instances(draw):
+    """A sampled tree, integer arrival times and a random offline schedule.
+
+    Requests share leaves (same-leaf offline pairs) and match times are
+    integers, so matches tie with arrivals and with each other.
+    """
+    seed = draw(st.integers(0, 2**16))
+    n_points = draw(st.integers(2, 6))
+    rng = np.random.default_rng(seed)
+    space, _ = gen_random("square", n_points, 2, horizon=1.0, rng=rng)
+    tree = sample_hsbt(space, rng)
+    n_req = 2 * draw(st.integers(1, 5))
+    times = draw(st.permutations(range(2 * n_req)))[:n_req]
+    points = draw(
+        st.lists(st.sampled_from(space.points), min_size=n_req, max_size=n_req)
+    )
+    reqs = make_requests(space, list(zip(points, map(float, times))))
+    arrival = {r.id: r.t for r in reqs}
+    order = draw(st.permutations(range(n_req)))
+    pairings = []
+    for a, b in zip(order[::2], order[1::2]):
+        delay = draw(st.integers(0, 3))
+        pairings.append((a, b, max(arrival[a], arrival[b]) + delay))
+    return tree, reqs, Schedule(pairings=tuple(pairings))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tied_offline_instances())
+def test_offline_replay_matches_reference_hypothesis(instance):
+    tree, reqs, offline = instance
+    result = run(tree, reqs, seed=1)
+    arrivals = diagnostics._trace_arrivals(result.trace)
+    assert_replay_matches_reference(tree, arrivals, offline)
+    assert_partitions_match_reference(tree, result.trace, offline)

@@ -15,14 +15,8 @@ from delaymatch.errors import (
     NegativeDistance,
     TriangleViolation,
 )
-from delaymatch.metric import (
-    MetricSpace,
-    dump_instance,
-    from_coords,
-    load_instance,
-    stats,
-    validate,
-)
+from delaymatch.cli import load_bundle, save_bundle
+from delaymatch.metric import MetricSpace, from_coords, stats, validate
 
 
 def square_metric():
@@ -193,8 +187,8 @@ def test_instance_round_trip(tmp_path):
     names, d = square_metric()
     space = MetricSpace(names, d)
     path = str(tmp_path / "inst.json")
-    dump_instance(space, path)
-    back = load_instance(path)
+    save_bundle(space, None, path)
+    back, _ = load_bundle(path)
     assert back.points == space.points
     assert np.allclose(back.dist, space.dist)
 
@@ -202,7 +196,7 @@ def test_instance_round_trip(tmp_path):
 def test_load_instance_from_coords(tmp_path):
     path = tmp_path / "coords.json"
     path.write_text('{"coords": [[0, 0], [3, 0]], "points": ["a", "b"]}')
-    space = load_instance(str(path))
+    space, _ = load_bundle(str(path))
     assert space.distance("a", "b") == 3.0
 
 
@@ -210,7 +204,7 @@ def test_load_instance_bad_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{nope")
     with pytest.raises(InstanceLoadError):
-        load_instance(str(path))
+        load_bundle(str(path))
 
 
 def test_validate_wrapper():

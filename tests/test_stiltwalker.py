@@ -13,7 +13,6 @@ from delaymatch.stiltwalker import (
     recompute_state,
     replay_parity,
     run,
-    vertex_streams,
 )
 
 
@@ -245,10 +244,9 @@ def test_vertex_seed_fn_defaults_to_seed_vertex_pairs():
     aliased = run(tree, reqs, seed=999, vertex_seed_fn=lambda v: (17, v))
     assert aliased.schedule == base.schedule
     assert np.array_equal(aliased.tau, base.tau)
-    streams = vertex_streams(tree, 17)
-    assert streams[0].random() == np.random.default_rng(
-        np.random.SeedSequence((17, 0))
-    ).random()
+    root, w = tree.root, tree.weight[tree.root]
+    want = np.random.default_rng(np.random.SeedSequence((17, root))).exponential(w)
+    assert Engine(tree, reqs, seed=17).budget[root] == want
 
 
 def test_engine_rejects_bad_inputs():
