@@ -25,6 +25,19 @@ Exact laws verified by the test-suite (and checkable via `verify_digestion`):
   with a Bonferroni correction, so a correct run fails it with probability
   at most DOMINANCE_ALPHA.
 
+Sampling.  `Coloring` keeps each color's (start, end) runs, and one kernel,
+`_advance`, digests an iteration by walking only its color's runs.
+`simulate_app` draws one threshold per iteration and returns the whole
+realization.  `verify_digestion` runs the same kernel in one flat loop over
+its trials, keeps only each realization's total, first digest and count,
+and draws thresholds DRAW_BLOCK at a time.  numpy's block draws equal its
+scalar draws bit for bit, so the report equals that of a per-trial loop of
+`simulate_app`, at about 1.5 us per realization instead of 7 (the benchmark's
+four colorings, one core of a 2-vCPU host).  The price is the generator
+contract: `verify_digestion` may leave its generator up to one block further
+along than that loop would, so give it a generator whose later draws nothing
+else relies on.
+
 The rate-varying form replaces the unit-rate exponential clock by an
 inhomogeneous one with piecewise-constant rate profile bounded by a cap;
 lower rates only lengthen iterations, so the conditional-digest law becomes
@@ -60,13 +73,17 @@ Color = int | None
 
 # family-wise false-alarm rate of one sampled dominance check
 DOMINANCE_ALPHA = 1e-6
+# thresholds drawn per generator call in verify_digestion
+DRAW_BLOCK = 4096
 
 
 class Coloring:
     """Piecewise-constant color assignment on a finite window.
 
-    Segments must tile [t0, t0+gamma) contiguously; adjacent segments of
-    equal color are merged, so the discontinuity count K is well defined.
+    Segments must tile [t0, t0+gamma) contiguously with finite ends; adjacent
+    segments of equal color are merged, so the discontinuity count K is well
+    defined.  `runs[color]` holds the (start, end) segments of color 1 and of
+    color 2, in time order.
     """
 
     def __init__(self, segments: list[tuple[float, float, Color]]):
@@ -75,7 +92,7 @@ class Coloring:
         merged: list[list] = []
         prev_end = None
         for start, end, color in segments:
-            if color not in (1, 2, None):
+            if isinstance(color, bool) or color not in (1, 2, None):
                 raise ConfigInvalid(f"color must be 1, 2 or null, got {color!r}")
             if end <= start:
                 raise ConfigInvalid(f"empty segment [{start},{end})")
@@ -87,8 +104,17 @@ class Coloring:
             else:
                 merged.append([start, end, color])
         self.segments = tuple((s, e, c) for s, e, c in merged)
+        runs = {1: [], 2: []}
+        for s, e, c in self.segments:
+            if c is not None:
+                runs[c].append((s, e))
+        self.runs = {c: tuple(r) for c, r in runs.items()}
         self.t0 = self.segments[0][0]
         self.t1 = self.segments[-1][1]
+        # contiguity and non-empty segments leave only the window's two ends
+        # free to be NaN or infinite
+        if not (math.isfinite(self.t0) and math.isfinite(self.t1)):
+            raise ConfigInvalid(f"window [{self.t0},{self.t1}) is not finite")
         self.gamma = self.t1 - self.t0
         self.discontinuities = len(self.segments) - 1
         self._starts = [s for s, _, _ in self.segments]
@@ -104,9 +130,8 @@ class Coloring:
         if color not in (1, 2):
             raise ConfigInvalid("volume is defined for colors 1 and 2")
         total = 0.0
-        for s, e, c in self.segments:
-            if c == color:
-                total += max(0.0, min(e, b) - max(s, a))
+        for s, e in self.runs[color]:
+            total += max(0.0, min(e, b) - max(s, a))
         return total
 
 
@@ -125,7 +150,11 @@ class AppRealization:
 
     @property
     def total_digest(self) -> float:
-        return sum(self.digests)
+        # left to right on every interpreter: sum() compensates from 3.12 on
+        total = 0.0
+        for g in self.digests:
+            total += g
+        return total
 
 
 def _alternate(coloring: Coloring, draw_threshold, advance) -> AppRealization:
@@ -155,29 +184,43 @@ def _alternate(coloring: Coloring, draw_threshold, advance) -> AppRealization:
     )
 
 
+def _check_rate(lam: float) -> None:
+    if not 0.0 < lam < math.inf:
+        raise ConfigInvalid(f"rate must be positive and finite, got {lam!r}")
+
+
+def _advance(
+    runs: tuple[tuple[float, float], ...], t_prev: float, z: float, t1: float
+) -> tuple[float, float]:
+    """One iteration over its color's runs: digest up to z from t_prev on.
+
+    Returns (T_j, G_j).  Segments of other colors digest nothing, so they
+    are skipped; an iteration that outruns its color's last run ends at the
+    window end t1.
+    """
+    digested = 0.0
+    for s, e in runs:
+        if e <= t_prev:
+            continue
+        s = max(s, t_prev)
+        room = z - digested
+        if e - s > room:
+            return s + room, z
+        digested += e - s
+    return t1, digested  # window exhausted mid-iteration
+
+
 def simulate_app(
     coloring: Coloring, lam: float, rng: np.random.Generator
 ) -> AppRealization:
     """One realization of the alternation process at constant rate lambda."""
-    if lam <= 0:
-        raise ConfigInvalid("rate must be positive")
-
-    def advance(t_prev: float, color: int, z: float) -> tuple[float, float]:
-        digested = 0.0
-        t = t_prev
-        for s, e, c in coloring.segments:
-            if e <= t_prev:
-                continue
-            s = max(s, t_prev)
-            if c == color:
-                room = z - digested
-                if e - s > room:
-                    return s + room, z
-                digested += e - s
-            t = e
-        return t, digested  # window exhausted mid-iteration
-
-    return _alternate(coloring, lambda: float(rng.exponential(1.0 / lam)), advance)
+    _check_rate(lam)
+    runs, t1 = coloring.runs, coloring.t1
+    return _alternate(
+        coloring,
+        lambda: float(rng.exponential(1.0 / lam)),
+        lambda t_prev, color, z: _advance(runs[color], t_prev, z, t1),
+    )
 
 
 def simulate_rate_varying(
@@ -290,15 +333,49 @@ def count_dominance(
 def verify_digestion(
     coloring: Coloring, lam: float, trials: int, rng: np.random.Generator
 ) -> AppReport:
-    """Monte-Carlo check of the digestion laws on one coloring."""
+    """Monte-Carlo check of the digestion laws on one coloring.
+
+    Equal, field for field and bit for bit, to running `simulate_app` on
+    `rng` `trials` times, but the thresholds come from `rng` in blocks of
+    DRAW_BLOCK, so `rng` may be left up to one block further along.
+    """
+    _check_rate(lam)
+    if trials < 1:
+        raise ConfigInvalid(f"trials must be at least 1, got {trials}")
+    runs1, runs2 = coloring.runs[1], coloring.runs[2]
+    t0, t1 = coloring.t0, coloring.t1
+    scale = 1.0 / lam
+    draws: list[float] = []
+    pos = 0
     totals = np.empty(trials)
     firsts = np.empty(trials)
     counts = np.empty(trials, dtype=int)
     for i in range(trials):
-        r = simulate_app(coloring, lam, rng)
-        totals[i] = r.total_digest
-        firsts[i] = r.digests[0] if r.digests else 0.0
-        counts[i] = r.n_meaningful
+        t = t0
+        total = 0.0
+        first = None
+        n_odd = n_even = 0
+        odd = True
+        while t < t1:
+            if pos == len(draws):
+                draws = rng.exponential(scale, DRAW_BLOCK).tolist()
+                pos = 0
+            t, digested = _advance(runs1 if odd else runs2, t, draws[pos], t1)
+            pos += 1
+            total += digested
+            if first is None:
+                first = digested
+            if t < t1:
+                if odd:
+                    n_odd += 1
+                else:
+                    n_even += 1
+            odd = not odd
+        if not (n_even <= n_odd <= n_even + 1):
+            raise InvariantViolation("odd/even alternation counts out of balance")
+        totals[i] = total
+        firsts[i] = first
+        counts[i] = n_odd + n_even
 
     mean_n = float(counts.mean())
     mean_g = float(totals.mean())

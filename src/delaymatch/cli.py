@@ -76,6 +76,11 @@ def load_bundle(path: str):
         raise InstanceLoadError(f"cannot read instance {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise InstanceLoadError("instance file must hold a JSON object")
+    names = obj.get("points")
+    if names is not None and not (
+        isinstance(names, list) and all(isinstance(p, str) for p in names)
+    ):
+        raise InstanceLoadError("'points' must be an array of strings")
     try:
         if "dist" in obj:
             dist = np.asarray(obj["dist"], dtype=float)
@@ -376,7 +381,7 @@ def _build_parser() -> _Parser:
     gt = gsub.add_parser("two-point")
     gt.add_argument("--delta", type=float, default=1.0)
     gt.add_argument("--pattern", default="pair_at_0")
-    gt.add_argument("--spacing", type=float, default=1.0)
+    gt.add_argument("--spacing", type=float, default=None)
     gt.add_argument("--out")
     gt.set_defaults(fn=_cmd_gen)
     gg = gsub.add_parser("gamma")

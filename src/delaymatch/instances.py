@@ -304,19 +304,24 @@ def gen_random(
 def gen_two_point(
     delta: float,
     pattern: str,
-    spacing: float = 1.0,
+    spacing: float | None = None,
     jitter: float = 1e-9,
 ) -> tuple[MetricSpace, tuple[Request, ...]]:
     """Two points at distance delta with a scripted arrival pattern.
 
     Patterns: "pair_at_0" (one request per point at time ~0) and
     "stagger:k" (2k arrivals alternating between the points, `spacing`
-    apart).
+    apart, 1.0 if not given).  A spacing given with "pair_at_0" is
+    rejected.
     """
     if delta <= 0:
         raise ConfigInvalid(f"distance must be positive, got {delta}")
+    if spacing is not None and not math.isfinite(spacing):
+        raise ConfigInvalid(f"spacing must be finite, got {spacing}")
     space = MetricSpace(["a", "b"], np.array([[0.0, delta], [delta, 0.0]]))
     if pattern == "pair_at_0":
+        if spacing is not None:
+            raise ConfigInvalid("spacing applies only to the stagger:k pattern")
         arrivals = [("a", 0.0), ("b", jitter)]
     elif pattern.startswith("stagger:"):
         try:
@@ -327,7 +332,8 @@ def gen_two_point(
             ) from None
         if k < 1:
             raise ConfigInvalid("stagger pattern needs k >= 1")
-        arrivals = [("a" if i % 2 == 0 else "b", i * spacing) for i in range(2 * k)]
+        step = 1.0 if spacing is None else spacing
+        arrivals = [("a" if i % 2 == 0 else "b", i * step) for i in range(2 * k)]
     else:
         raise ConfigInvalid(f"unknown pattern {pattern!r}")
     return space, make_requests(space, arrivals)

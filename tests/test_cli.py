@@ -153,6 +153,33 @@ def test_verify_app_command(tmp_path, capsys):
     assert "dominance_ok True" in text
 
 
+_COLORING_ROWS = [
+    {"start": 0.0, "end": 1.0, "color": 1},
+    {"start": 1.0, "end": 2.0, "color": 2},
+]
+
+
+@pytest.mark.parametrize("rows, argv, message", [
+    (_COLORING_ROWS, ["--trials", "0"], "trials"),
+    (_COLORING_ROWS, ["--trials", "-1"], "trials"),
+    (_COLORING_ROWS, ["--lambda", "nan"], "rate"),
+    (_COLORING_ROWS, ["--lambda", "inf"], "rate"),
+    ([{"start": 0.0, "end": float("nan"), "color": 1}], [], "not finite"),
+    ([{"start": 0.0, "end": float("inf"), "color": 1}], [], "not finite"),
+    ([{"start": 0.0, "end": 1.0, "color": True}], [], "color must be"),
+], ids=[
+    "zero-trials", "negative-trials", "nan-rate", "infinite-rate",
+    "nan-end", "infinite-end", "bool-color",
+])
+def test_bad_verify_app_input_is_user_error(tmp_path, capsys, rows, argv, message):
+    coloring = tmp_path / "coloring.json"
+    coloring.write_text(json.dumps(rows))
+    code, out, err = run_cli(capsys, "verify-app", "--coloring", str(coloring), *argv)
+    assert code == 1
+    assert err.startswith("error: ") and message in err
+    assert out == "" and "Traceback" not in err
+
+
 def test_save_bundle_round_trip(tmp_path):
     from delaymatch.instances import gen_two_point
 
@@ -203,6 +230,7 @@ _BAD_BUNDLES = {  # overrides of the valid bundle (None drops a key), message
     "ragged-dist": ({"dist": [[0.0, 1.0], [1.0]]}, "malformed metric"),
     "scalar-dist": ({"points": None, "dist": 5}, "malformed metric"),
     "string-coords": ({"dist": None, "coords": "abc"}, "malformed metric"),
+    "list-names": ({"points": [["p0"], ["p1"]]}, "'points' must be"),
 }
 
 
@@ -225,6 +253,8 @@ def test_bad_bundle_is_user_error(tmp_path, capsys, case, command):
     ["two-point", "--pattern", "stagger:x"],
     ["two-point", "--pattern", "stagger:2", "--spacing", "-1"],
     ["random", "--horizon", "-1"],
+    ["two-point", "--spacing", "-1"],
+    ["two-point", "--pattern", "stagger:2", "--spacing", "inf"],
 ])
 def test_bad_gen_argument_is_user_error(tmp_path, capsys, argv):
     code, _, err = run_cli(capsys, "gen", *argv, "--out", str(tmp_path / "out"))

@@ -177,3 +177,8 @@ def test_gen_two_point_patterns():
         gen_two_point(0.0, "pair_at_0")
     with pytest.raises(ConfigInvalid):
         gen_two_point(1.0, "every_other_day")
+    with pytest.raises(ConfigInvalid):  # spacing means nothing without stagger
+        gen_two_point(1.0, "pair_at_0", spacing=2.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigInvalid):
+            gen_two_point(1.0, "stagger:2", spacing=bad)
