@@ -418,7 +418,7 @@ def load_coloring(path: str) -> Coloring:
         raise InstanceLoadError("coloring file must hold a JSON array")
     try:
         segs = [(float(r["start"]), float(r["end"]), r["color"]) for r in rows]
-    except (TypeError, KeyError) as exc:
+    except (TypeError, KeyError, ValueError) as exc:
         raise InstanceLoadError(f"bad coloring row: {exc}") from exc
     return Coloring(segs)
 

@@ -216,6 +216,8 @@ def _cmd_verify_app(args) -> int:
 
 
 def _cmd_verify_identities(args) -> int:
+    if args.trials < 1:
+        raise UserError(f"trials must be >= 1, got {args.trials}")
     space, requests = load_bundle(args.instance)
     requests = _require_requests(requests)
     worst: dict[str, float] = {}

@@ -1,13 +1,12 @@
 """Potential ledgers, exact cost identities, and phase partitions.
 
 Everything here is pure analysis over an engine trace, an offline schedule
-and the tree; nothing re-runs the engine.  The online state between events
-comes from `stiltwalker.replay_parity`, which rebuilds it from the trace.
-The offline state comes from one replay of the offline schedule,
-`_replay_offline`, shared by the tau* ledger and the phase partition: it
-keeps each vertex's count of odd children under path flips, so an offline
-event costs O(height) and each stretch between event times O(number of
-vertices with an odd child), not O(|V|).
+and the tree; nothing re-runs the engine.  The ledgers and the phase
+partition read both runs' states from one parity replay, `_replay`, fed
+with steps from the trace or from the offline schedule.  It keeps each
+vertex's count of odd children under path flips, so an event costs
+O(height) and a stretch between event times O(number of vertices with an
+odd child), not O(|V|).
 The central quantities, per internal vertex v with children u1, u2 (D(t) is
 the set of odd-count vertices under the online evolution, D*(t) under the
 offline schedule):
@@ -47,16 +46,17 @@ the one the deposit structure actually guarantees.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .core import CostBreakdown, Request, Schedule
 from .embedding import Hsbt
 from .errors import IdentityViolation, InvariantViolation, OutOfDomain, TraceMismatch
-from .stiltwalker import Engine, EngineTrace, TimerMode, replay_parity
+from .stiltwalker import Engine, EngineTrace, TimerMode
 
 __all__ = [
     "PotentialLedger",
@@ -71,8 +71,11 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# trace utilities
+# trace utilities and the parity replay
 # ---------------------------------------------------------------------------
+
+_State = tuple[float, object, list[int], dict[int, int]]  # what `_replay` yields
+
 
 def _trace_arrivals(trace: EngineTrace) -> dict[int, tuple[float, int]]:
     """request id -> (arrival time, leaf), pulled from arrival-kind events."""
@@ -88,26 +91,72 @@ def _trace_arrivals(trace: EngineTrace) -> dict[int, tuple[float, int]]:
     return arrivals
 
 
-def _replay_offline(
-    tree: Hsbt,
-    arrivals: dict[int, tuple[float, int]],
-    offline: Schedule,
-) -> Iterator[tuple[float, dict[int, int], tuple[int, int, int] | None]]:
-    """Evolve the odd-vertex set D* under the offline schedule.
+def _replay(tree: Hsbt, steps: Iterable[tuple]) -> Iterator[_State]:
+    """Evolve the odd-vertex set under path flips; the one parity replay.
 
-    Yields (t, odd_kids, match) once per event (arrivals before matches at
-    equal times), just before applying it, so `odd_kids` is the state on the
-    stretch that ends at t.  It maps every vertex with an odd child to its
-    number of odd children (1 or 2) and is updated in place; `match` is
-    (leaf1, leaf2, lca) for a match and None for an arrival.  An arrival
-    flips its leaf-to-root path and a match the two paths below its lca, so
-    an event costs O(height) and a stretch costs O(|odd_kids|).
+    A step (t, item, leaves, top) flips the path from each leaf up to, not
+    including, `top` (-1: through the root).  Yields (t, item, parity,
+    odd_kids) just before each step, both updated in place: the parity list,
+    and each vertex with an odd child mapped to its number of odd children,
+    so v is effective iff `odd_kids.get(v) == 2`.  A step costs O(height).
     """
+    parent = tree.parent
+    parity = [0] * len(tree)
+    odd_kids: dict[int, int] = {}
+    for t, item, leaves, top in steps:
+        yield t, item, parity, odd_kids
+        for leaf in leaves:
+            v = leaf
+            while v != top:
+                if v < 0:
+                    raise TraceMismatch(f"vertex {top} is not above leaf {leaf}")
+                parity[v] ^= 1
+                v_odd = parity[v]
+                v = parent[v]
+                if v >= 0:
+                    c = odd_kids.get(v, 0) + (1 if v_odd else -1)
+                    if c:
+                        odd_kids[v] = c
+                    else:
+                        del odd_kids[v]
+    if any(parity):
+        raise TraceMismatch("parity replay ended with odd vertices left over")
+
+
+def _replay_trace(tree: Hsbt, trace: EngineTrace) -> Iterator[_State]:
+    """`_replay` of an engine trace; each item is the trace event.
+
+    An arrival or same-leaf event flips its leaf-to-root path.  A match or
+    flush flips its two requests' leaf paths up to its vertex, which the
+    replayed state must hold effective.
+    """
+    leaf_of: dict[int, int] = {}
+    steps = []
+    for e in trace.events:
+        if e.kind == "arrival":
+            leaf_of[e.requests[0]] = e.vertex
+        if e.kind in ("arrival", "same_leaf"):
+            steps.append((e.t, e, (e.vertex,), -1))
+        else:
+            steps.append((e.t, e, [leaf_of[rid] for rid in e.requests], e.vertex))
+    for t, e, parity, odd_kids in _replay(tree, steps):
+        if e.kind in ("match", "flush") and odd_kids.get(e.vertex) != 2:
+            raise TraceMismatch(
+                f"{e.kind} across vertex {e.vertex} at t={e.t}, "
+                "which the replay does not hold effective"
+            )
+        yield t, e, parity, odd_kids
+
+
+def _offline_steps(
+    tree: Hsbt, arrivals: dict[int, tuple[float, int]], offline: Schedule
+) -> list[tuple]:
+    """`_replay` steps of an offline schedule, arrivals before matches at
+    equal times.  An arrival's item is None; a match's is (leaf1, leaf2,
+    lca), and it flips the two leaf paths below the lca."""
     if offline.clears:
         raise TraceMismatch("offline replay handles pure matching schedules only")
-    events: list[tuple[float, int, tuple]] = []
-    for rid, (t, leaf) in arrivals.items():
-        events.append((t, 0, (leaf,)))
+    steps: list = [(t, None, (leaf,), -1) for t, leaf in arrivals.values()]
     served: set[int] = set()
     for a, b, t in offline.pairings:
         if a not in arrivals or b not in arrivals:
@@ -119,40 +168,12 @@ def _replay_offline(
         tb, lb = arrivals[b]
         if t < ta or t < tb:
             raise TraceMismatch(f"offline match ({a},{b}) at t={t} precedes arrival")
-        events.append((t, 1, (la, lb)))
+        u = tree.lca(la, lb)
+        steps.append((t, (la, lb, u), (la, lb), u))
     if served != set(arrivals):
         raise TraceMismatch("offline schedule leaves some requests unserved")
-    events.sort(key=lambda e: (e[0], e[1]))
-
-    parent = tree.parent
-    parity = [0] * len(tree)
-    odd_kids: dict[int, int] = {}
-
-    def flip(leaf: int, top: int) -> None:
-        v = leaf
-        while v != top:
-            parity[v] ^= 1
-            v_odd = parity[v]
-            v = parent[v]
-            if v >= 0:
-                c = odd_kids.get(v, 0) + (1 if v_odd else -1)
-                if c:
-                    odd_kids[v] = c
-                else:
-                    del odd_kids[v]
-
-    for t, _, payload in events:
-        if len(payload) == 1:
-            yield t, odd_kids, None
-            flip(payload[0], -1)
-        else:
-            la, lb = payload
-            u = tree.lca(la, lb)
-            yield t, odd_kids, (la, lb, u)
-            flip(la, u)
-            flip(lb, u)
-    if any(parity):
-        raise TraceMismatch("offline replay ended with odd vertices left over")
+    steps.sort(key=lambda s: (s[0], s[1] is not None))
+    return steps
 
 
 def _deposit_star(tree: Hsbt, sigma_star: np.ndarray, la: int, lb: int, u: int) -> None:
@@ -175,7 +196,8 @@ def _star_ledgers(
     tau_star = np.zeros(n_v)
     sigma_star = np.zeros(n_v)
     prev_t = None
-    for t, odd_kids, match in _replay_offline(tree, arrivals, offline):
+    steps = _offline_steps(tree, arrivals, offline)
+    for t, match, _, odd_kids in _replay(tree, steps):
         if prev_t is not None and t > prev_t:
             dt = t - prev_t
             for v, c in odd_kids.items():
@@ -223,23 +245,20 @@ def track_potentials(
     c_end = 0.0
 
     prev_t = 0.0
-    prev_eff: tuple[int, ...] = ()
-    root_odd = False
-    for e, parity, effective in replay_parity(tree, trace):
-        dt = e.t - prev_t
+    for t, e, parity, odd_kids in _replay_trace(tree, trace):
+        dt = t - prev_t
         if dt < 0:
             raise TraceMismatch("trace events out of order")
-        for v in prev_eff:
-            tau[v] += dt
-        if root_odd:
+        for v, c in odd_kids.items():
+            if c == 2:
+                tau[v] += dt
+        if parity[tree.root]:
             zeta += dt
         if e.kind in ("match", "same_leaf"):
             sigma[e.vertex] += tree.weight[e.vertex]
         elif e.kind == "flush":
             c_end += tree.weight[e.vertex]
-        prev_t = e.t
-        prev_eff = tuple(effective)
-        root_odd = bool(parity[tree.root])
+        prev_t = t
     if abs(c_end - trace.c_end_space) > 1e-9 * max(1.0, trace.c_end_space):
         raise TraceMismatch(
             f"flush cost {c_end} disagrees with trace summary {trace.c_end_space}"
@@ -359,35 +378,44 @@ class PhasePartition:
         return tuple(i for i, c in enumerate(self.phase_classes) if c == 1)
 
 
-def _merge_signal(
-    pieces_a: list[tuple[float, float, int]],
-    pieces_b: list[tuple[float, float, int]],
-    lo: float,
-    hi: float,
+def _child_flips(replay: Iterable[_State], vertex: int) -> list[float]:
+    """Sorted times at which the XOR of `vertex`'s two child parities flips;
+    it is 0 before the first.  On each stretch between event times the XOR
+    is the vertex's number of odd children mod 2."""
+    flips: list[float] = []
+    y, prev_t = 0, 0.0
+    for t, _, _, odd_kids in replay:
+        if t > prev_t and (odd_kids.get(vertex, 0) & 1) != y:
+            y ^= 1
+            flips.append(prev_t)
+        prev_t = t
+    if y:
+        flips.append(prev_t)  # `_replay` ends with every vertex even
+    return flips
+
+
+def _xor_runs(
+    flips_a: list[float], flips_b: list[float], t_end: float
 ) -> list[tuple[float, float, int]]:
-    """XOR of two piecewise-constant 0/1 signals, restricted to [lo, hi)."""
-    cuts = sorted(
-        {lo, hi}
-        | {x for a, b, _ in pieces_a for x in (a, b) if lo < x < hi}
-        | {x for a, b, _ in pieces_b for x in (a, b) if lo < x < hi}
-    )
-
-    def value(pieces: list[tuple[float, float, int]], t: float) -> int:
-        for a, b, y in pieces:
-            if a <= t < b:
-                return y
-        return 0
-
-    out: list[tuple[float, float, int]] = []
-    for a, b in zip(cuts, cuts[1:]):
-        if b <= a:
-            continue
-        y = value(pieces_a, a) ^ value(pieces_b, a)
-        if out and out[-1][2] == y and out[-1][1] == a:
-            out[-1] = (out[-1][0], b, y)
+    """Maximal constant runs (start, end, y) on [0, t_end) of the XOR of two
+    0/1 signals that start at 0 and flip at the given sorted times."""
+    flips: list[float] = []
+    for t in heapq.merge(flips_a, flips_b):
+        if flips and flips[-1] == t:
+            flips.pop()  # both signals flip at t, so their XOR does not
         else:
-            out.append((a, b, y))
-    return out
+            flips.append(t)
+    runs: list[tuple[float, float, int]] = []
+    start, y = 0.0, 0
+    for t in flips:
+        if t >= t_end:
+            break
+        if t > start:
+            runs.append((start, t, y))
+        start, y = t, y ^ 1
+    if t_end > start:
+        runs.append((start, t_end, y))
+    return runs
 
 
 def partition_phases(
@@ -407,7 +435,6 @@ def partition_phases(
     arrivals = _trace_arrivals(trace)
     in_subtree = set(tree.subtree(vertex))
     ancestors = set(tree.ancestors(vertex))
-    u1, u2 = tree.children[vertex]
 
     # --- phase boundaries: online matches on top of the vertex
     boundaries: list[float] = []
@@ -422,15 +449,10 @@ def partition_phases(
         (a, b) for a, b in zip(phase_cuts, phase_cuts[1:]) if b > a
     ] or [(0.0, t_end)]
 
-    # --- subphase boundaries: offline matches across or on top of the
-    # vertex; the offline child-parity XOR is its odd-children count mod 2
+    # --- subphase boundaries: offline matches across or on top of the vertex
+    steps = _offline_steps(tree, arrivals, offline)
     sub_cut_times: list[float] = []
-    offline_pieces: list[tuple[float, float, int]] = []
-    prev_t = None
-    for t, odd_kids, match in _replay_offline(tree, arrivals, offline):
-        if prev_t is not None and t > prev_t:
-            offline_pieces.append((prev_t, t, odd_kids.get(vertex, 0) & 1))
-        prev_t = t
+    for t, match, _, _ in steps:
         if match is None:
             continue
         la, lb, u = match
@@ -440,35 +462,33 @@ def partition_phases(
         if tops and 0.0 < t < t_end:
             sub_cut_times.append(t)
 
-    # --- the online child-parity signal and its XOR with the offline one
-    online_pieces: list[tuple[float, float, int]] = []
-    prev_t, y = 0.0, 0
-    for e, parity, _ in replay_parity(tree, trace):
-        if e.t > prev_t:
-            online_pieces.append((prev_t, e.t, y))
-            prev_t = e.t
-        y = parity[u1] ^ parity[u2]
-    if t_end > prev_t:
-        online_pieces.append((prev_t, t_end, y))
-    y_pieces = _merge_signal(online_pieces, offline_pieces, 0.0, t_end)
+    # --- the mismatch signal Y: online XOR offline child-parity XOR
+    y_pieces = _xor_runs(
+        _child_flips(_replay_trace(tree, trace), vertex),
+        _child_flips(_replay(tree, steps), vertex),
+        t_end,
+    )
 
-    def bit_on(a: float, b: float) -> int:
-        vals = {y for pa, pb, y in y_pieces if min(pb, b) > max(pa, a)}
-        if len(vals) > 1:
-            raise InvariantViolation(
-                f"alternation bit changed inside subphase [{a},{b}) of {vertex}"
-            )
-        return vals.pop() if vals else 0
-
+    # subphases and the runs of Y both tile [0, t_end) in order, so one pass
+    # reads every subphase's bit: the run holding its start must cover it
     subphases: list[tuple[tuple[float, float], ...]] = []
     bits: list[tuple[int, ...]] = []
     classes: list[int] = []
+    k = 0
     for a, b in phases:
         cuts = [a] + sorted(t for t in set(sub_cut_times) if a < t < b) + [b]
         spans = tuple((x, y) for x, y in zip(cuts, cuts[1:]) if y > x)
         subphases.append(spans)
-        span_bits = tuple(bit_on(x, y) for x, y in spans)
-        bits.append(span_bits)
+        span_bits = []
+        for x, y in spans:
+            while y_pieces[k][1] <= x:
+                k += 1
+            if y_pieces[k][1] < y:
+                raise InvariantViolation(
+                    f"alternation bit changed inside subphase [{x},{y}) of {vertex}"
+                )
+            span_bits.append(y_pieces[k][2])
+        bits.append(tuple(span_bits))
         classes.append(span_bits[-1] if span_bits else 0)
 
     # --- t_late: earliest t with min(remaining Y-time, remaining not-Y) <= w

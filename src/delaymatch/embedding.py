@@ -197,6 +197,8 @@ class Hsbt(_Tree):
         n_pts = len(self.leaf_point)
         if len(self.point_leaf) != n_pts:
             raise InvariantViolation("duplicate leaf point names")
+        if not math.isfinite(self.alpha):
+            raise InvariantViolation(f"separation factor {self.alpha} is not finite")
         for v in range(len(self.parent)):
             kids = self.children[v]
             if len(kids) not in (0, 2):
@@ -207,8 +209,10 @@ class Hsbt(_Tree):
                 if v not in self.leaf_point:
                     raise InvariantViolation(f"leaf {v} has no point label")
             else:
-                if self.weight[v] <= 0.0:
-                    raise InvariantViolation(f"internal vertex {v} has weight <= 0")
+                if not 0.0 < self.weight[v] < math.inf:
+                    raise InvariantViolation(
+                        f"internal vertex {v} has weight {self.weight[v]}"
+                    )
                 if v in self.leaf_point:
                     raise InvariantViolation(f"internal vertex {v} labeled as point")
             p = self.parent[v]
@@ -217,8 +221,8 @@ class Hsbt(_Tree):
                     f"separation violated at {v}: w(parent)={self.weight[p]} < "
                     f"alpha*w(v)={self.alpha * self.weight[v]}"
                 )
-            if p >= 0 and p >= v:
-                raise InvariantViolation("vertex ids are not topologically sorted")
+            if not (0 <= p < v if v else p == -1):
+                raise InvariantViolation(f"vertex {v}: parent {p} is not an earlier id")
 
     def to_json(self, path: str) -> None:
         rows = []
@@ -238,15 +242,20 @@ class Hsbt(_Tree):
                 obj = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise InstanceLoadError(f"cannot read tree {path}: {exc}") from exc
-        rows = sorted(obj["vertices"], key=lambda r: r["id"])
-        parent = [r["parent"] for r in rows]
-        weight = [r["weight"] for r in rows]
-        children: list[list[int]] = [[] for _ in rows]
-        for r in rows:
-            if r["parent"] >= 0:
-                children[r["parent"]].append(r["id"])
-        leaf_point = {r["id"]: r["point"] for r in rows if "point" in r}
-        return cls(parent, children, weight, leaf_point, obj["alpha"])
+        try:
+            rows = sorted(obj["vertices"], key=lambda r: r["id"])
+            parent = [r["parent"] for r in rows]
+            weight = [r["weight"] for r in rows]
+            children: list[list[int]] = [[] for _ in rows]
+            for r in rows:
+                if r["parent"] >= 0:
+                    children[r["parent"]].append(r["id"])
+            leaf_point = {r["id"]: r["point"] for r in rows if "point" in r}
+            return cls(parent, children, weight, leaf_point, obj["alpha"])
+        except (KeyError, TypeError, ValueError, IndexError) as exc:
+            raise InstanceLoadError(f"malformed tree {path}: {exc!r}") from exc
+        except InvariantViolation as exc:
+            raise InstanceLoadError(f"invalid tree {path}: {exc}") from exc
 
 
 def tree_metric(tree: _Tree) -> MetricSpace:

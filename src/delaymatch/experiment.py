@@ -111,8 +111,8 @@ class ExperimentConfig:
         if self.master_seed < 0:
             raise ConfigInvalid("master seed must be non-negative")
         if self.penalty is not None:
-            if self.penalty <= 0:
-                raise ConfigInvalid(f"penalty must be positive, got {self.penalty}")
+            if not 0 < self.penalty < math.inf:
+                raise ConfigInvalid(f"penalty must be in (0, inf), got {self.penalty}")
             if self.fixed_tree is not None:
                 raise ConfigInvalid(
                     "a fixed tree applies to the matching-only variant; the "

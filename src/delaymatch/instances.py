@@ -288,10 +288,7 @@ def gen_random(
     else:
         raise ConfigInvalid(f"unknown geometry {kind!r}")
     # random coordinates can collide; nudge zero off-diagonal entries apart
-    for i in range(n_points):
-        for j in range(n_points):
-            if i != j and dist[i, j] == 0.0:
-                dist[i, j] = 1e-9
+    dist[(dist == 0.0) & ~np.eye(n_points, dtype=bool)] = 1e-9
     dist = np.maximum(dist, dist.T)
     space = MetricSpace(names, dist)
 

@@ -30,6 +30,7 @@ cross-side edge.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,8 +76,8 @@ def hat_orig(rid: int) -> int:
 
 def classify_regime(space: MetricSpace, p: float) -> str:
     """Which penalty regime (p against d/2 and 2D); boundaries go middle."""
-    if p <= 0:
-        raise RegimeMismatch(f"penalty must be positive, got {p}")
+    if not 0 < p < math.inf:
+        raise RegimeMismatch(f"penalty must be in (0, inf), got {p}")
     if space.n < 2:
         return REGIME_PER_POINT  # no cross-point pair exists at all
     st = stats(space)
@@ -103,13 +104,10 @@ def _doubled_parts(
 ) -> tuple[MetricSpace, tuple[Request, ...]]:
     """Doubled metric and twin requests, with no regime restriction."""
     names = [_hat_point(x, s) for x in space.points for s in (1, 2)]
-    n = space.n
-    dist = np.zeros((2 * n, 2 * n))
-    for a in range(2 * n):
-        for b in range(2 * n):
-            xa, sa = a >> 1, a & 1
-            xb, sb = b >> 1, b & 1
-            dist[a, b] = space.dist[xa, xb] + p * abs(sa - sb)
+    # twin a of point a >> 1 sits on side a & 1; the penalty term is 0.0 or p
+    twins = np.arange(2 * space.n)
+    x, side = twins >> 1, twins & 1
+    dist = space.dist[np.ix_(x, x)] + p * np.abs(side[:, None] - side[None, :])
     metric_hat = MetricSpace(names, dist)
 
     ordered = sorted(requests, key=lambda r: (r.t, r.id))
@@ -256,8 +254,6 @@ def run_mpmdfp(
     Engine-backed regimes hard-assert the per-run reduction inequality
     cost_fp <= cost of the doubled run.
     """
-    if p <= 0:
-        raise RegimeMismatch(f"penalty must be positive, got {p}")
     regime = classify_regime(space, p)
     if not requests:
         zero = CostBreakdown(space=0.0, time=0.0, penalty=0.0)

@@ -30,9 +30,9 @@ match along the two feet-to-vertex paths below the matched vertex, so only
 the vertices on those paths can change parity and only their parents can
 gain or lose effectiveness.  `_flip_path` updates the parity list and the
 effective set along such a path and nowhere else, making an event cost
-O(height + |effective set|).  The trace keeps no state snapshots;
-`replay_parity` rebuilds the state after every event from the trace alone,
-with the same `_flip_path` step.
+O(height + |effective set|).  The trace keeps no state snapshots; the
+analysis in `diagnostics` rebuilds the state before every event from the
+trace alone, with the parity replay it shares with the offline schedule.
 
 Determinism.  Each internal vertex draws from its own named RNG stream keyed
 by (master seed, vertex id), so runs are bit-for-bit reproducible and the
@@ -49,7 +49,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -59,7 +59,6 @@ from .errors import (
     InvariantViolation,
     NotEffective,
     OddRequestSet,
-    TraceMismatch,
     UnknownLocation,
 )
 
@@ -71,7 +70,6 @@ __all__ = [
     "EngineRun",
     "Engine",
     "recompute_state",
-    "replay_parity",
     "run",
 ]
 
@@ -171,37 +169,6 @@ class EngineTrace:
                 if e.requests:
                     row["requests"] = list(e.requests)
                 fh.write(json.dumps(row) + "\n")
-
-
-def replay_parity(
-    tree: Hsbt, trace: EngineTrace
-) -> Iterator[tuple[EngineEvent, list[int], set[int]]]:
-    """Rebuild the online stilt state after every event of a trace.
-
-    Yields each event with the parity list and effective set that hold just
-    after it.  Both are updated in place as the replay moves on, so copy
-    what must outlive one step.  Request leaves come from the trace's own
-    arrival events; a match or flush across a vertex that the replayed state
-    does not hold effective raises TraceMismatch.
-    """
-    parity = [0] * len(tree)
-    effective: set[int] = set()
-    leaf_of: dict[int, int] = {}
-    for e in trace.events:
-        if e.kind == "arrival":
-            leaf_of[e.requests[0]] = e.vertex
-            _flip_path(tree, parity, effective, e.vertex)
-        elif e.kind == "same_leaf":
-            _flip_path(tree, parity, effective, e.vertex)
-        else:
-            if e.vertex not in effective:
-                raise TraceMismatch(
-                    f"{e.kind} across vertex {e.vertex} at t={e.t}, "
-                    "which the replay does not hold effective"
-                )
-            for rid in e.requests:
-                _flip_path(tree, parity, effective, leaf_of[rid], e.vertex)
-        yield e, parity, effective
 
 
 @dataclass

@@ -167,9 +167,10 @@ _COLORING_ROWS = [
     ([{"start": 0.0, "end": float("nan"), "color": 1}], [], "not finite"),
     ([{"start": 0.0, "end": float("inf"), "color": 1}], [], "not finite"),
     ([{"start": 0.0, "end": 1.0, "color": True}], [], "color must be"),
+    ([{"start": "x", "end": 1.0, "color": 1}], [], "bad coloring row"),
 ], ids=[
     "zero-trials", "negative-trials", "nan-rate", "infinite-rate",
-    "nan-end", "infinite-end", "bool-color",
+    "nan-end", "infinite-end", "bool-color", "string-start",
 ])
 def test_bad_verify_app_input_is_user_error(tmp_path, capsys, rows, argv, message):
     coloring = tmp_path / "coloring.json"
@@ -261,3 +262,56 @@ def test_bad_gen_argument_is_user_error(tmp_path, capsys, argv):
     assert code == 1
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--penalty", "nan"], "penalty must be in (0, inf)"),
+    (["run", "--penalty", "inf"], "penalty must be in (0, inf)"),
+    (["verify-identities", "--trials", "0"], "trials must be >= 1"),
+], ids=["nan-penalty", "infinite-penalty", "zero-identity-trials"])
+def test_bad_option_is_user_error(tmp_path, capsys, argv, message):
+    inst_dir = str(tmp_path / "inst")
+    run_cli(capsys, "gen", "random", "--points", "4", "--requests", "6",
+            "--out", inst_dir)
+    code, out, err = run_cli(
+        capsys, *argv, "--instance", f"{inst_dir}/instance.json"
+    )
+    assert code == 1
+    assert err.startswith("error: ") and message in err
+    assert out == "" and "Traceback" not in err
+
+
+def _weighted_leaf(tree):
+    next(r for r in tree["vertices"] if "point" in r)["weight"] = 0.5
+    return tree
+
+
+def _unary_vertex(tree):
+    tree["vertices"].pop()  # the last vertex is a leaf; its parent keeps one child
+    return tree
+
+
+_BAD_TREES = {  # edit of a valid tree JSON, message
+    "empty-object": (lambda tree: {}, "malformed tree"),
+    "array": (lambda tree: [1, 2], "malformed tree"),
+    "weighted-leaf": (_weighted_leaf, "invalid tree"),
+    "unary-vertex": (_unary_vertex, "invalid tree"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_TREES))
+def test_bad_fixed_tree_is_user_error(tmp_path, capsys, case):
+    edit, message = _BAD_TREES[case]
+    inst_dir = str(tmp_path / "inst")
+    run_cli(capsys, "gen", "random", "--points", "4", "--requests", "6",
+            "--out", inst_dir)
+    inst = f"{inst_dir}/instance.json"
+    run_cli(capsys, "embed", "--instance", inst, "--out", str(tmp_path / "tree"))
+    tree_path = tmp_path / "tree" / "tree.json"
+    tree_path.write_text(json.dumps(edit(json.loads(tree_path.read_text()))))
+    code, out, err = run_cli(
+        capsys, "run", "--instance", inst, "--fixed-tree", str(tree_path)
+    )
+    assert code == 1
+    assert err.startswith("error: ") and message in err
+    assert out == "" and "Traceback" not in err

@@ -1,5 +1,3 @@
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,16 +6,28 @@ from hypothesis import strategies as st
 from delaymatch import diagnostics
 from delaymatch.core import Schedule, make_requests, total_cost
 from delaymatch.diagnostics import (
+    PhasePartition,
     monte_carlo_sigma_tau,
     partition_phases,
     track_potentials,
     verify_cost_identities,
 )
 from delaymatch.embedding import build_hsbt, sample_hsbt, tree_metric
-from delaymatch.errors import IdentityViolation, OutOfDomain, TraceMismatch
+from delaymatch.errors import (
+    IdentityViolation,
+    InvariantViolation,
+    OutOfDomain,
+    TraceMismatch,
+)
 from delaymatch.instances import gen_random
 from delaymatch.offline import greedy_mpmd, optimal_mpmd
-from delaymatch.stiltwalker import Engine, TimerMode, run
+from delaymatch.stiltwalker import (
+    EngineEvent,
+    EngineTrace,
+    TimerMode,
+    recompute_state,
+    run,
+)
 
 
 def two_leaf_tree(w=2.0):
@@ -138,6 +148,31 @@ def test_offline_replay_rejects_clears():
         track_potentials(
             tree, result.trace, Schedule(pairings=(), clears=((0, 1.0), (1, 1.0)))
         )
+
+
+@pytest.mark.parametrize("points, pair, message", [
+    (["a", "c"], (0, 1), "does not hold effective"),
+    (["a", "b", "c", "d"], (0, 2), "vertex 1 is not above leaf"),
+], ids=["not-effective", "not-above-leaf"])
+def test_malformed_trace_match_is_trace_mismatch(points, pair, message):
+    # arrivals at 0, 0.1, ... then one match across vertex 1, the parent of
+    # leaves a and b; the offline schedule pairs the requests in id order
+    tree = four_leaf_tree()
+    events = [
+        EngineEvent(0.1 * i, "arrival", tree.point_leaf[p], (i,))
+        for i, p in enumerate(points)
+    ]
+    t_match = 0.1 * len(points)
+    events.append(EngineEvent(t_match, "match", 1, pair))
+    trace = EngineTrace(events=events, t_end=events[-2].t)
+    ids = list(range(len(points)))
+    offline = Schedule(
+        pairings=tuple((a, b, t_match) for a, b in zip(ids[::2], ids[1::2]))
+    )
+    with pytest.raises(TraceMismatch, match=message):
+        track_potentials(tree, trace, offline)
+    with pytest.raises(TraceMismatch, match=message):
+        partition_phases(tree, tree.root, trace, offline)
 
 
 def test_partition_rejects_leaf_vertex():
@@ -360,29 +395,171 @@ def _odd_kid_counts(tree, odd):
     return counts
 
 
-def reference_stream(tree, arrivals, offline):
-    """The reference replay in the library replay's (t, odd_kids, match) shape."""
+def reference_online_odd(tree, trace):
+    """(event, odd set just after it) for every trace event, each odd set
+    recomputed from scratch from the active leaves."""
+    leaf_of = {}
+    active = set()
+    for e in trace.events:
+        if e.kind == "arrival":
+            leaf_of[e.requests[0]] = e.vertex
+            active.add(e.vertex)
+        elif e.kind == "same_leaf":
+            active.remove(e.vertex)
+        else:
+            for rid in e.requests:
+                active.remove(leaf_of[rid])
+        yield e, recompute_state(tree, sorted(active)).odd
+
+
+def _merge_signal(pieces_a, pieces_b, lo, hi):
+    """XOR of two piecewise-constant 0/1 signals, restricted to [lo, hi)."""
+    cuts = sorted(
+        {lo, hi}
+        | {x for a, b, _ in pieces_a for x in (a, b) if lo < x < hi}
+        | {x for a, b, _ in pieces_b for x in (a, b) if lo < x < hi}
+    )
+
+    def value(pieces, t):
+        for a, b, y in pieces:
+            if a <= t < b:
+                return y
+        return 0
+
+    out = []
+    for a, b in zip(cuts, cuts[1:]):
+        if b <= a:
+            continue
+        y = value(pieces_a, a) ^ value(pieces_b, a)
+        if out and out[-1][2] == y and out[-1][1] == a:
+            out[-1] = (out[-1][0], b, y)
+        else:
+            out.append((a, b, y))
+    return out
+
+
+def reference_partition_phases(tree, vertex, trace, offline):
+    """(PhasePartition, y pieces) from the reference replays, merged per cut
+    by a scan of every piece and with each subphase's bit read by a scan of
+    every merged piece."""
+    t_end = trace.t_end
+    arrivals = diagnostics._trace_arrivals(trace)
+    in_subtree = set(tree.subtree(vertex))
+    ancestors = set(tree.ancestors(vertex))
+    u1, u2 = tree.children[vertex]
+
+    boundaries = []
+    for e in trace.events:
+        if e.kind not in ("match", "flush") or e.vertex not in ancestors:
+            continue
+        if any(arrivals[r][1] in in_subtree for r in e.requests):
+            if 0.0 < e.t < t_end:
+                boundaries.append(e.t)
+    phase_cuts = [0.0] + sorted(set(boundaries)) + [t_end]
+    phases = [
+        (a, b) for a, b in zip(phase_cuts, phase_cuts[1:]) if b > a
+    ] or [(0.0, t_end)]
+
     segments, matches = reference_replay_offline(tree, arrivals, offline)
-    items = [(segments[0][0], 0, {}, None)] if segments else []
-    items += [(b, 0, _odd_kid_counts(tree, odd), None) for a, b, odd in segments]
-    items += [(t, 1, None, (la, lb, u)) for t, la, lb, u in matches]
-    for t, _, kids, match in sorted(items, key=lambda x: (x[0], x[1])):
-        yield t, kids, match
+    offline_pieces = [
+        (a, b, int((u1 in odd) != (u2 in odd))) for a, b, odd in segments
+    ]
+    sub_cut_times = []
+    for t, la, lb, u in matches:
+        tops = (u == vertex) or (
+            u in ancestors and ((la in in_subtree) != (lb in in_subtree))
+        )
+        if tops and 0.0 < t < t_end:
+            sub_cut_times.append(t)
+
+    online_pieces = []
+    prev_t, y = 0.0, 0
+    for e, odd in reference_online_odd(tree, trace):
+        if e.t > prev_t:
+            online_pieces.append((prev_t, e.t, y))
+            prev_t = e.t
+        y = int((u1 in odd) != (u2 in odd))
+    if t_end > prev_t:
+        online_pieces.append((prev_t, t_end, y))
+    y_pieces = _merge_signal(online_pieces, offline_pieces, 0.0, t_end)
+
+    def bit_on(a, b):
+        vals = {y for pa, pb, y in y_pieces if min(pb, b) > max(pa, a)}
+        if len(vals) > 1:
+            raise InvariantViolation(
+                f"alternation bit changed inside subphase [{a},{b}) of {vertex}"
+            )
+        return vals.pop() if vals else 0
+
+    subphases, bits, classes = [], [], []
+    for a, b in phases:
+        cuts = [a] + sorted(t for t in set(sub_cut_times) if a < t < b) + [b]
+        spans = tuple((x, y) for x, y in zip(cuts, cuts[1:]) if y > x)
+        subphases.append(spans)
+        span_bits = tuple(bit_on(x, y) for x, y in spans)
+        bits.append(span_bits)
+        classes.append(span_bits[-1] if span_bits else 0)
+
+    w = tree.weight[vertex]
+    suffix_y = suffix_n = 0.0
+    suffixes = []
+    for a, b, y in reversed(y_pieces):
+        suffixes.append((a, b, y, suffix_y, suffix_n))
+        if y:
+            suffix_y += b - a
+        else:
+            suffix_n += b - a
+    t_late = t_end
+    for a, b, y, from_b_y, from_b_n in reversed(suffixes):
+        at_a_y = from_b_y + (b - a) * y
+        at_a_n = from_b_n + (b - a) * (1 - y)
+        if min(at_a_y, at_a_n) <= w:
+            t_late = a
+            break
+        shrinking = at_a_y if y else at_a_n
+        if shrinking - (b - a) <= w:
+            t_late = a + (shrinking - w)
+            break
+    k = sum(
+        1
+        for (a1, b1, y1), (a2, b2, y2) in zip(y_pieces, y_pieces[1:])
+        if y1 != y2 and b1 < t_late
+    )
+    early = tuple(i for i, (a, b) in enumerate(phases) if b <= t_late)
+    late = tuple(i for i in range(len(phases)) if i not in early)
+    part = PhasePartition(
+        vertex=vertex,
+        phases=tuple(phases),
+        subphases=tuple(subphases),
+        subphase_bits=tuple(bits),
+        phase_classes=tuple(classes),
+        t_late=t_late,
+        discontinuities=k,
+        early=early,
+        late=late,
+    )
+    return part, y_pieces
+
+
+def _offline_replay(tree, arrivals, offline):
+    steps = diagnostics._offline_steps(tree, arrivals, offline)
+    return diagnostics._replay(tree, steps)
 
 
 def assert_replay_matches_reference(tree, arrivals, offline):
     segments, matches = reference_replay_offline(tree, arrivals, offline)
     got_segments, got_matches = [], []
     prev_t = None
-    for t, odd_kids, match in diagnostics._replay_offline(tree, arrivals, offline):
+    for t, match, parity, odd_kids in _offline_replay(tree, arrivals, offline):
         if prev_t is not None and t > prev_t:
-            got_segments.append((prev_t, t, dict(odd_kids)))
+            odd = frozenset(v for v, p in enumerate(parity) if p)
+            got_segments.append((prev_t, t, odd, dict(odd_kids)))
         prev_t = t
         if match is not None:
             got_matches.append((t, *match))
     assert got_matches == matches
     assert got_segments == [
-        (a, b, _odd_kid_counts(tree, odd)) for a, b, odd in segments
+        (a, b, odd, _odd_kid_counts(tree, odd)) for a, b, odd in segments
     ]
     tau_star, sigma_star = diagnostics._star_ledgers(tree, arrivals, offline)
     ref_tau, ref_sigma = reference_star_ledgers(tree, arrivals, offline)
@@ -391,11 +568,16 @@ def assert_replay_matches_reference(tree, arrivals, offline):
 
 
 def assert_partitions_match_reference(tree, trace, offline):
+    arrivals = diagnostics._trace_arrivals(trace)
     for v in tree.internal_vertices():
-        got = partition_phases(tree, v, trace, offline)
-        with mock.patch.object(diagnostics, "_replay_offline", reference_stream):
-            want = partition_phases(tree, v, trace, offline)
-        assert got == want
+        want, want_pieces = reference_partition_phases(tree, v, trace, offline)
+        assert partition_phases(tree, v, trace, offline) == want
+        got_pieces = diagnostics._xor_runs(
+            diagnostics._child_flips(diagnostics._replay_trace(tree, trace), v),
+            diagnostics._child_flips(_offline_replay(tree, arrivals, offline), v),
+            trace.t_end,
+        )
+        assert got_pieces == want_pieces
 
 
 @pytest.mark.parametrize("kind", ["line", "square", "uniform"])

@@ -160,6 +160,51 @@ def test_gen_random_validation():
         gen_random("hexagon", 4, 4, horizon=1.0, rng=rng)
 
 
+class _GridRng:
+    """The first draw, the coordinates, lands on a grid of three values per
+    axis, so points collide; every later draw passes through."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.coords = None
+
+    def uniform(self, low, high, size):
+        if self.coords is None:
+            self.coords = self._rng.integers(0, 3, size) / 2.0
+            return self.coords
+        return self._rng.uniform(low, high, size)
+
+    def integers(self, low, high, size):
+        return self._rng.integers(low, high, size)
+
+
+def _nudged_reference(kind, coords):
+    """gen_random's distance matrix with the zero-distance nudge as a loop."""
+    if kind == "line":
+        coords = np.sort(coords)
+        dist = np.abs(coords[:, None] - coords[None, :])
+    else:
+        diff = coords[:, None, :] - coords[None, :, :]
+        dist = np.sqrt((diff**2).sum(axis=2))
+    n = len(dist)
+    for i in range(n):
+        for j in range(n):
+            if i != j and dist[i, j] == 0.0:
+                dist[i, j] = 1e-9
+    return np.maximum(dist, dist.T)
+
+
+@pytest.mark.parametrize("kind", ["line", "square"])
+@pytest.mark.parametrize("seed", range(3))
+def test_gen_random_nudges_colliding_points_apart(kind, seed):
+    rng = _GridRng(seed)
+    space, reqs = gen_random(kind, 10, 8, horizon=2.0, rng=rng)
+    want = _nudged_reference(kind, rng.coords)
+    assert space.dist.tobytes() == want.tobytes()
+    assert np.count_nonzero(space.dist == 1e-9) > 0  # the grid forced collisions
+    assert len(reqs) == 8
+
+
 def test_gen_two_point_patterns():
     space, reqs = gen_two_point(3.0, "pair_at_0")
     assert space.distance("a", "b") == 3.0

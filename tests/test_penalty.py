@@ -42,8 +42,9 @@ def test_classify_regime_boundaries():
     assert classify_regime(space, 8.0) == REGIME_DOUBLED  # p = 2*d_max
     assert classify_regime(space, 8.1) == REGIME_TWO_COPIES
     assert classify_regime(single_point(), 5.0) == REGIME_PER_POINT
-    with pytest.raises(RegimeMismatch):
-        classify_regime(space, 0.0)
+    for p in (0.0, float("nan"), float("inf")):
+        with pytest.raises(RegimeMismatch):
+            classify_regime(space, p)
 
 
 def test_doubled_metric_geometry():

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delaymatch.core import make_requests, total_cost
+from delaymatch.diagnostics import _replay_trace
 from delaymatch.embedding import build_hsbt, sample_hsbt, tree_metric
 from delaymatch.errors import NotEffective, OddRequestSet, UnknownLocation
 from delaymatch.instances import gen_random
@@ -11,7 +12,6 @@ from delaymatch.stiltwalker import (
     Engine,
     TimerMode,
     recompute_state,
-    replay_parity,
     run,
 )
 
@@ -94,10 +94,11 @@ def test_same_leaf_match_is_instant_and_free():
     assert ev.kind == "same_leaf"
     assert _odd(engine.parity) == frozenset()
     assert not engine.effective
-    *_, (last, parity, effective) = replay_parity(tree, result.trace)
+    for _, last, parity, odd_kids in _replay_trace(tree, result.trace):
+        pass
     assert last is ev
     assert _odd(parity) == frozenset()
-    assert not effective
+    assert not odd_kids
 
 
 def test_budget_frozen_while_not_effective():
@@ -171,11 +172,23 @@ def _assert_state(tree, active_leaves, odd, effective):
 
 def _replay_check(tree, reqs, result):
     """Independent parity oracle: rebuild the active set from the events and
-    the requests' own points, and hold the trace replay's state after every
-    event against a recompute from it."""
+    the requests' own points, and hold the trace replay's state before every
+    event, and after the last, against a recompute from it."""
     leaf_of = {r.id: tree.point_leaf[r.point] for r in reqs}
     active: set[int] = set()
-    for ev, parity, effective in replay_parity(tree, result.trace):
+
+    def check(parity, odd_kids):
+        odd = _odd(parity)
+        effective = {v for v, c in odd_kids.items() if c == 2}
+        _assert_state(tree, active, odd, effective)
+        counts = {
+            v: sum(u in odd for u in tree.children[v])
+            for v in tree.internal_vertices()
+        }
+        assert odd_kids == {v: c for v, c in counts.items() if c}
+
+    for _, ev, parity, odd_kids in _replay_trace(tree, result.trace):
+        check(parity, odd_kids)
         if ev.kind == "arrival":
             active.add(leaf_of[ev.requests[0]])
         elif ev.kind == "same_leaf":
@@ -183,7 +196,7 @@ def _replay_check(tree, reqs, result):
         else:
             for rid in ev.requests:
                 active.remove(leaf_of[rid])
-        _assert_state(tree, active, _odd(parity), effective)
+    check(parity, odd_kids)
     assert not active
 
 
