@@ -46,6 +46,7 @@ an inequality (>=) against the cap's closed form.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from bisect import bisect_right
@@ -223,6 +224,34 @@ def simulate_app(
     )
 
 
+@functools.lru_cache(maxsize=16)
+def _rate_pieces(
+    coloring: Coloring, rate_segments: tuple[tuple[float, float, float], ...]
+) -> tuple[tuple[float, float, Color, float], ...]:
+    """Both partitions refined to common (start, end, color, rate) pieces.
+
+    Built once per (coloring, profile) and shared by every realization;
+    colorings hash by identity, so each Coloring object has its own entry.
+    """
+    cuts = sorted(
+        {coloring.t0, coloring.t1}
+        | {s for s, _, _ in coloring.segments}
+        | {e for _, e, _ in coloring.segments}
+        | {x for s, e, _ in rate_segments for x in (s, e)}
+    )
+    cuts = [c for c in cuts if coloring.t0 <= c <= coloring.t1]
+
+    def rate_at(t: float) -> float:
+        for s, e, r in rate_segments:
+            if s <= t < e:
+                return r
+        raise ConfigInvalid(f"rate profile does not cover t={t}")
+
+    return tuple(
+        (a, b, coloring.color_at(a), rate_at(a)) for a, b in zip(cuts, cuts[1:])
+    )
+
+
 def simulate_rate_varying(
     coloring: Coloring,
     rate_segments: list[tuple[float, float, float]],
@@ -243,24 +272,7 @@ def simulate_rate_varying(
         if r > cap * (1 + 1e-12):
             raise RateAboveCap(f"rate {r} on [{s},{e}) exceeds cap {cap}")
 
-    # refine both partitions to common pieces: (start, end, color, rate)
-    cuts = sorted(
-        {coloring.t0, coloring.t1}
-        | {s for s, _, _ in coloring.segments}
-        | {e for _, e, _ in coloring.segments}
-        | {x for s, e, _ in rate_segments for x in (s, e)}
-    )
-    cuts = [c for c in cuts if coloring.t0 <= c <= coloring.t1]
-
-    def rate_at(t: float) -> float:
-        for s, e, r in rate_segments:
-            if s <= t < e:
-                return r
-        raise ConfigInvalid(f"rate profile does not cover t={t}")
-
-    pieces = []
-    for a, b in zip(cuts, cuts[1:]):
-        pieces.append((a, b, coloring.color_at(a), rate_at(a)))
+    pieces = _rate_pieces(coloring, tuple(map(tuple, rate_segments)))
 
     def advance(t_prev: float, color: int, z: float) -> tuple[float, float]:
         weighted = 0.0

@@ -9,7 +9,10 @@ Two stages:
    probability 1, that tree distance dominates the input metric, that parent
    weights are at least twice child weights, and that the height is
    logarithmic in the aspect ratio; the expected stretch of any pair is
-   logarithmic in n.
+   logarithmic in n.  It computes every point's ball owner at every level
+   as one levels x n table, sorts the points by it once, and reads the tree
+   off the sorted order in O(n) Python steps: O(n^2 * levels) array work and
+   O(n * levels + n^2) memory.
 
 2. `binarize` turns that tree into a full binary tree while keeping leaf
    ancestry.  Mapped vertices carry twice their original weight; auxiliary
@@ -25,11 +28,16 @@ Two stages:
 
 `sample_hsbt` composes the two and re-checks domination against the original
 metric, raising `DominationViolation` (a bug sentinel, not bad input) if the
-guarantee ever fails.
+guarantee ever fails; `undominated_pair` is that check on its own, for trees
+from elsewhere.  Every distance check reads `leaf_distances`, which lays the
+leaves out in preorder and fills each internal vertex's square block of the
+distance matrix with its weight, parents first: one slice assignment per
+internal vertex and an O(n^2) gather per call.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from typing import Sequence
@@ -52,6 +60,7 @@ __all__ = [
     "binarize",
     "sample_hsbt",
     "tree_metric",
+    "undominated_pair",
     "build_hsbt",
 ]
 
@@ -119,28 +128,49 @@ class _Tree:
     def point_distance(self, a: str, b: str) -> float:
         return self.tree_distance(self.point_leaf[a], self.point_leaf[b])
 
+    @functools.cached_property
+    def _leaf_blocks(self) -> tuple[list[tuple[int, slice]], dict[int, int]]:
+        """Preorder leaf layout: (vertex, leaf range) per internal vertex,
+        parents first, and each leaf's position in that order."""
+        children = self.children
+        blocks: list = []
+        position: dict[int, int] = {}
+        stack = [self.root]
+        while stack:
+            v = stack.pop()
+            if v < 0:  # ~k: the subtree of block k is complete
+                lo, u = blocks[~v]
+                blocks[~v] = (u, slice(lo, len(position)))
+            elif children[v]:
+                stack.append(~len(blocks))
+                blocks.append((len(position), v))
+                stack.extend(children[v][::-1])
+            else:
+                position[v] = len(position)
+        return blocks, position
+
     def leaf_distances(self, points: Sequence[str]) -> np.ndarray:
         """`point_distance` over every pair of `points`, as a matrix in that order.
 
-        Row a of `paths` is the root-to-leaf path of point a, padded with its
-        leaf, which is no other row's ancestor, so padding never matches.
-        Two paths agree exactly on their shared ancestors, a common prefix,
-        so the number of agreeing positions is the LCA's depth plus one and
-        a fixed number of array operations finds every LCA at any height.
+        With the leaves laid out in preorder, every subtree's leaves form one
+        contiguous range, so the leaf pairs whose LCA is v, or lies below v,
+        fill the square block of v's range.  Filling each internal vertex's
+        block with its weight, parents first, leaves every off-diagonal entry
+        holding the weight of its LCA, for any weights; the diagonal is then
+        zeroed and the rows and columns gathered in the requested order.
+        That is one slice assignment per internal vertex plus an O(n^2)
+        gather.  The layout depends on the shape alone and is built once per
+        tree; the weights are read on every call.
         """
-        parent, depth = self.parent, self.depth
-        rows = []
-        for p in points:
-            v = self.point_leaf[p]
-            row = [v] * (self.height + 1)
-            for d in range(depth[v] - 1, -1, -1):
-                v = parent[v]
-                row[d] = v
-            rows.append(row)
-        paths = np.array(rows, dtype=np.intp)
-        shared = (paths[:, None, :] == paths[None, :, :]).sum(axis=2)
-        lca = paths[np.arange(len(rows))[:, None], shared - 1]
-        return np.asarray(self.weight)[lca]
+        blocks, position = self._leaf_blocks
+        weight = self.weight
+        n = len(position)
+        full = np.empty((n, n))
+        for v, span in blocks:
+            full[span, span] = weight[v]
+        full.flat[:: n + 1] = 0.0
+        at = np.array([position[self.point_leaf[p]] for p in points], dtype=np.intp)
+        return full.take(at, axis=0).take(at, axis=1)
 
     def subtree(self, v: int) -> list[int]:
         out = [v]
@@ -270,12 +300,39 @@ def _first_pair(bad: np.ndarray) -> tuple[int, int] | None:
     return (int(hits[0, 0]), int(hits[0, 1])) if len(hits) else None
 
 
+def undominated_pair(space: MetricSpace, tree: _Tree) -> tuple[int, int] | None:
+    """First pair (i, j), i < j in `space`'s point order, whose tree distance
+    falls short of its metric distance by more than 1e-12 of the diameter.
+
+    The tree must have a leaf for every point of `space`.
+    """
+    tol = 1e-12 * float(space.dist.max())
+    return _first_pair(tree.leaf_distances(space.points) + tol < space.dist)
+
+
 # ---------------------------------------------------------------------------
 # Stage 1: random hierarchical decomposition
 # ---------------------------------------------------------------------------
 
 def frt_embed(space: MetricSpace, rng: np.random.Generator) -> Hst:
-    """Sample a dominating tree for `space` (weights in original units)."""
+    """Sample a dominating tree for `space` (weights in original units).
+
+    Distances are scaled so the closest pair is 1 apart.  At level lev the
+    balls have radius beta * 2^(lev-1), and a point's owner is the first
+    permutation rank whose ball covers it; `owner[lev, j]` holds it for
+    every level 0 .. top-1 at once, one n x n comparison per level.  At
+    level 0 the radius is below 1, so every point owns itself.  A cluster
+    is the set of points that share their owners at every level above its
+    split level, and it splits into children by owner at that level.
+    Sorting the points by their owner rows, coarsest level first, therefore
+    lists the tree's leaves in order with every cluster contiguous, and two
+    adjacent points first differ at their LCA's split level.  One stack pass
+    over those n-1 levels builds the tree, and one LIFO walk numbers its
+    vertices: a vertex's children get consecutive ids, and child clusters
+    are expanded last one first.  Cost: O(n^2 * levels) array work, O(n)
+    Python steps, and O(n * levels) memory for the table besides the n x n
+    scaled distances and one n x n temporary.
+    """
     if space.n < 2:
         raise OutOfDomain("embedding needs at least two points")
     st = stats(space)
@@ -287,45 +344,60 @@ def frt_embed(space: MetricSpace, rng: np.random.Generator) -> Hst:
     beta = 1.0 + float(rng.random())
     top = math.ceil(math.log2(delta)) + 1  # beta * 2^(top-1) >= delta
 
-    # priority[i] = rank of point i in the permutation (lower claims first)
-    priority = np.empty(space.n, dtype=int)
-    priority[perm] = np.arange(space.n)
     dist_by_rank = dist[perm]  # row r = distances from the rank-r point
+    owner = np.empty((top, space.n), dtype=np.intp)
+    for lev in range(top):  # first permutation rank covering each point
+        np.argmax(dist_by_rank <= beta * 2.0 ** (lev - 1), axis=0, out=owner[lev])
+    order = np.lexsort(owner)  # the last row, the coarsest level, is primary
+    ranked = owner[:, order]
+    differs = ranked[:, 1:] != ranked[:, :-1]
+    split = (top - 1 - np.argmax(differs[::-1], axis=0)).tolist()
 
+    # clusters as (split level, children); a child is a cluster index or
+    # ~point for a single point
+    levels: list[int] = []
+    kids: list[list[int]] = []
+    spine: list[int] = []  # open clusters on the right edge, split levels falling
+    points = order.tolist()
+    done = ~points[0]  # the finished subtree just left of the next split
+    for i, lev in enumerate(split):
+        while spine and levels[spine[-1]] < lev:
+            kids[spine[-1]].append(done)
+            done = spine.pop()
+        if spine and levels[spine[-1]] == lev:
+            kids[spine[-1]].append(done)
+        else:
+            levels.append(lev)
+            kids.append([done])
+            spine.append(len(kids) - 1)
+        done = ~points[i + 1]
+    while spine:
+        kids[spine[-1]].append(done)
+        done = spine.pop()
+    root = done
+    # a cluster is weighted by its split scale: one level up it sat in a
+    # single ball of radius beta*2^lev, so beta*2^(lev+1) bounds every
+    # cross-child distance; weighting by the split scale (not the creation
+    # scale) is what keeps the expected stretch logarithmic when a near-pair
+    # rides a compressed path many levels down
     parent: list[int] = [-1]
     children: list[list[int]] = [[]]
-    weight: list[float] = [0.0]  # every cluster's weight is set when it splits
+    weight: list[float] = [beta * 2.0 ** (levels[root] + 1)]
     leaf_point: dict[int, str] = {}
-
-    stack: list[tuple[int, np.ndarray, int]] = [(0, np.arange(space.n), top)]
+    stack = [(0, root)]
     while stack:
-        v, pts, lev = stack.pop()
-        lev -= 1
-        while True:
-            radius = beta * 2.0 ** (lev - 1)
-            covered = dist_by_rank[:, pts] <= radius
-            owner = np.argmax(covered, axis=0)  # first permutation rank covering
-            groups = np.unique(owner)
-            if len(groups) > 1:
-                break
-            lev -= 1  # cluster did not split; try the next finer scale
-        # one level up the whole cluster sat in a single ball of radius
-        # beta*2^lev, so beta*2^(lev+1) bounds every cross-child distance;
-        # weighting by the split scale (not the creation scale) is what keeps
-        # the expected stretch logarithmic when a near-pair rides a compressed
-        # path many levels down
-        weight[v] = beta * 2.0 ** (lev + 1)
-        for g in groups:  # ascending owner rank: deterministic child order
-            members = pts[owner == g]
+        v, cluster = stack.pop()
+        for c in kids[cluster]:  # ascending owner rank at the split level
             u = len(parent)
             parent.append(v)
             children[v].append(u)
             children.append([])
-            weight.append(0.0)
-            if len(members) == 1:
-                leaf_point[u] = space.points[int(members[0])]
+            if c < 0:
+                weight.append(0.0)
+                leaf_point[u] = space.points[~c]
             else:
-                stack.append((u, members, lev))
+                weight.append(beta * 2.0 ** (levels[c] + 1))
+                stack.append((u, c))
 
     weight = [w * scale for w in weight]
     return Hst(parent, children, weight, leaf_point)
@@ -497,8 +569,7 @@ def sample_hsbt(
     h = frt_embed(space, rng)
     t = binarize(h, space.n)
     if verify:
-        tol = 1e-12 * float(space.dist.max())
-        pair = _first_pair(t.leaf_distances(space.points) + tol < space.dist)
+        pair = undominated_pair(space, t)
         if pair is not None:
             a, b = (space.points[k] for k in pair)
             raise DominationViolation(

@@ -25,7 +25,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .core import Request, Schedule, total_cost
-from .embedding import Hsbt, sample_hsbt
+from .embedding import Hsbt, sample_hsbt, undominated_pair
 from .errors import ConfigInvalid, InvariantViolation, TooLarge
 from .metric import MetricSpace
 from .offline import OfflineSolution, greedy_mpmd, optimal_mpmd, optimal_mpmdfp
@@ -118,7 +118,24 @@ class ExperimentConfig:
                     "a fixed tree applies to the matching-only variant; the "
                     "penalty reduction builds its own doubled tree"
                 )
+        if self.fixed_tree is not None:
+            _check_fixed_tree(self.fixed_tree, self.space)
         return self
+
+
+def _check_fixed_tree(tree: Hsbt, space: MetricSpace) -> None:
+    """The tree's leaves are the space's points and it dominates the metric,
+    by `sample_hsbt`'s rule and tolerance."""
+    missing = [p for p in space.points if p not in tree.point_leaf]
+    if missing:
+        raise ConfigInvalid(f"fixed tree has no leaf for point {missing[0]}")
+    extra = sorted(set(tree.point_leaf).difference(space.points))
+    if extra:
+        raise ConfigInvalid(f"fixed tree leaf {extra[0]} is not an instance point")
+    pair = undominated_pair(space, tree)
+    if pair is not None:
+        a, b = (space.points[k] for k in pair)
+        raise ConfigInvalid(f"fixed tree distance for ({a},{b}) below metric distance")
 
 
 def offline_baseline(

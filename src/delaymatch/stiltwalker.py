@@ -9,14 +9,15 @@ so each maximal odd path runs from a head down to a single odd leaf, its
 foot.  A vertex is *effective* when both its children are odd, i.e. both
 children are stilt heads; its two supporting leaves are those stilts' feet.
 
-Timers.  Every internal vertex v owns a budget B_v, drawn at engine start and
-redrawn after every match across v: exponential with mean w(v) in randomized
-mode, exactly w(v) in deterministic mode.  The budget is consumed at unit
-rate only while v is effective and is frozen, not redrawn, when v stops being
-effective.  When it hits zero the two supporting requests of v are matched
-across v, paying the tree distance w(v); parities of v and all its ancestors
-are unchanged by such a match (one active leaves each child side), so other
-effective vertices and their feet are undisturbed.
+Timers.  Every internal vertex v owns a budget B_v, drawn when v first
+becomes effective and redrawn after every match across v: exponential with
+mean w(v) in randomized mode, exactly w(v) in deterministic mode.  The
+budget is consumed at unit rate only while v is effective and is frozen, not
+redrawn, when v stops being effective.  When it hits zero the two supporting
+requests of v are matched across v, paying the tree distance w(v); parities
+of v and all its ancestors are unchanged by such a match (one active leaves
+each child side), so other effective vertices and their feet are
+undisturbed.
 
 End of input.  With `flush=True` the engine stops at the last arrival time
 t_end and matches across every effective vertex at once (by increasing
@@ -28,8 +29,8 @@ past t_end with the same timers until no active request remains.
 State upkeep.  An arrival flips parity along one leaf-to-root path and a
 match along the two feet-to-vertex paths below the matched vertex, so only
 the vertices on those paths can change parity and only their parents can
-gain or lose effectiveness.  `_flip_path` updates the parity list and the
-effective set along such a path and nowhere else, making an event cost
+gain or lose effectiveness.  `Engine._flip_path` updates the parity list and
+the effective set along such a path and nowhere else, making an event cost
 O(height + |effective set|).  The trace keeps no state snapshots; the
 analysis in `diagnostics` rebuilds the state before every event from the
 trace alone, with the parity replay it shares with the offline schedule.
@@ -37,8 +38,11 @@ trace alone, with the parity replay it shares with the offline schedule.
 Determinism.  Each internal vertex draws from its own named RNG stream keyed
 by (master seed, vertex id), so runs are bit-for-bit reproducible and the
 timers of one subtree can be varied while all other streams stay fixed.
-A stream is created at its vertex's first draw, so leaves and
-deterministic runs build none; the values drawn are the same either way.
+A vertex's stream is created when the vertex first becomes effective, and
+its first value is the first budget, so vertices that never become
+effective, leaves and deterministic runs build none.  Streams are
+independent and each yields its values in the same order whenever they are
+drawn, so drawing first budgets at engine start would move no bit.
 Simultaneous events are ordered: arrivals first (by request id), then vertex
 timers by (depth, vertex id); vertex ids are depth-sorted, so plain id order
 implements that rule.
@@ -49,7 +53,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -121,32 +125,7 @@ def recompute_state(tree: Hsbt, active_leaves: Sequence[int]) -> StiltState:
     )
 
 
-def _flip_path(
-    tree: Hsbt, parity: list[int], effective: set[int], leaf: int, top: int = -1
-) -> None:
-    """Flip parity from `leaf` up to, not including, `top` (-1: the root too).
-
-    Every flipped vertex changes one child of its parent, so exactly those
-    parents (`top` among them) are re-tested for effectiveness.  `top` must
-    be -1 or an ancestor of `leaf`.
-    """
-    parent, children = tree.parent, tree.children
-    v = leaf
-    while v != top:
-        if v < 0:
-            raise InvariantViolation(f"vertex {top} is not above leaf {leaf}")
-        parity[v] ^= 1
-        v = parent[v]
-        if v >= 0:
-            c1, c2 = children[v]
-            if parity[c1] and parity[c2]:
-                effective.add(v)
-            else:
-                effective.discard(v)
-
-
-@dataclass(frozen=True)
-class EngineEvent:
+class EngineEvent(NamedTuple):
     t: float
     kind: str                      # arrival | same_leaf | match | flush
     vertex: int | None             # matched-across vertex, or the leaf itself
@@ -208,11 +187,7 @@ class Engine:
         self._stream_key = vertex_seed_fn or (lambda v: (seed, v))
         self._streams: dict[int, np.random.Generator] = {}  # built at first draw
         n_v = len(tree)
-        self.budget = [0.0] * n_v
-        for v in range(n_v):
-            if not tree.is_leaf(v):
-                self.budget[v] = self._draw(v)
-
+        self.budget: list[float | None] = [None] * n_v  # None until first effective
         self.parity = [0] * n_v
         self.active_at: dict[int, int] = {}  # leaf -> request id
         self.effective: set[int] = set()
@@ -237,6 +212,31 @@ class Engine:
         return float(stream.exponential(scale=w))
 
     # -- state maintenance ----------------------------------------------------
+
+    def _flip_path(self, leaf: int, top: int = -1) -> None:
+        """Flip parity from `leaf` up to, not including, `top` (-1: the root too).
+
+        Every flipped vertex changes one child of its parent, so exactly those
+        parents (`top` among them) are re-tested for effectiveness; a vertex
+        that becomes effective for the first time draws its first budget.
+        `top` must be -1 or an ancestor of `leaf`.
+        """
+        parent, children = self.tree.parent, self.tree.children
+        parity, effective, budget = self.parity, self.effective, self.budget
+        v = leaf
+        while v != top:
+            if v < 0:
+                raise InvariantViolation(f"vertex {top} is not above leaf {leaf}")
+            parity[v] ^= 1
+            v = parent[v]
+            if v >= 0:
+                c1, c2 = children[v]
+                if parity[c1] and parity[c2]:
+                    effective.add(v)
+                    if budget[v] is None:
+                        budget[v] = self._draw(v)
+                else:
+                    effective.discard(v)
 
     def _foot(self, v: int) -> int:
         children, parity = self.tree.children, self.parity
@@ -277,10 +277,10 @@ class Engine:
             # zero-distance match; the standing active vanishes, so the
             # leaf's path parity flips exactly once
             self.pairings.append((partner, req.id, self.now))
-            _flip_path(self.tree, self.parity, self.effective, leaf)
+            self._flip_path(leaf)
             return self._record("same_leaf", leaf, (partner, req.id))
         self.active_at[leaf] = req.id
-        _flip_path(self.tree, self.parity, self.effective, leaf)
+        self._flip_path(leaf)
         return self._record("arrival", leaf, (req.id,))
 
     def match_across(self, v: int, kind: str = "match") -> EngineEvent:
@@ -292,8 +292,8 @@ class Engine:
         r2 = self.active_at.pop(f2)
         self.pairings.append((r1, r2, self.now))
         # above v the two flips cancel: parities there stay as they are
-        _flip_path(self.tree, self.parity, self.effective, f1, v)
-        _flip_path(self.tree, self.parity, self.effective, f2, v)
+        self._flip_path(f1, v)
+        self._flip_path(f2, v)
         if kind != "flush":
             self.sigma[v] += self.tree.weight[v]
         self.budget[v] = self._draw(v)

@@ -399,3 +399,88 @@ def test_batched_sampler_matches_reference_hypothesis(
             assert altpoisson._advance(
                 coloring.runs[color], t_prev, z, coloring.t1
             ) == reference_advance(coloring, t_prev, color, z)
+
+
+def reference_simulate_rate_varying(coloring, rate_segments, cap, rng):
+    """The rate-varying sampler that builds its cut set and pieces per call,
+    kept as the oracle of the shared per-(coloring, profile) pieces."""
+    if cap <= 0:
+        raise ConfigInvalid("rate cap must be positive")
+    for s, e, r in rate_segments:
+        if r < 0:
+            raise ConfigInvalid(f"negative rate on [{s},{e})")
+        if r > cap * (1 + 1e-12):
+            raise RateAboveCap(f"rate {r} on [{s},{e}) exceeds cap {cap}")
+    cuts = sorted(
+        {coloring.t0, coloring.t1}
+        | {s for s, _, _ in coloring.segments}
+        | {e for _, e, _ in coloring.segments}
+        | {x for s, e, _ in rate_segments for x in (s, e)}
+    )
+    cuts = [c for c in cuts if coloring.t0 <= c <= coloring.t1]
+
+    def rate_at(t):
+        for s, e, r in rate_segments:
+            if s <= t < e:
+                return r
+        raise ConfigInvalid(f"rate profile does not cover t={t}")
+
+    pieces = [(a, b, coloring.color_at(a), rate_at(a)) for a, b in zip(cuts, cuts[1:])]
+
+    def advance(t_prev, color, z):
+        weighted = 0.0
+        digested = 0.0
+        t = t_prev
+        for s, e, c, r in pieces:
+            if e <= t_prev:
+                continue
+            s = max(s, t_prev)
+            if c == color:
+                if r > 0 and (e - s) * r > z - weighted:
+                    dt = (z - weighted) / r
+                    return s + dt, digested + dt
+                weighted += (e - s) * r
+                digested += e - s
+            t = e
+        return t, digested
+
+    return _alternate(coloring, lambda: float(rng.exponential(1.0)), advance)
+
+
+def random_rate_profile(rng, coloring):
+    """Piecewise-constant rates over a cover of the window, some of them 0."""
+    k = int(rng.integers(1, 6))
+    cuts = np.sort(rng.uniform(coloring.t0 - 1.0, coloring.t1 + 1.0, size=k - 1))
+    edges = [coloring.t0 - 1.5, *map(float, cuts), coloring.t1 + 1.5]
+    rates = [0.0 if rng.random() < 0.2 else float(rng.uniform(0.1, 3.0)) for _ in cuts]
+    rates.append(float(rng.uniform(0.1, 3.0)))
+    return [(a, b, r) for a, b, r in zip(edges, edges[1:], rates) if b > a]
+
+
+def test_rate_varying_matches_the_per_call_builder():
+    rng = np.random.default_rng(77)
+    named = [c for c, _ in _named_colorings().values()]
+    for k in range(30):
+        coloring = named[k] if k < len(named) else random_coloring(rng, max_segments=8)
+        profile = random_rate_profile(rng, coloring)
+        cap = max(r for _, _, r in profile)
+        got_rng, want_rng = np.random.default_rng(k), np.random.default_rng(k)
+        for _ in range(40):  # the later calls reuse the shared pieces
+            got = simulate_rate_varying(coloring, profile, cap, got_rng)
+            want = reference_simulate_rate_varying(coloring, profile, cap, want_rng)
+            assert got == want, (k, coloring.segments, profile)
+
+
+def test_rate_varying_pieces_are_built_once_per_coloring_and_profile():
+    coloring = random_coloring(np.random.default_rng(5), max_segments=8)
+    profile = [(coloring.t0, coloring.t1, 1.5)]
+    rng = np.random.default_rng(0)
+    with mock.patch.object(
+        coloring, "color_at", wraps=coloring.color_at
+    ) as color_at:
+        for _ in range(10):
+            simulate_rate_varying(coloring, profile, 1.5, rng)
+        built = color_at.call_count
+        assert 1 <= built <= len(coloring.segments)
+        simulate_rate_varying(coloring, [(coloring.t0, coloring.t1, 1.0)], 1.5, rng)
+        assert color_at.call_count > built  # a new profile builds its own pieces

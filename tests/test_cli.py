@@ -315,3 +315,45 @@ def test_bad_fixed_tree_is_user_error(tmp_path, capsys, case):
     assert code == 1
     assert err.startswith("error: ") and message in err
     assert out == "" and "Traceback" not in err
+
+
+def _other_bundle(points):
+    def make(capsys, tmp_path, bundle):
+        run_cli(capsys, "gen", "random", "--points", str(points), "--requests", "6",
+                "--out", str(tmp_path / "other"))
+        return json.loads((tmp_path / "other" / "instance.json").read_text())
+    return make
+
+
+def _scaled_bundle(capsys, tmp_path, bundle):
+    bundle["dist"] = [[100.0 * d for d in row] for row in bundle["dist"]]
+    return bundle
+
+
+_MISMATCHED_BUNDLES = {  # bundle the 4-point tree is run on, message
+    "five-points": (_other_bundle(5), "fixed tree has no leaf for point p4"),
+    "three-points": (_other_bundle(3), "fixed tree leaf p3 is not an instance point"),
+    "scaled-distances": (_scaled_bundle, "below metric distance"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MISMATCHED_BUNDLES))
+def test_fixed_tree_must_fit_the_bundle(tmp_path, capsys, case):
+    make, message = _MISMATCHED_BUNDLES[case]
+    inst_dir = str(tmp_path / "inst")
+    run_cli(capsys, "gen", "random", "--points", "4", "--requests", "6",
+            "--out", inst_dir)
+    inst = f"{inst_dir}/instance.json"
+    run_cli(capsys, "embed", "--instance", inst, "--out", str(tmp_path / "tree"))
+    tree = str(tmp_path / "tree" / "tree.json")
+    code, _, _ = run_cli(capsys, "run", "--instance", inst, "--fixed-tree", tree)
+    assert code == 0  # the tree fits the bundle it was embedded from
+    bad = tmp_path / "bad.json"
+    bundle = make(capsys, tmp_path, json.loads(Path(inst).read_text()))
+    bad.write_text(json.dumps(bundle))
+    code, out, err = run_cli(
+        capsys, "run", "--instance", str(bad), "--fixed-tree", tree
+    )
+    assert code == 1
+    assert err.startswith("error: ") and message in err
+    assert out == "" and "Traceback" not in err

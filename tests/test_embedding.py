@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from delaymatch import embedding
 from delaymatch.embedding import (
+    Hst,
     Hsbt,
     _assert_sandwich,
     _first_pair,
@@ -18,7 +19,8 @@ from delaymatch.embedding import (
     tree_metric,
 )
 from delaymatch.errors import DominationViolation, InvariantViolation, OutOfDomain
-from delaymatch.metric import from_coords
+from delaymatch.instances import gen_random
+from delaymatch.metric import from_coords, stats
 
 
 def oracle_leaf_distance(parent, weight, x, y):
@@ -137,6 +139,163 @@ def test_leaf_distances_equal_the_pair_loop(n):
     points = [str(p) for p in rng.permutation(space.points)]
     for tree in (h, t):
         got = tree.leaf_distances(points)
+        assert np.array_equal(got, pair_loop_distances(tree, points))
+
+
+def reference_frt_embed(space, rng):
+    """The per-cluster FRT loop that `frt_embed` replaced, kept as its oracle.
+
+    A stack of clusters; each pop scans down from the cluster's creation
+    level with one argmax and one unique per level until the cluster splits.
+    """
+    st_ = stats(space)
+    scale = st_.d_min
+    dist = space.dist / scale
+    delta = float(dist.max())
+    perm = rng.permutation(space.n)
+    beta = 1.0 + float(rng.random())
+    top = math.ceil(math.log2(delta)) + 1
+    dist_by_rank = dist[perm]
+    parent, children, weight, leaf_point = [-1], [[]], [0.0], {}
+    stack = [(0, np.arange(space.n), top)]
+    while stack:
+        v, pts, lev = stack.pop()
+        lev -= 1
+        while True:
+            radius = beta * 2.0 ** (lev - 1)
+            owner = np.argmax(dist_by_rank[:, pts] <= radius, axis=0)
+            groups = np.unique(owner)
+            if len(groups) > 1:
+                break
+            lev -= 1
+        weight[v] = beta * 2.0 ** (lev + 1)
+        for g in groups:
+            members = pts[owner == g]
+            u = len(parent)
+            parent.append(v)
+            children[v].append(u)
+            children.append([])
+            weight.append(0.0)
+            if len(members) == 1:
+                leaf_point[u] = space.points[int(members[0])]
+            else:
+                stack.append((u, members, lev))
+    return Hst(parent, children, [w * scale for w in weight], leaf_point)
+
+
+def reference_leaf_distances(tree, points):
+    """The path-compare `leaf_distances` that the block fill replaced.
+
+    Row a is point a's root-to-leaf path padded with its leaf; the number of
+    positions two rows share is their LCA's depth plus one.
+    """
+    rows = []
+    for p in points:
+        v = tree.point_leaf[p]
+        row = [v] * (tree.height + 1)
+        for d in range(tree.depth[v] - 1, -1, -1):
+            v = tree.parent[v]
+            row[d] = v
+        rows.append(row)
+    paths = np.array(rows, dtype=np.intp)
+    shared = (paths[:, None, :] == paths[None, :, :]).sum(axis=2)
+    lca = paths[np.arange(len(rows))[:, None], shared - 1]
+    return np.asarray(tree.weight)[lca]
+
+
+def assert_same_hst(got, want):
+    assert got.parent == want.parent
+    assert got.children == want.children
+    assert got.leaf_point == want.leaf_point
+    assert [w.hex() for w in got.weight] == [w.hex() for w in want.weight]
+
+
+def assert_frt_matches_reference(space, seed):
+    got = frt_embed(space, np.random.default_rng(seed))
+    want = reference_frt_embed(space, np.random.default_rng(seed))
+    assert_same_hst(got, want)
+    points = list(np.random.default_rng(seed).permutation(space.points))
+    assert np.array_equal(
+        got.leaf_distances(points), reference_leaf_distances(want, points)
+    )
+
+
+@pytest.mark.parametrize("n", [*range(2, 17), 64, 256])
+@pytest.mark.parametrize("kind", ["line", "square", "uniform"])
+def test_frt_embed_equals_the_cluster_loop(kind, n):
+    for seed in range(2 if n <= 16 else 1):
+        rng = np.random.default_rng([n, seed])
+        space, _ = gen_random(kind, n, 0, 1.0, rng)
+        assert_frt_matches_reference(space, seed)
+
+
+def integer_line(n):
+    return from_coords(np.arange(n, dtype=float))
+
+
+@pytest.mark.parametrize("space", [
+    grid_space(2), grid_space(3), grid_space(4), grid_space(8),
+    integer_line(2), integer_line(5), integer_line(16), integer_line(33),
+], ids=["grid2", "grid3", "grid4", "grid8", "line2", "line5", "line16", "line33"])
+def test_frt_embed_equals_the_cluster_loop_on_tied_distances(space):
+    for seed in range(6):
+        assert_frt_matches_reference(space, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+        min_size=2,
+        max_size=20,
+        unique=True,
+    ),
+    st.integers(0, 2**31),
+)
+def test_frt_embed_equals_the_cluster_loop_hypothesis(points, seed):
+    assert_frt_matches_reference(from_coords(np.asarray(points, dtype=float)), seed)
+
+
+def test_leaf_distances_on_high_degree_vertices():
+    # root with five children, one of them an inner vertex with four leaves
+    parent = [-1, 0, 0, 0, 0, 0, 1, 1, 1, 1]
+    weight = [8.0, 3.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    names = {v: f"q{v}" for v in range(2, 10)}
+    children = [[] for _ in parent]
+    for v, p in enumerate(parent):
+        if p >= 0:
+            children[p].append(v)
+    h = Hst(parent, children, weight, names)
+    points = ["q7", "q2", "q9", "q5", "q6", "q3", "q8", "q4"]
+    got = h.leaf_distances(points)
+    assert np.array_equal(got, reference_leaf_distances(h, points))
+    assert np.array_equal(got, pair_loop_distances(h, points))
+    space, _ = gen_random("uniform", 24, 0, 1.0, np.random.default_rng(4))
+    uniform = frt_embed(space, np.random.default_rng(4))
+    assert len(uniform.children[uniform.root]) == 24
+    pts = sorted(uniform.point_leaf)
+    assert np.array_equal(
+        uniform.leaf_distances(pts), reference_leaf_distances(uniform, pts)
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_leaf_distances_with_non_monotone_weights(seed):
+    rng = np.random.default_rng(seed)
+    space = from_coords(rng.uniform(size=(20, 2)))
+    h = frt_embed(space, rng)
+    t = binarize(h, space.n)
+    h.leaf_distances(space.points)  # build the layouts before the edits
+    t.leaf_distances(space.points)
+    for tree in (h, t):
+        inner = [v for v in range(len(tree)) if not tree.is_leaf(v)]
+        # children outweigh their parents: a block fill that let a parent
+        # overwrite a child's block, or a max over ancestors, would show
+        for v in inner:
+            tree.weight[v] = float(rng.uniform(0.5, 100.0))
+        points = list(rng.permutation(space.points))
+        got = tree.leaf_distances(points)
+        assert np.array_equal(got, reference_leaf_distances(tree, points))
         assert np.array_equal(got, pair_loop_distances(tree, points))
 
 

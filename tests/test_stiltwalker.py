@@ -259,7 +259,37 @@ def test_vertex_seed_fn_defaults_to_seed_vertex_pairs():
     assert np.array_equal(aliased.tau, base.tau)
     root, w = tree.root, tree.weight[tree.root]
     want = np.random.default_rng(np.random.SeedSequence((17, root))).exponential(w)
-    assert Engine(tree, reqs, seed=17).budget[root] == want
+    engine = Engine(tree, reqs, seed=17)
+    while root not in engine.effective:  # its first budget is drawn then
+        assert engine.advance_to_next_event() is not None
+    assert engine.budget[root] == want
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_first_budgets_are_drawn_when_first_effective(seed):
+    rng = np.random.default_rng(100 + seed)
+    space, reqs = _random_instance(rng, n_points=16, n_requests=24)
+    tree = sample_hsbt(space, rng)
+
+    def key(v):
+        return (seed, 3 * v + 1)
+
+    engine = Engine(tree, reqs, vertex_seed_fn=key)
+    assert engine._streams == {} and set(engine.budget) == {None}
+    first = {}  # vertex -> budget right after the event that made it effective
+    while engine.advance_to_next_event() is not None:
+        for v in engine.effective:
+            first.setdefault(v, engine.budget[v])
+    assert set(engine._streams) == set(first)
+    never = set(tree.internal_vertices()) - set(first)
+    assert never, "every vertex became effective; the instance tests nothing"
+    assert all(engine.budget[v] is None for v in never)
+    for v, budget in first.items():
+        stream = np.random.default_rng(np.random.SeedSequence(key(v)))
+        assert budget == stream.exponential(tree.weight[v])
+    det = Engine(tree, reqs, mode=TimerMode.DETERMINISTIC)
+    det.run(flush=True)
+    assert det._streams == {}
 
 
 def test_engine_rejects_bad_inputs():
