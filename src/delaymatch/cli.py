@@ -324,6 +324,15 @@ def _cmd_report(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _seed(text: str) -> int:
+    """A --seed value; numpy seeds are non-negative integers."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"seed must be a non-negative integer, got {text!r}"
+        )
+    return int(text)
+
+
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
     """The argument parser, built once: parsing keeps no state in it."""
@@ -336,14 +345,14 @@ def _build_parser() -> _Parser:
 
     e = sub.add_parser("embed", help="sample one embedded tree")
     e.add_argument("--instance", required=True)
-    e.add_argument("--seed", type=int, default=0)
+    e.add_argument("--seed", type=_seed, default=0)
     e.add_argument("--out")
     e.set_defaults(fn=_cmd_embed)
 
     r = sub.add_parser("run", help="run an experiment batch")
     r.add_argument("--instance", required=True)
     r.add_argument("--trials", type=int, default=1)
-    r.add_argument("--seed", type=int, default=0)
+    r.add_argument("--seed", type=_seed, default=0)
     r.add_argument(
         "--mode", choices=["exponential", "deterministic"], default="exponential"
     )
@@ -358,13 +367,13 @@ def _build_parser() -> _Parser:
     va.add_argument("--coloring", required=True)
     va.add_argument("--lambda", dest="lam", type=float, default=1.0)
     va.add_argument("--trials", type=int, default=10000)
-    va.add_argument("--seed", type=int, default=0)
+    va.add_argument("--seed", type=_seed, default=0)
     va.set_defaults(fn=_cmd_verify_app)
 
     vi = sub.add_parser("verify-identities", help="check the cost accounting")
     vi.add_argument("--instance", required=True)
     vi.add_argument("--trials", type=int, default=1)
-    vi.add_argument("--seed", type=int, default=0)
+    vi.add_argument("--seed", type=_seed, default=0)
     vi.add_argument(
         "--mode", choices=["exponential", "deterministic"], default="exponential"
     )
@@ -377,7 +386,7 @@ def _build_parser() -> _Parser:
     gr.add_argument("--points", type=int, default=8)
     gr.add_argument("--requests", type=int, default=12)
     gr.add_argument("--horizon", type=float, default=10.0)
-    gr.add_argument("--seed", type=int, default=0)
+    gr.add_argument("--seed", type=_seed, default=0)
     gr.add_argument("--out")
     gr.set_defaults(fn=_cmd_gen)
     gt = gsub.add_parser("two-point")

@@ -56,7 +56,7 @@ import numpy as np
 from .core import CostBreakdown, Request, Schedule
 from .embedding import Hsbt
 from .errors import IdentityViolation, InvariantViolation, OutOfDomain, TraceMismatch
-from .stiltwalker import Engine, EngineTrace, TimerMode
+from .stiltwalker import Engine, EngineTrace, TimerMode, stream_words
 
 __all__ = [
     "PotentialLedger",
@@ -579,11 +579,11 @@ def monte_carlo_sigma_tau(
     n_v = len(tree)
     taus = np.zeros((trials, n_v))
     sigmas = np.zeros((trials, n_v))
-    for i in range(trials):
-        seed = int(rng.integers(2**62))
-        run = Engine(tree, requests, mode=TimerMode.EXPONENTIAL, seed=seed).run(
-            flush=flush
-        )
+    seeds = [int(rng.integers(2**62)) for _ in range(trials)]
+    for i, words in enumerate(stream_words(seeds, range(n_v))):
+        run = Engine(
+            tree, requests, mode=TimerMode.EXPONENTIAL, seed=seeds[i], words=words
+        ).run(flush=flush)
         taus[i] = run.tau
         sigmas[i] = run.sigma
     mean_tau = taus.mean(axis=0)

@@ -17,14 +17,18 @@ Two stages:
 2. `binarize` turns that tree into a full binary tree while keeping leaf
    ancestry.  Mapped vertices carry twice their original weight; auxiliary
    vertices introduced to break up high-degree vertices decay geometrically
-   by the separation factor alpha = 1 + 1/ceil(log2 n).  Children of a
-   high-degree vertex are placed at controlled depths inside the auxiliary
-   gadget: a child whose weight ratio to its parent is rho may sit at depth
-   at most log_alpha(rho), and no auxiliary vertex may sit deeper than
-   log_alpha(2) so that every leaf-pair distance stays within [1,2] times its
-   pre-binarization value.  A Kraft-sum argument shows such a placement
-   always exists for n <= 16; the packer raises an internal error if a
-   pathological larger tree cannot be placed.
+   by the separation factor alpha = 1 + 1/ceil(log2 n).  A child whose
+   weight ratio to its parent is rho may sit at depth at most log_alpha(rho)
+   inside its parent's gadget, and no auxiliary vertex may sit deeper than
+   log_alpha(2), so that every leaf-pair distance stays within [1,2] times
+   its pre-binarization value.  The children, sorted by that depth bound,
+   get canonical prefix codes; the gadget is the code trie with its
+   single-child vertices spliced out, read off the codes' slot runs
+   directly.  One breadth-first pass emits the tree, building each gadget
+   as its vertex comes up, so ids come out in (depth, insertion) order with
+   no renumbering.  A Kraft-sum argument shows a placement always exists
+   for n <= 16; a vertex with too many children for the cap (a uniform
+   metric on 17 points, say) raises an internal error.
 
 `sample_hsbt` composes the two and re-checks domination against the original
 metric, raising `DominationViolation` (a bug sentinel, not bad input) if the
@@ -40,6 +44,8 @@ from __future__ import annotations
 import functools
 import json
 import math
+from bisect import bisect_left
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -407,66 +413,31 @@ def frt_embed(space: MetricSpace, rng: np.random.Generator) -> Hst:
 # Stage 2: binarization
 # ---------------------------------------------------------------------------
 
-def _place_children(entries, alpha: float, aux_cap: int):
-    """Assign gadget depths to a vertex's children and return the gadget shape.
+def _gadget(depths: list[int], order: list[int]) -> tuple:
+    """The two children of a mapped vertex that has more than two.
 
-    entries: list of (child_key, max_depth).  Returns a nested structure of
-    ('aux', left, right) / ('child', key) nodes describing a full binary tree
-    in which each child sits at depth <= its max_depth.  Children are placed
-    at their depth bound via canonical prefix codes, then single-child
-    auxiliary nodes are spliced out, which only decreases depths.
+    `order` lists the children left to right and `depths` their depth
+    bounds, non-decreasing, with Kraft sum at most 1.  Canonical prefix
+    codes at those depths pack the children left to right, each into a slot
+    of 2^(deepest - depth) units, so every subtree of the code trie is a run
+    of slots from an aligned start.  Splicing the trie's single-child
+    vertices out leaves a binary vertex exactly where a run outgrows half of
+    the smallest power of two that holds it, and that half boundary falls
+    between two slots.  An auxiliary vertex is returned as the pair of its
+    children.
     """
-    if len(entries) == 2:
-        return ("aux", ("child", entries[0][0]), ("child", entries[1][0]))
-    order = sorted(range(len(entries)), key=lambda i: (entries[i][1], i))
-    depths = [entries[i][1] for i in order]
-    if sum(2.0 ** -d for d in depths) > 1.0 + 1e-12:
-        raise InvariantViolation(
-            "cannot binarize: child depth constraints overflow the binary tree "
-            f"(depths {depths}, alpha {alpha})"
+    deepest = depths[-1]
+    ends = list(accumulate([1 << (deepest - d) for d in depths]))
+
+    def split(lo: int, hi: int, start: int) -> tuple:
+        half = 1 << (ends[hi - 1] - start - 1).bit_length() - 1
+        mid = bisect_left(ends, start + half, lo, hi) + 1
+        return (
+            order[lo] if mid - lo == 1 else split(lo, mid, start),
+            order[mid] if hi - mid == 1 else split(mid, hi, start + half),
         )
-    # canonical prefix codes at the exact target depths
-    codes = []
-    code = 0
-    prev = depths[0]
-    for d in depths:
-        code <<= d - prev
-        codes.append((code, d))
-        code += 1
-        prev = d
 
-    # materialize the code tree: dict node -> {0: sub, 1: sub} or child marker
-    root: dict = {}
-    for (code, d), i in zip(codes, order):
-        node = root
-        for b in range(d - 1, 0, -1):
-            node = node.setdefault((code >> b) & 1, {})
-            if not isinstance(node, dict):
-                raise InvariantViolation("prefix code collision")
-        node[code & 1] = ("child", entries[i][0])
-
-    def collapse(node):
-        if not isinstance(node, dict):
-            return node
-        subs = [collapse(node[b]) for b in sorted(node)]
-        if len(subs) == 1:
-            return subs[0]  # splice single-child auxiliary vertex
-        return ("aux", subs[0], subs[1])
-
-    shape = collapse(root)
-    if shape[0] != "aux":
-        raise InvariantViolation("gadget collapsed to a single child")
-
-    def check_aux_depth(node, d):
-        if node[0] == "child":
-            return
-        if d > aux_cap:
-            raise InvariantViolation("auxiliary vertex placed below its depth cap")
-        check_aux_depth(node[1], d + 1)
-        check_aux_depth(node[2], d + 1)
-
-    check_aux_depth(shape, 0)
-    return shape
+    return split(0, len(order), 0)
 
 
 def binarize(tree: Hst, n: int) -> Hsbt:
@@ -475,76 +446,64 @@ def binarize(tree: Hst, n: int) -> Hsbt:
     Mapped vertices carry doubled weights; auxiliary vertices decay from
     their parent by the factor alpha.  Leaf-pair distances land in
     [d_H, 2*d_H] where d_H is the distance in the input tree.
+
+    A vertex with more than two children gets a `_gadget` that puts each
+    child at depth at most its bound: the depth at which alpha-decay still
+    keeps the gadget above the child's own weight, capped one past the
+    deepest auxiliary depth `aux_cap` (a leaf sits exactly there).  Every
+    auxiliary vertex sits above some child, so none is deeper than
+    `aux_cap`.  Vertices are emitted breadth-first, each one's children
+    left to right, so the ids come out in (depth, insertion) order; if
+    several vertices' bounds overflow the Kraft sum, the first one emitted
+    is reported.
     """
     alpha = separation_alpha(n)
-    aux_cap = int(math.log(2.0) / math.log(alpha) + 1e-9)  # max aux depth in a gadget
-
-    parent: list[int] = [-1]
-    children: list[list[int]] = [[]]
-    weight: list[float] = [2.0 * tree.weight[tree.root]]
+    log_alpha = math.log(alpha)
+    aux_cap = int(math.log(2.0) / log_alpha + 1e-9)  # max aux depth in a gadget
+    h_kids, h_weight, labels = tree.children, tree.weight, tree.leaf_point
+    parent = [-1]
+    children: list[list[int]] = []
+    weight = [2.0 * h_weight[tree.root]]
     leaf_point: dict[int, str] = {}
-
-    def attach(shape, at: int, h_weight: float) -> None:
-        # expand a gadget shape below mapped vertex `at` (weight 2*h_weight);
-        # push right before left so the LIFO pop keeps children left-to-right
-        stack = [(shape[2], at), (shape[1], at)]
-        while stack:
-            node, up = stack.pop()
-            u = len(parent)
-            parent.append(up)
-            children[up].append(u)
-            children.append([])
-            if node[0] == "aux":
-                weight.append(weight[up] / alpha)
-                stack.append((node[2], u))
-                stack.append((node[1], u))
+    queue: list = [tree.root]  # input vertex ids, and auxiliary vertices as pairs
+    for u, node in enumerate(queue):
+        if isinstance(node, tuple):
+            pair = node
+        else:
+            pair = h_kids[node]
+            if not pair:
+                leaf_point[u] = labels[node]
+                children.append([])
+                continue
+            if len(pair) > 2:
+                bounds = []
+                for c in pair:
+                    if h_kids[c]:
+                        ratio = h_weight[node] / h_weight[c]
+                        depth = int(math.log(ratio) / log_alpha + 1e-9)
+                        bounds.append(max(1, min(depth, aux_cap + 1)))
+                    else:
+                        bounds.append(aux_cap + 1)
+                ranks = sorted(range(len(pair)), key=bounds.__getitem__)  # stable
+                depths = [bounds[i] for i in ranks]
+                if sum([2.0 ** -d for d in depths]) > 1.0 + 1e-12:
+                    raise InvariantViolation(
+                        "cannot binarize: child depth constraints overflow the binary "
+                        f"tree (depths {depths}, alpha {alpha})"
+                    )
+                pair = _gadget(depths, [pair[i] for i in ranks])
+        first = len(queue)
+        children.append([first, first + 1])
+        queue += pair
+        parent += (u, u)
+        for c in pair:
+            if isinstance(c, tuple):
+                weight.append(weight[u] / alpha)
             else:
-                h_child = node[1]
-                if tree.is_leaf(h_child):
-                    weight.append(0.0)
-                    leaf_point[u] = tree.leaf_point[h_child]
-                else:
-                    weight.append(2.0 * tree.weight[h_child])
-                    emit(h_child, u)
-
-    def emit(h_vertex: int, new_id: int) -> None:
-        w_v = tree.weight[h_vertex]
-        entries = []
-        for c in tree.children[h_vertex]:
-            if tree.is_leaf(c):
-                entries.append((c, aux_cap + 1))
-            else:
-                ratio = w_v / tree.weight[c]
-                cap = int(math.log(ratio) / math.log(alpha) + 1e-9)
-                entries.append((c, max(1, min(cap, aux_cap + 1))))
-        shape = _place_children(entries, alpha, aux_cap)
-        attach(shape, new_id, w_v)
-
-    emit(tree.root, 0)
-    out = _renumber(parent, children, weight, leaf_point, alpha)
+                weight.append(2.0 * h_weight[c] if h_kids[c] else 0.0)
+    out = Hsbt(parent, children, weight, leaf_point, alpha)
     _assert_sandwich(tree, out)
     return out
-
-
-def _renumber(parent, children, weight, leaf_point, alpha) -> Hsbt:
-    """Reorder vertex ids breadth-first so ids sort by (depth, insertion)."""
-    order = [0]
-    i = 0
-    while i < len(order):
-        order.extend(children[order[i]])
-        i += 1
-    new_id = {old: new for new, old in enumerate(order)}
-    n = len(parent)
-    parent2 = [-1] * n
-    children2: list[list[int]] = [[] for _ in range(n)]
-    weight2 = [0.0] * n
-    for old, new in new_id.items():
-        weight2[new] = weight[old]
-        if parent[old] >= 0:
-            parent2[new] = new_id[parent[old]]
-            children2[new_id[parent[old]]].append(new)
-    leaf2 = {new_id[v]: p for v, p in leaf_point.items()}
-    return Hsbt(parent2, children2, weight2, leaf2, alpha)
 
 
 def _assert_sandwich(h: Hst, t: Hsbt) -> None:
@@ -587,11 +546,24 @@ def build_hsbt(
     """Construct a validated Hsbt from explicit parent pointers.
 
     Intended for prescribed trees (adversarial instances, tests).  Vertex 0
-    must be the root; ids are renumbered breadth-first.
+    must be the root; ids are renumbered breadth-first, children in id order.
     """
-    n = len(parent)
-    children: list[list[int]] = [[] for _ in range(n)]
+    children: list[list[int]] = [[] for _ in parent]
     for v, p in enumerate(parent):
         if p >= 0:
             children[p].append(v)
-    return _renumber(list(parent), children, list(weight), dict(leaf_points), alpha)
+    order = [0]
+    for v in order:
+        order.extend(children[v])
+    if len(order) != len(parent):
+        raise InvariantViolation(
+            f"{len(parent) - len(order)} vertices are not below vertex 0"
+        )
+    new_id = {v: u for u, v in enumerate(order)}
+    return Hsbt(
+        [new_id.get(parent[v], -1) for v in order],
+        [[new_id[c] for c in children[v]] for v in order],
+        [weight[v] for v in order],
+        {new_id[v]: p for v, p in leaf_points.items()},
+        alpha,
+    )

@@ -30,7 +30,7 @@ from .errors import ConfigInvalid, InvariantViolation, TooLarge
 from .metric import MetricSpace
 from .offline import OfflineSolution, greedy_mpmd, optimal_mpmd, optimal_mpmdfp
 from .penalty import run_mpmdfp
-from .stiltwalker import Engine, TimerMode
+from .stiltwalker import Engine, TimerMode, stream_words
 
 __all__ = [
     "CSV_COLUMNS",
@@ -262,16 +262,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     opt_total = opt.cost.total
 
     records = []
-    for trial in range(cfg.trials):
-        seed = trial_seed(cfg.master_seed, trial)
+    seeds = [trial_seed(cfg.master_seed, trial) for trial in range(cfg.trials)]
+    # every tree of the batch is a full binary tree over the same points
+    words = stream_words(seeds, range(2 * cfg.space.n - 1))
+    for trial, seed in enumerate(seeds):
         c_end = None
         if cfg.penalty is None:
             tree = cfg.fixed_tree
             if tree is None:
                 tree = sample_hsbt(cfg.space, trial_rng(cfg.master_seed, trial))
-            run = Engine(tree, cfg.requests, mode=cfg.mode, seed=seed).run(
-                flush=cfg.flush
-            )
+            run = Engine(
+                tree, cfg.requests, mode=cfg.mode, seed=seed, words=next(words)
+            ).run(flush=cfg.flush)
             cost = total_cost(cfg.space, cfg.requests, run.schedule)
             if run.trace.flushed:
                 c_end = run.trace.c_end_space
@@ -351,9 +353,10 @@ def check_flush_budget(
         raise ConfigInvalid("the budget check needs at least two trials")
     extras = np.empty(trials)
     budgets = np.empty(trials)
-    for i in range(trials):
+    seeds = [trial_seed(master_seed, i) for i in range(trials)]
+    for i, words in enumerate(stream_words(seeds, range(len(tree)))):
         engine = Engine(
-            tree, requests, mode=TimerMode.EXPONENTIAL, seed=trial_seed(master_seed, i)
+            tree, requests, mode=TimerMode.EXPONENTIAL, seed=seeds[i], words=words
         )
         # arrivals win ties with timers, so this stops just after the last one
         while engine.arrival_index < len(engine.requests):

@@ -38,11 +38,17 @@ trace alone, with the parity replay it shares with the offline schedule.
 Determinism.  Each internal vertex draws from its own named RNG stream keyed
 by (master seed, vertex id), so runs are bit-for-bit reproducible and the
 timers of one subtree can be varied while all other streams stay fixed.
-A vertex's stream is created when the vertex first becomes effective, and
-its first value is the first budget, so vertices that never become
-effective, leaves and deterministic runs build none.  Streams are
-independent and each yields its values in the same order whenever they are
-drawn, so drawing first budgets at engine start would move no bit.
+Stream v yields what `np.random.default_rng(np.random.SeedSequence(key(v)))
+.exponential(w(v))` yields, call after call.  It is opened when v first
+becomes effective, and its first value is the first budget, so vertices
+that never become effective, leaves and deterministic runs open none.
+Opening a stream seeds a PCG64 from the key's seed words,
+`SeedSequence(key).generate_state(4, np.uint64)`, and draws a block of
+values; a stream that uses its block up redraws a prefix twice as long.
+Batches derive the words of all their keys at once with `stream_words`;
+any other engine has numpy's `SeedSequence` derive them per key.  Streams
+are independent and each yields its values in the same order whenever
+they are drawn, so drawing first budgets at engine start would move no bit.
 Simultaneous events are ordered: arrivals first (by request id), then vertex
 timers by (depth, vertex id); vertex ids are depth-sorted, so plain id order
 implements that rule.
@@ -53,9 +59,10 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .core import Request, Schedule
 from .embedding import Hsbt
@@ -75,7 +82,77 @@ __all__ = [
     "Engine",
     "recompute_state",
     "run",
+    "stream_words",
 ]
+
+_M32 = 0xFFFFFFFF
+_BLOCK = 8  # values drawn when a stream opens; its later blocks double
+
+
+# numpy's SeedSequence hash (pool size 4): the running multipliers
+# init * mult^k mod 2^32 of its 16 `hashmix` calls while mixing the entropy
+# in, and of its 8 output words
+_HASH_A = np.array([0x43B0D7E5 * 0x931E8875**k & _M32 for k in range(17)], np.uint32)
+_HASH_B = np.array([0x8B51F9DD * 0x58F38DED**k & _M32 for k in range(9)], np.uint32)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
+
+
+def _hashmix(x: np.ndarray, calls: np.ndarray) -> np.ndarray:
+    x = x ^ _HASH_A[calls, None]
+    x *= _HASH_A[calls + 1, None]
+    x ^= x >> _SHIFT
+    return x
+
+
+def stream_words(seeds: Sequence[int], vertices: Sequence[int]) -> Iterator[np.ndarray]:
+    """Per seed s, the (len(vertices), 4) array of `SeedSequence((s, v))
+    .generate_state(4, np.uint64)` over the vertices v.
+
+    numpy splits the key into 32-bit words, low first (one per number below
+    2^32, two below 2^64), zero-pads them to its pool of four and hashes the
+    pool with fixed uint32 arithmetic; this runs that hash on arrays of
+    keys, 64 seeds at a time.  Seeds must be below 2^64 and vertex ids below
+    2^32, so that every key fits the pool.
+    """
+    v = np.asarray(vertices, dtype=np.uint64)
+    if np.any(v >> np.uint64(32)):
+        raise ValueError("vertex ids must be below 2**32")
+    v = v.astype(np.uint32)
+    for at in range(0, len(seeds), 64):
+        block = np.asarray(seeds[at : at + 64], dtype=np.uint64)[:, None]
+        hi = (block >> np.uint64(32)).astype(np.uint32)
+        pool = np.zeros((4, len(block), len(v)), dtype=np.uint32)
+        pool[0] = block.astype(np.uint32)  # the low word
+        pool[1] = np.where(hi != 0, hi, v)
+        pool[2] = np.where(hi != 0, v, 0)
+        pool = _hashmix(pool.reshape(4, -1), np.arange(4))
+        calls = np.arange(4, 7)
+        for src in range(4):
+            dst = [d for d in range(4) if d != src]
+            mixed = _MIX_L * pool[dst] - _MIX_R * _hashmix(pool[src][None], calls)
+            mixed ^= mixed >> _SHIFT
+            pool[dst] = mixed
+            calls += 3
+        out = pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ _HASH_B[:8, None]
+        out *= _HASH_B[1:, None]
+        out ^= out >> _SHIFT
+        # numpy's own uint64 view: the two 32-bit words of each, low first
+        words = np.ascontiguousarray(out.T, dtype="<u4").view("<u8")
+        yield from words.reshape(len(block), len(v), 4)
+
+
+class _Words(ISeedSequence):
+    """Four uint64 seed words derived ahead: PCG64 seeded with this object
+    takes the state it takes from the `SeedSequence` they came from."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = np.ascontiguousarray(words, dtype=np.uint64)  # read raw
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != len(self.words) or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"holds {len(self.words)} uint64 words")
+        return self.words
 
 
 class TimerMode(enum.Enum):
@@ -170,6 +247,7 @@ class Engine:
         mode: TimerMode = TimerMode.EXPONENTIAL,
         seed: int = 0,
         vertex_seed_fn: Callable[[int], object] | None = None,
+        words: np.ndarray | None = None,
     ):
         self.tree = tree
         self.mode = mode
@@ -183,9 +261,15 @@ class Engine:
 
         # vertex_seed_fn maps a vertex id to the full entropy key of its
         # stream, letting callers alias streams across vertices (the
-        # two-copies penalty construction keys mirrored vertices alike)
-        self._stream_key = vertex_seed_fn or (lambda v: (seed, v))
-        self._streams: dict[int, np.random.Generator] = {}  # built at first draw
+        # two-copies penalty construction keys mirrored vertices alike);
+        # `words`, one row of `stream_words`, holds the default keys' words
+        if words is None:
+            key = vertex_seed_fn or (lambda v: (seed, v))
+            self._seeding = lambda v: np.random.SeedSequence(key(v))
+        else:
+            self._seeding = lambda v: _Words(words[v])
+        # vertex -> [values of its stream drawn so far, how many are used]
+        self._streams: dict[int, list] = {}
         n_v = len(tree)
         self.budget: list[float | None] = [None] * n_v  # None until first effective
         self.parity = [0] * n_v
@@ -204,12 +288,17 @@ class Engine:
         w = self.tree.weight[v]
         if self.mode is TimerMode.DETERMINISTIC:
             return w
-        stream = self._streams.get(v)
-        if stream is None:
-            stream = self._streams[v] = np.random.default_rng(
-                np.random.SeedSequence(self._stream_key(v))
-            )
-        return float(stream.exponential(scale=w))
+        stream = self._streams.setdefault(v, [[], 0])
+        values, used = stream
+        if used == len(values):
+            values = stream[0] = self._prefix(v, w, 2 * used or _BLOCK)
+        stream[1] = used + 1
+        return values[used]
+
+    def _prefix(self, v: int, scale: float, k: int) -> list[float]:
+        """The first k values of vertex v's stream."""
+        bits = np.random.PCG64(self._seeding(v))
+        return np.random.Generator(bits).exponential(scale, k).tolist()
 
     # -- state maintenance ----------------------------------------------------
 

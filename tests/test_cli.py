@@ -357,3 +357,44 @@ def test_fixed_tree_must_fit_the_bundle(tmp_path, capsys, case):
     assert code == 1
     assert err.startswith("error: ") and message in err
     assert out == "" and "Traceback" not in err
+
+
+def _seeded_command(tmp_path, capsys, command):
+    """argv of `command` on valid inputs, ready for a --seed value."""
+    if command == "gen random":
+        return ["gen", "random", "--out", str(tmp_path / "gen")]
+    if command == "verify-app":
+        coloring = tmp_path / "coloring.json"
+        coloring.write_text(json.dumps(_COLORING_ROWS))
+        return ["verify-app", "--coloring", str(coloring), "--trials", "100"]
+    inst_dir = str(tmp_path / "inst")
+    run_cli(capsys, "gen", "random", "--points", "4", "--requests", "6",
+            "--out", inst_dir)
+    return [command, "--instance", f"{inst_dir}/instance.json"]
+
+
+@pytest.mark.parametrize(
+    "command", ["embed", "verify-identities", "verify-app", "gen random", "run"]
+)
+def test_negative_seed_is_user_error(tmp_path, capsys, command):
+    argv = _seeded_command(tmp_path, capsys, command)
+    assert run_cli(capsys, *argv, "--seed", "3")[0] == 0
+    for bad in ("-1", "x"):
+        code, out, err = run_cli(capsys, *argv, "--seed", bad)
+        assert code == 1
+        assert "error: argument --seed: seed must be a non-negative integer" in err
+        assert out == "" and "Traceback" not in err
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="binarization defect: a vertex with more than 2^(cap+1) leaf "
+    "children overflows the Kraft sum (ROADMAP item 2, step 2)",
+)
+def test_uniform_metric_with_17_points_runs(tmp_path, capsys):
+    inst_dir = str(tmp_path / "inst")
+    code, _, _ = run_cli(capsys, "gen", "random", "--kind", "uniform",
+                         "--points", "17", "--out", inst_dir)
+    assert code == 0
+    code, _, err = run_cli(capsys, "run", "--instance", f"{inst_dir}/instance.json")
+    assert code == 0, err

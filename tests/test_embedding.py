@@ -19,6 +19,7 @@ from delaymatch.embedding import (
     tree_metric,
 )
 from delaymatch.errors import DominationViolation, InvariantViolation, OutOfDomain
+from delaymatch.experiment import trial_rng
 from delaymatch.instances import gen_random
 from delaymatch.metric import from_coords, stats
 
@@ -254,6 +255,176 @@ def test_frt_embed_equals_the_cluster_loop_on_tied_distances(space):
 )
 def test_frt_embed_equals_the_cluster_loop_hypothesis(points, seed):
     assert_frt_matches_reference(from_coords(np.asarray(points, dtype=float)), seed)
+
+
+def reference_place_children(entries, alpha, aux_cap):
+    """The gadget packer that `binarize` replaced, kept as its oracle.
+
+    entries: list of (child_key, max_depth).  Returns a nested structure of
+    ('aux', left, right) / ('child', key) nodes: children placed at their
+    depth bound via canonical prefix codes, then single-child auxiliary
+    nodes spliced out.
+    """
+    if len(entries) == 2:
+        return ("aux", ("child", entries[0][0]), ("child", entries[1][0]))
+    order = sorted(range(len(entries)), key=lambda i: (entries[i][1], i))
+    depths = [entries[i][1] for i in order]
+    if sum(2.0 ** -d for d in depths) > 1.0 + 1e-12:
+        raise InvariantViolation(
+            "cannot binarize: child depth constraints overflow the binary tree "
+            f"(depths {depths}, alpha {alpha})"
+        )
+    codes = []
+    code = 0
+    prev = depths[0]
+    for d in depths:
+        code <<= d - prev
+        codes.append((code, d))
+        code += 1
+        prev = d
+
+    root = {}
+    for (code, d), i in zip(codes, order):
+        node = root
+        for b in range(d - 1, 0, -1):
+            node = node.setdefault((code >> b) & 1, {})
+            if not isinstance(node, dict):
+                raise InvariantViolation("prefix code collision")
+        node[code & 1] = ("child", entries[i][0])
+
+    def collapse(node):
+        if not isinstance(node, dict):
+            return node
+        subs = [collapse(node[b]) for b in sorted(node)]
+        if len(subs) == 1:
+            return subs[0]
+        return ("aux", subs[0], subs[1])
+
+    shape = collapse(root)
+    if shape[0] != "aux":
+        raise InvariantViolation("gadget collapsed to a single child")
+
+    def check_aux_depth(node, d):
+        if node[0] == "child":
+            return
+        if d > aux_cap:
+            raise InvariantViolation("auxiliary vertex placed below its depth cap")
+        check_aux_depth(node[1], d + 1)
+        check_aux_depth(node[2], d + 1)
+
+    check_aux_depth(shape, 0)
+    return shape
+
+
+def reference_binarize(tree, n):
+    """The depth-first gadget build and breadth-first renumbering that
+    `binarize` replaced, kept as its oracle (sandwich check left out)."""
+    alpha = separation_alpha(n)
+    aux_cap = int(math.log(2.0) / math.log(alpha) + 1e-9)
+    parent, children, weight, leaf_point = [-1], [[]], [2.0 * tree.weight[0]], {}
+
+    def attach(shape, at):
+        stack = [(shape[2], at), (shape[1], at)]
+        while stack:
+            node, up = stack.pop()
+            u = len(parent)
+            parent.append(up)
+            children[up].append(u)
+            children.append([])
+            if node[0] == "aux":
+                weight.append(weight[up] / alpha)
+                stack.append((node[2], u))
+                stack.append((node[1], u))
+            elif tree.is_leaf(node[1]):
+                weight.append(0.0)
+                leaf_point[u] = tree.leaf_point[node[1]]
+            else:
+                weight.append(2.0 * tree.weight[node[1]])
+                emit(node[1], u)
+
+    def emit(h_vertex, new_id):
+        w_v = tree.weight[h_vertex]
+        entries = []
+        for c in tree.children[h_vertex]:
+            if tree.is_leaf(c):
+                entries.append((c, aux_cap + 1))
+            else:
+                cap = int(math.log(w_v / tree.weight[c]) / math.log(alpha) + 1e-9)
+                entries.append((c, max(1, min(cap, aux_cap + 1))))
+        attach(reference_place_children(entries, alpha, aux_cap), new_id)
+
+    emit(tree.root, 0)
+    order = [0]
+    for v in order:
+        order.extend(children[v])
+    new_id = {old: new for new, old in enumerate(order)}
+    return Hsbt(
+        [new_id[parent[v]] if parent[v] >= 0 else -1 for v in order],
+        [[new_id[c] for c in children[v]] for v in order],
+        [weight[v] for v in order],
+        {new_id[v]: p for v, p in leaf_point.items()},
+        alpha,
+    )
+
+
+def assert_binarize_matches_reference(h, n):
+    """Equal trees by `float.hex`, or the same error where the reference raises."""
+    try:
+        want = reference_binarize(h, n)
+    except InvariantViolation as exc:
+        with pytest.raises(InvariantViolation) as err:
+            binarize(h, n)
+        assert str(err.value) == str(exc)
+        return False
+    assert_same_hst(binarize(h, n), want)
+    return True
+
+
+@pytest.mark.parametrize("n", [*range(2, 17), 64, 256])
+@pytest.mark.parametrize("kind", ["line", "square", "uniform"])
+def test_binarize_equals_the_gadget_build(kind, n):
+    for seed in range(3 if n <= 16 else 1):
+        rng = np.random.default_rng([n, seed])
+        space, _ = gen_random(kind, n, 0, 1.0, rng)
+        built = assert_binarize_matches_reference(frt_embed(space, rng), n)
+        assert built or (kind == "uniform" and n > 16)
+
+
+@pytest.mark.parametrize("space", [
+    grid_space(2), grid_space(3), grid_space(4), grid_space(8),
+    integer_line(2), integer_line(5), integer_line(16), integer_line(33),
+], ids=["grid2", "grid3", "grid4", "grid8", "line2", "line5", "line16", "line33"])
+def test_binarize_equals_the_gadget_build_on_tied_distances(space):
+    for seed in range(6):
+        h = frt_embed(space, np.random.default_rng(seed))
+        assert assert_binarize_matches_reference(h, space.n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+        min_size=2,
+        max_size=24,
+        unique=True,
+    ),
+    st.integers(0, 2**31),
+)
+def test_binarize_equals_the_gadget_build_hypothesis(points, seed):
+    space = from_coords(np.asarray(points, dtype=float))
+    h = frt_embed(space, np.random.default_rng(seed))
+    assert_binarize_matches_reference(h, space.n)
+
+
+def test_uniform_17_points_overflow_as_in_the_reference():
+    # the first tree `run` samples after `gen random --kind uniform --points 17`
+    space, _ = gen_random("uniform", 17, 12, 10.0, np.random.default_rng(0))
+    h = frt_embed(space, trial_rng(0, 0))
+    assert h.children[h.root] == [v for v in range(len(h)) if v != h.root]
+    with pytest.raises(InvariantViolation) as want:
+        reference_binarize(h, 17)
+    assert f"(depths {[4] * 17}, alpha 1.2)" in str(want.value)
+    assert not assert_binarize_matches_reference(h, 17)
 
 
 def test_leaf_distances_on_high_degree_vertices():

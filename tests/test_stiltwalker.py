@@ -13,6 +13,7 @@ from delaymatch.stiltwalker import (
     TimerMode,
     recompute_state,
     run,
+    stream_words,
 )
 
 
@@ -274,22 +275,74 @@ def test_first_budgets_are_drawn_when_first_effective(seed):
     def key(v):
         return (seed, 3 * v + 1)
 
-    engine = Engine(tree, reqs, vertex_seed_fn=key)
-    assert engine._streams == {} and set(engine.budget) == {None}
-    first = {}  # vertex -> budget right after the event that made it effective
-    while engine.advance_to_next_event() is not None:
-        for v in engine.effective:
-            first.setdefault(v, engine.budget[v])
-    assert set(engine._streams) == set(first)
-    never = set(tree.internal_vertices()) - set(first)
-    assert never, "every vertex became effective; the instance tests nothing"
-    assert all(engine.budget[v] is None for v in never)
-    for v, budget in first.items():
-        stream = np.random.default_rng(np.random.SeedSequence(key(v)))
-        assert budget == stream.exponential(tree.weight[v])
+    def default_key(v):
+        return (seed, v)
+
+    # words derived per key by numpy, and taken from a batch's stream words
+    row = next(stream_words([seed], range(len(tree))))
+    for engine, key_of in (
+        (Engine(tree, reqs, vertex_seed_fn=key), key),
+        (Engine(tree, reqs, seed=seed, words=row), default_key),
+    ):
+        assert engine._streams == {} and set(engine.budget) == {None}
+        first = {}  # vertex -> budget right after the event that made it effective
+        while engine.advance_to_next_event() is not None:
+            for v in engine.effective:
+                first.setdefault(v, engine.budget[v])
+        assert set(engine._streams) == set(first)
+        never = set(tree.internal_vertices()) - set(first)
+        assert never, "every vertex became effective; the instance tests nothing"
+        assert all(engine.budget[v] is None for v in never)
+        for v, budget in first.items():
+            stream = np.random.default_rng(np.random.SeedSequence(key_of(v)))
+            assert budget == stream.exponential(tree.weight[v])
     det = Engine(tree, reqs, mode=TimerMode.DETERMINISTIC)
     det.run(flush=True)
     assert det._streams == {}
+
+
+# seeds at the word-count edges of numpy's key coercion: one 32-bit word up
+# to 2^32 - 1, two words up to 2^64 - 1
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**62 - 1, 2**63 - 1, 2**64 - 1]
+
+
+def test_stream_words_equal_numpy_seed_sequence():
+    rng = np.random.default_rng(2024)
+    seeds = EDGE_SEEDS + [int(s) for s in rng.integers(0, 2**63, 8)]
+    seeds += [int(s) for s in rng.integers(0, 2**32, 4)]
+    seeds *= 5  # more than one block of 64 seeds
+    vertices = [0, 1, 2**32 - 1] + [int(v) for v in rng.integers(0, 2**32, 4)]
+    rows = list(stream_words(seeds, vertices))
+    assert len(rows) == len(seeds)
+    for s, row in zip(seeds, rows):
+        assert row.shape == (len(vertices), 4) and row.dtype == np.uint64
+        for v, words in zip(vertices, row):
+            want = np.random.SeedSequence((s, v)).generate_state(4, np.uint64)
+            assert np.array_equal(words, want), (s, v)
+
+
+def test_stream_words_reject_wide_vertex_ids():
+    with pytest.raises(ValueError):
+        next(stream_words([0], [2**32]))
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS + [12345, 2**40 + 7])
+def test_table_streams_draw_what_numpy_draws(seed):
+    tree = four_leaf_tree()
+    w = tree.weight[tree.root]
+    rng = np.random.default_rng(seed % 2**32)
+    for v in (0, 2**32 - 1, int(rng.integers(2**32))):
+        # every vertex of the engine reads the words of key (seed, v), from
+        # rows that are not contiguous in memory
+        row = np.asfortranarray(
+            np.repeat(next(stream_words([seed], [v])), len(tree), axis=0)
+        )
+        engine = Engine(tree, [], seed=seed, words=row)
+        want = np.random.default_rng(np.random.SeedSequence((seed, v)))
+        count = 8 if v else 40  # vertex 0 uses up its first blocks
+        got = [engine._draw(tree.root) for _ in range(count)]
+        assert got == [want.exponential(w) for _ in range(count)], (seed, v)
+        assert list(engine._streams) == [tree.root]
 
 
 def test_engine_rejects_bad_inputs():
