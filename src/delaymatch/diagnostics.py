@@ -1,7 +1,8 @@
 """Potential ledgers, exact cost identities, and phase partitions.
 
 Everything here is pure analysis over an engine trace, an offline schedule
-and the tree; nothing re-runs the engine.  The ledgers and the phase
+and the tree; nothing re-runs the engine, which keeps no ledgers, so tau_v
+and sigma_v below are computed only here.  The ledgers and the phase
 partition read both runs' states from one parity replay, `_replay`, fed
 with steps from the trace or from the offline schedule.  It keeps each
 vertex's count of odd children under path flips, so an event costs
@@ -130,15 +131,13 @@ def _replay_trace(tree: Hsbt, trace: EngineTrace) -> Iterator[_State]:
     flush flips its two requests' leaf paths up to its vertex, which the
     replayed state must hold effective.
     """
-    leaf_of: dict[int, int] = {}
+    arrivals = _trace_arrivals(trace)
     steps = []
     for e in trace.events:
-        if e.kind == "arrival":
-            leaf_of[e.requests[0]] = e.vertex
         if e.kind in ("arrival", "same_leaf"):
             steps.append((e.t, e, (e.vertex,), -1))
         else:
-            steps.append((e.t, e, [leaf_of[rid] for rid in e.requests], e.vertex))
+            steps.append((e.t, e, [arrivals[rid][1] for rid in e.requests], e.vertex))
     for t, e, parity, odd_kids in _replay(tree, steps):
         if e.kind in ("match", "flush") and odd_kids.get(e.vertex) != 2:
             raise TraceMismatch(
@@ -234,16 +233,15 @@ class PotentialLedger:
         }
 
 
-def track_potentials(
-    tree: Hsbt, trace: EngineTrace, offline: Schedule
-) -> PotentialLedger:
-    """Exact ledgers by piecewise-constant integration between trace events."""
-    n_v = len(tree)
-    tau = np.zeros(n_v)
-    sigma = np.zeros(n_v)
+def _online_ledgers(
+    tree: Hsbt, trace: EngineTrace
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Online tau, sigma, zeta and c_end by piecewise-constant integration
+    between trace events; c_end is checked against the trace's flush cost."""
+    tau = [0.0] * len(tree)  # lists: cheaper per += than array items
+    sigma = [0.0] * len(tree)
     zeta = 0.0
     c_end = 0.0
-
     prev_t = 0.0
     for t, e, parity, odd_kids in _replay_trace(tree, trace):
         dt = t - prev_t
@@ -263,7 +261,14 @@ def track_potentials(
         raise TraceMismatch(
             f"flush cost {c_end} disagrees with trace summary {trace.c_end_space}"
         )
+    return np.array(tau), np.array(sigma), zeta, c_end
 
+
+def track_potentials(
+    tree: Hsbt, trace: EngineTrace, offline: Schedule
+) -> PotentialLedger:
+    """Exact online and offline ledgers of one run."""
+    tau, sigma, zeta, c_end = _online_ledgers(tree, trace)
     arrivals = _trace_arrivals(trace)
     tau_star, sigma_star = _star_ledgers(tree, arrivals, offline)
 
@@ -584,8 +589,7 @@ def monte_carlo_sigma_tau(
         run = Engine(
             tree, requests, mode=TimerMode.EXPONENTIAL, seed=seeds[i], words=words
         ).run(flush=flush)
-        taus[i] = run.tau
-        sigmas[i] = run.sigma
+        taus[i], sigmas[i], _, _ = _online_ledgers(tree, run.trace)
     mean_tau = taus.mean(axis=0)
     mean_sigma = sigmas.mean(axis=0)
     diff = sigmas - taus

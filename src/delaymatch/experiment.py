@@ -18,6 +18,7 @@ and with a penalty also clearing everything), flagged via `opt_exact`.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from typing import IO, Sequence
@@ -263,8 +264,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     records = []
     seeds = [trial_seed(cfg.master_seed, trial) for trial in range(cfg.trials)]
-    # every tree of the batch is a full binary tree over the same points
-    words = stream_words(seeds, range(2 * cfg.space.n - 1))
+    # every tree of the batch is a full binary tree over the same points;
+    # deterministic timers never draw, so their engines get no words
+    words = itertools.repeat(None)
+    if cfg.mode is TimerMode.EXPONENTIAL:
+        words = stream_words(seeds, range(2 * cfg.space.n - 1))
     for trial, seed in enumerate(seeds):
         c_end = None
         if cfg.penalty is None:

@@ -275,6 +275,8 @@ def gen_random(
         raise OutOfDomain("need at least two points")
     if not 0.0 <= horizon < math.inf:
         raise ConfigInvalid(f"horizon must be finite and >= 0, got {horizon}")
+    if request_count < 0:
+        raise ConfigInvalid(f"request count must be >= 0, got {request_count}")
     names = [f"p{i}" for i in range(n_points)]
     if kind == "line":
         coords = np.sort(rng.uniform(0.0, 1.0, n_points))

@@ -1,10 +1,10 @@
 """Finite metric spaces: validation and statistics.
 
-Every downstream component assumes a genuine metric (symmetry, zero diagonal,
-positive off-diagonal entries, triangle inequality), so the constructor here
-is strict and names the offending triple on failure.  The triangle check uses
-an absolute tolerance of 1e-9 * d_max to absorb float noise in computed
-coordinate inputs.
+Every downstream component assumes a genuine metric (finite entries,
+symmetry, zero diagonal, positive off-diagonal entries, triangle inequality),
+so the constructor here is strict and names the offending triple on failure.
+The triangle check uses an absolute tolerance of 1e-9 * d_max to absorb
+float noise in computed coordinate inputs.
 """
 
 from __future__ import annotations
@@ -64,6 +64,12 @@ class MetricSpace:
             )
         if n == 0:
             raise DegenerateSpace("empty point set")
+        bad = ~np.isfinite(d)
+        if np.any(bad):
+            i, j = (int(k) for k in np.argwhere(bad)[0])
+            raise InstanceLoadError(
+                f"non-finite distance d({self.points[i]},{self.points[j]})={d[i, j]}"
+            )
         if np.any(np.diag(d) != 0.0):
             i = int(np.flatnonzero(np.diag(d))[0])
             raise NegativeDistance(f"nonzero self-distance at point {self.points[i]}")
@@ -120,9 +126,11 @@ def from_coords(coords, points: Sequence[str] | None = None) -> MetricSpace:
     c = np.asarray(coords, dtype=float)
     if c.ndim == 1:
         c = c[:, None]
-    diff = c[:, None, :] - c[None, :, :]
-    d = np.sqrt((diff * diff).sum(axis=-1))
-    d = 0.5 * (d + d.T)  # kill float asymmetry from the sum order
+    # an overflow leaves a non-finite distance, which MetricSpace rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = c[:, None, :] - c[None, :, :]
+        d = np.sqrt((diff * diff).sum(axis=-1))
+        d = 0.5 * (d + d.T)  # kill float asymmetry from the sum order
     np.fill_diagonal(d, 0.0)
     if points is None:
         points = [f"p{i}" for i in range(len(c))]

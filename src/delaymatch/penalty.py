@@ -40,7 +40,7 @@ from .embedding import Hsbt, build_hsbt, sample_hsbt
 from .errors import InvariantViolation, RegimeMismatch, TooLarge
 from .metric import MetricSpace, stats
 from .offline import optimal_mpmd, optimal_mpmdfp
-from .stiltwalker import Engine, TimerMode
+from .stiltwalker import Engine, TimerMode, stream_words
 
 __all__ = [
     "REGIME_PER_POINT",
@@ -272,12 +272,10 @@ def run_mpmdfp(
         twin_cross_only = False
     else:
         tree, mirror = _two_copies_tree(space, p, rng)
-        engine = Engine(
-            tree,
-            requests_hat,
-            mode=mode,
-            vertex_seed_fn=lambda v: (seed, min(v, mirror[v])),
-        )
+        # mirrored vertices share the stream keyed by the lower of their ids
+        words = next(stream_words([seed], range(len(tree))))
+        keys = [min(v, mirror[v]) for v in range(len(tree))]
+        engine = Engine(tree, requests_hat, mode=mode, words=words[keys])
         twin_cross_only = True
     hat_run = engine.run(flush=flush)
     hat_cost = total_cost(metric_hat, requests_hat, hat_run.schedule)

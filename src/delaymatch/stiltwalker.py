@@ -31,9 +31,11 @@ match along the two feet-to-vertex paths below the matched vertex, so only
 the vertices on those paths can change parity and only their parents can
 gain or lose effectiveness.  `Engine._flip_path` updates the parity list and
 the effective set along such a path and nowhere else, making an event cost
-O(height + |effective set|).  The trace keeps no state snapshots; the
-analysis in `diagnostics` rebuilds the state before every event from the
-trace alone, with the parity replay it shares with the offline schedule.
+O(height + |effective set|).  The event trace is the engine's one record:
+the schedule is read off it, and neither it nor the engine keeps state
+snapshots or potential ledgers.  The analysis in `diagnostics` rebuilds the
+state before every event, and the ledgers tau and sigma, from the trace
+alone, with the parity replay it shares with the offline schedule.
 
 Determinism.  Each internal vertex draws from its own named RNG stream keyed
 by (master seed, vertex id), so runs are bit-for-bit reproducible and the
@@ -45,8 +47,9 @@ that never become effective, leaves and deterministic runs open none.
 Opening a stream seeds a PCG64 from the key's seed words,
 `SeedSequence(key).generate_state(4, np.uint64)`, and draws a block of
 values; a stream that uses its block up redraws a prefix twice as long.
-Batches derive the words of all their keys at once with `stream_words`;
-any other engine has numpy's `SeedSequence` derive them per key.  Streams
+Batches derive the words of all their keys at once with `stream_words`,
+and callers alias or reseed streams by the table rows they pass; an engine
+without a table has numpy's `SeedSequence` derive them per key.  Streams
 are independent and each yields its values in the same order whenever
 they are drawn, so drawing first budgets at engine start would move no bit.
 Simultaneous events are ordered: arrivals first (by request id), then vertex
@@ -59,7 +62,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -231,10 +234,6 @@ class EngineTrace:
 class EngineRun:
     schedule: Schedule
     trace: EngineTrace
-    # per-vertex ledgers over the whole run (equals [0, t_end) when flushed):
-    # effective time and connection cost deposited by non-flush matches
-    tau: np.ndarray
-    sigma: np.ndarray
 
 
 class Engine:
@@ -246,7 +245,6 @@ class Engine:
         requests: Sequence[Request],
         mode: TimerMode = TimerMode.EXPONENTIAL,
         seed: int = 0,
-        vertex_seed_fn: Callable[[int], object] | None = None,
         words: np.ndarray | None = None,
     ):
         self.tree = tree
@@ -259,13 +257,10 @@ class Engine:
                 raise UnknownLocation(f"request {r.id} at {r.point!r} not a tree leaf")
         self.leaf_of = {r.id: tree.point_leaf[r.point] for r in self.requests}
 
-        # vertex_seed_fn maps a vertex id to the full entropy key of its
-        # stream, letting callers alias streams across vertices (the
-        # two-copies penalty construction keys mirrored vertices alike);
-        # `words`, one row of `stream_words`, holds the default keys' words
+        # `words` holds row v's seed words for vertex v's stream, as
+        # `stream_words` yields them; without it stream v is keyed (seed, v)
         if words is None:
-            key = vertex_seed_fn or (lambda v: (seed, v))
-            self._seeding = lambda v: np.random.SeedSequence(key(v))
+            self._seeding = lambda v: np.random.SeedSequence((seed, v))
         else:
             self._seeding = lambda v: _Words(words[v])
         # vertex -> [values of its stream drawn so far, how many are used]
@@ -277,12 +272,8 @@ class Engine:
         self.effective: set[int] = set()
         self.now = 0.0
         self.arrival_index = 0
-        self.tau = [0.0] * n_v
-        self.sigma = [0.0] * n_v
         self.trace = EngineTrace()
-        self.pairings: list[tuple[int, int, float]] = []
-        self.t_end = self.requests[-1].t if self.requests else 0.0
-        self.trace.t_end = self.t_end
+        self.trace.t_end = self.requests[-1].t if self.requests else 0.0
 
     def _draw(self, v: int) -> float:
         w = self.tree.weight[v]
@@ -346,10 +337,9 @@ class Engine:
         if dt < 0:
             raise InvariantViolation("time went backwards")
         if dt:
-            budget, tau = self.budget, self.tau
+            budget = self.budget
             for v in self.effective:
                 budget[v] -= dt
-                tau[v] += dt
         self.now = t
 
     def _record(self, kind: str, vertex, requests) -> EngineEvent:
@@ -365,7 +355,6 @@ class Engine:
         if partner is not None:
             # zero-distance match; the standing active vanishes, so the
             # leaf's path parity flips exactly once
-            self.pairings.append((partner, req.id, self.now))
             self._flip_path(leaf)
             return self._record("same_leaf", leaf, (partner, req.id))
         self.active_at[leaf] = req.id
@@ -379,12 +368,9 @@ class Engine:
         f1, f2 = self._supporting(v)
         r1 = self.active_at.pop(f1)
         r2 = self.active_at.pop(f2)
-        self.pairings.append((r1, r2, self.now))
         # above v the two flips cancel: parities there stay as they are
         self._flip_path(f1, v)
         self._flip_path(f2, v)
-        if kind != "flush":
-            self.sigma[v] += self.tree.weight[v]
         self.budget[v] = self._draw(v)
         return self._record(kind, v, (r1, r2))
 
@@ -455,13 +441,11 @@ class Engine:
             ev = self.advance_to_next_event()
             if ev is None:
                 break
-        schedule = Schedule(pairings=tuple(self.pairings))
-        return EngineRun(
-            schedule=schedule,
-            trace=self.trace,
-            tau=np.array(self.tau),
-            sigma=np.array(self.sigma),
+        # every event but an arrival pairs its two requests at its time
+        pairings = tuple(
+            (*e.requests, e.t) for e in self.trace.events if e.kind != "arrival"
         )
+        return EngineRun(schedule=Schedule(pairings=pairings), trace=self.trace)
 
 
 def run(
@@ -470,12 +454,11 @@ def run(
     mode: TimerMode = TimerMode.EXPONENTIAL,
     seed: int = 0,
     flush: bool = True,
-    vertex_seed_fn: Callable[[int], object] | None = None,
+    words: np.ndarray | None = None,
 ) -> EngineRun:
-    """Run the matching engine; returns schedule, trace and potential ledgers.
+    """Run the matching engine; returns its schedule and event trace.
 
-    `vertex_seed_fn`, when given, maps each vertex id to the entropy key of
-    its timer stream (used to vary one subtree's timers while freezing all
-    other streams, or to alias streams across mirrored vertices).
+    `words` is the streams' seed-word table (row v for vertex v), whose
+    rows a caller picks to alias or reseed streams.
     """
-    return Engine(tree, requests, mode, seed, vertex_seed_fn).run(flush=flush)
+    return Engine(tree, requests, mode, seed, words).run(flush=flush)

@@ -4,8 +4,9 @@
 
 The corpus pins the engine's output bit for bit: each case stores its full
 input (tree with child order, requests, timer mode, flush flag and the
-entropy key of every vertex stream) and the engine's schedule, trace,
-`tau`, `sigma` and `c_end_space`, with every float written by `float.hex`.
+entropy key of every vertex stream) and the engine's schedule, trace and
+`c_end_space`, with every float written by `float.hex`, plus the `tau` and
+`sigma` ledgers that `diagnostics` computes from the trace.
 `tests/test_golden.py` replays each case and demands exact equality.
 
 The file was written once from the engine before its path-local rewrite.
@@ -24,7 +25,8 @@ from delaymatch.instances import GammaConfig, gen_adversarial_gamma, gen_random
 from delaymatch.embedding import sample_hsbt
 from delaymatch.penalty import _doubled_parts, _two_copies_tree
 from delaymatch.metric import stats
-from delaymatch.stiltwalker import Engine, TimerMode
+from delaymatch.diagnostics import _online_ledgers
+from delaymatch.stiltwalker import Engine, TimerMode, stream_words
 
 OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "engine_runs.json")
 
@@ -40,9 +42,13 @@ def _tree_rows(tree):
 
 
 def _case(name, tree, requests, mode, flush, seed=None, keys=None):
-    """`seed` runs the default per-vertex streams, `keys` aliased ones."""
-    fn = None if keys is None else keys.__getitem__
-    out = Engine(tree, requests, mode, seed or 0, fn).run(flush=flush)
+    """`seed` runs the default per-vertex streams, `keys` aliased ones: key
+    v is (seed, u) for one seed, and vertex v reads the words of key u."""
+    words = None
+    if keys is not None:
+        words = next(stream_words([keys[0][0]], [u for _, u in keys]))
+    out = Engine(tree, requests, mode, seed or 0, words).run(flush=flush)
+    tau, sigma, _, _ = _online_ledgers(tree, out.trace)
     streams = {"seed": seed} if keys is None else {"stream_keys": keys}
     return {
         "name": name,
@@ -57,8 +63,8 @@ def _case(name, tree, requests, mode, flush, seed=None, keys=None):
                 [e.t.hex(), e.kind, e.vertex, list(e.requests)]
                 for e in out.trace.events
             ],
-            "tau": [float(x).hex() for x in out.tau],
-            "sigma": [float(x).hex() for x in out.sigma],
+            "tau": [float(x).hex() for x in tau],
+            "sigma": [float(x).hex() for x in sigma],
             "c_end_space": float(out.trace.c_end_space).hex(),
             "flushed": out.trace.flushed,
         },

@@ -232,10 +232,22 @@ _BAD_BUNDLES = {  # overrides of the valid bundle (None drops a key), message
     "scalar-dist": ({"points": None, "dist": 5}, "malformed metric"),
     "string-coords": ({"dist": None, "coords": "abc"}, "malformed metric"),
     "list-names": ({"points": [["p0"], ["p1"]]}, "'points' must be"),
+    "infinite-dist": (
+        {"dist": [[0.0, float("inf")], [float("inf"), 0.0]]},
+        "non-finite distance d(p0,p1)=inf",
+    ),
+    "nan-dist": (
+        {"dist": [[0.0, float("nan")], [float("nan"), 0.0]]},
+        "non-finite distance d(p0,p1)=nan",
+    ),
+    "overflowing-coords": (
+        {"dist": None, "coords": [[1e200], [-1e200]]},
+        "non-finite distance d(p0,p1)=inf",
+    ),
 }
 
 
-@pytest.mark.parametrize("command", ["run", "verify-identities"])
+@pytest.mark.parametrize("command", ["validate", "run", "verify-identities"])
 @pytest.mark.parametrize("case", sorted(_BAD_BUNDLES))
 def test_bad_bundle_is_user_error(tmp_path, capsys, case, command):
     override, message = _BAD_BUNDLES[case]
@@ -256,6 +268,8 @@ def test_bad_bundle_is_user_error(tmp_path, capsys, case, command):
     ["random", "--horizon", "-1"],
     ["two-point", "--spacing", "-1"],
     ["two-point", "--pattern", "stagger:2", "--spacing", "inf"],
+    ["two-point", "--delta", "inf"],
+    ["random", "--requests", "-2"],
 ])
 def test_bad_gen_argument_is_user_error(tmp_path, capsys, argv):
     code, _, err = run_cli(capsys, "gen", *argv, "--out", str(tmp_path / "out"))

@@ -5,6 +5,7 @@ import pytest
 
 from delaymatch.core import make_requests
 from delaymatch.embedding import build_hsbt, sample_hsbt, tree_metric
+from delaymatch import experiment
 from delaymatch.errors import ConfigInvalid
 from delaymatch.experiment import (
     CSV_COLUMNS,
@@ -112,6 +113,18 @@ def test_fixed_tree_with_deterministic_mode_collapses_trials():
     totals = {r.total for r in report.records}
     assert len(totals) == 1
     assert report.to_dict()["fixed_tree"] is True
+
+
+def test_deterministic_batches_derive_no_stream_words(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a deterministic batch derived stream words")
+
+    monkeypatch.setattr(experiment, "stream_words", refuse)
+    space, reqs = small_instance(6)
+    cfg = ExperimentConfig(space, reqs, trials=3, mode=TimerMode.DETERMINISTIC)
+    assert len(run_experiment(cfg).records) == 3
+    with pytest.raises(AssertionError, match="derived stream words"):
+        run_experiment(ExperimentConfig(space, reqs, trials=3))
 
 
 def test_penalty_experiment_records_clears():

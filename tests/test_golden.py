@@ -3,8 +3,9 @@
 `tests/golden/engine_runs.json` holds exponential runs with and without the
 final flush, deterministic runs (including the adversarial gamma family,
 whose timers tie with arrivals), and the penalty reduction's two-copies runs
-with aliased vertex streams.  See `tests/golden/make_golden.py` for the
-format.  `tests/golden/batch_runs.json` holds greedy offline schedules and
+with aliased vertex streams.  Its `tau`/`sigma` ledgers are checked through
+the trace replay in `diagnostics`.  See `tests/golden/make_golden.py` for
+the format.  `tests/golden/batch_runs.json` holds greedy offline schedules and
 the byte-exact outputs of `run` and `embed` (see
 `tests/golden/make_batch_golden.py`).  `tests/golden/exact_runs.json` holds
 the exact oracles' schedules and the byte-exact outputs of
@@ -27,7 +28,8 @@ from delaymatch.core import Request
 from delaymatch.embedding import Hsbt
 from delaymatch.metric import MetricSpace
 from delaymatch.offline import greedy_mpmd, optimal_mpmd, optimal_mpmdfp
-from delaymatch.stiltwalker import TimerMode, run
+from delaymatch.diagnostics import _online_ledgers
+from delaymatch.stiltwalker import TimerMode, run, stream_words
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "engine_runs.json")
 
@@ -66,9 +68,12 @@ def test_engine_reproduces_golden_run(case):
     )
     mode = TimerMode(case["mode"])
     if "stream_keys" in case:
-        keys = case["stream_keys"]
-        out = run(tree, requests, mode, flush=case["flush"],
-                  vertex_seed_fn=lambda v: tuple(keys[v]))
+        # every key is (seed, vertex) with one seed: row v of the table
+        # holds the words of vertex v's key
+        (seed,) = {s for s, _ in case["stream_keys"]}
+        vertices = [v for _, v in case["stream_keys"]]
+        words = next(stream_words([seed], vertices))
+        out = run(tree, requests, mode, flush=case["flush"], words=words)
     else:
         out = run(tree, requests, mode, seed=case["seed"], flush=case["flush"])
     want = case["expected"]
@@ -78,8 +83,9 @@ def test_engine_reproduces_golden_run(case):
         [e.t.hex(), e.kind, e.vertex, list(e.requests)] for e in out.trace.events
     ]
     assert got_events == want["events"]
-    assert _hex(out.tau) == want["tau"]
-    assert _hex(out.sigma) == want["sigma"]
+    tau, sigma, _, _ = _online_ledgers(tree, out.trace)
+    assert _hex(tau) == want["tau"]
+    assert _hex(sigma) == want["sigma"]
     assert float(out.trace.c_end_space).hex() == want["c_end_space"]
     assert out.trace.flushed == want["flushed"]
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delaymatch.core import make_requests, total_cost
-from delaymatch.diagnostics import _replay_trace
+from delaymatch.diagnostics import _online_ledgers, _replay_trace
 from delaymatch.embedding import build_hsbt, sample_hsbt, tree_metric
 from delaymatch.errors import NotEffective, OddRequestSet, UnknownLocation
 from delaymatch.instances import gen_random
@@ -52,8 +52,9 @@ def test_deterministic_two_leaf_timer_fires_at_weight():
     assert len(result.schedule.pairings) == 1
     _, _, t_match = result.schedule.pairings[0]
     assert t_match == eps + w  # exact float equality: one add on each side
-    assert result.sigma[0] == w
-    assert result.tau[0] == pytest.approx(w, rel=1e-12)
+    tau, sigma, _, _ = _online_ledgers(tree, result.trace)
+    assert sigma[0] == w
+    assert tau[0] == pytest.approx(w, rel=1e-12)
 
 
 def test_exponential_two_leaf_mean_near_weight():
@@ -81,7 +82,7 @@ def test_arrival_beats_timer_at_equal_time():
     assert kinds == ["arrival", "arrival", "same_leaf", "same_leaf"]
     cost = total_cost(space, reqs, result.schedule)
     assert cost.space == 0.0
-    assert result.sigma[0] == 0.0
+    assert _online_ledgers(tree, result.trace)[1][0] == 0.0
 
 
 def test_same_leaf_match_is_instant_and_free():
@@ -110,8 +111,9 @@ def test_budget_frozen_while_not_effective():
     result = engine.run(flush=False)
     # effective only on [1, 2): one unit of budget burned, timer never fires
     assert engine.budget[0] == 9.0
-    assert result.tau[0] == 1.0
-    assert result.sigma[0] == 0.0
+    tau, sigma, _, _ = _online_ledgers(tree, result.trace)
+    assert tau[0] == 1.0
+    assert sigma[0] == 0.0
     assert result.schedule.pairings == ((0, 2, 2.0), (1, 3, 3.0))
 
 
@@ -128,7 +130,7 @@ def test_flush_matches_snapshot_and_prices_c_end():
     assert pairs == {frozenset({0, 1}), frozenset({2, 3})}
     assert all(t == 0.03 for _, _, t in result.schedule.pairings)
     # flush connections deposit nothing into the sigma ledger
-    assert result.sigma.sum() == 0.0
+    assert _online_ledgers(tree, result.trace)[1].sum() == 0.0
 
 
 def test_flush_across_root_single_pair():
@@ -245,19 +247,22 @@ def test_live_state_matches_recompute_after_every_event(
     tree = sample_hsbt(space, rng)
     engine = _step_check(tree, reqs, mode, seed, flush)
     result = run(tree, reqs, mode=mode, seed=seed, flush=flush)
-    assert tuple(engine.pairings) == result.schedule.pairings
     assert engine.trace.events == result.trace.events
+    # the schedule lists every non-arrival event's pair at the event's time
+    pairs = [(*e.requests, e.t) for e in engine.trace.events if e.kind != "arrival"]
+    assert pairs == list(result.schedule.pairings)
     _replay_check(tree, reqs, result)
 
 
-def test_vertex_seed_fn_defaults_to_seed_vertex_pairs():
+def test_words_table_defaults_to_seed_vertex_pairs():
     rng = np.random.default_rng(21)
     space, reqs = _random_instance(rng, n_points=5, n_requests=8)
     tree = sample_hsbt(space, rng)
     base = run(tree, reqs, seed=17)
-    aliased = run(tree, reqs, seed=999, vertex_seed_fn=lambda v: (17, v))
+    table = next(stream_words([17], range(len(tree))))
+    aliased = run(tree, reqs, seed=999, words=table)
     assert aliased.schedule == base.schedule
-    assert np.array_equal(aliased.tau, base.tau)
+    assert aliased.trace.events == base.trace.events
     root, w = tree.root, tree.weight[tree.root]
     want = np.random.default_rng(np.random.SeedSequence((17, root))).exponential(w)
     engine = Engine(tree, reqs, seed=17)
@@ -278,11 +283,11 @@ def test_first_budgets_are_drawn_when_first_effective(seed):
     def default_key(v):
         return (seed, v)
 
-    # words derived per key by numpy, and taken from a batch's stream words
-    row = next(stream_words([seed], range(len(tree))))
+    # words derived per key by numpy, and taken from picked table rows
+    rows = next(stream_words([seed], [3 * v + 1 for v in range(len(tree))]))
     for engine, key_of in (
-        (Engine(tree, reqs, vertex_seed_fn=key), key),
-        (Engine(tree, reqs, seed=seed, words=row), default_key),
+        (Engine(tree, reqs, seed=seed), default_key),
+        (Engine(tree, reqs, seed=seed, words=rows), key),
     ):
         assert engine._streams == {} and set(engine.budget) == {None}
         first = {}  # vertex -> budget right after the event that made it effective
