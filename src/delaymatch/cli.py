@@ -50,7 +50,7 @@ from .instances import (
 )
 from .metric import MetricSpace, from_coords, stats, validate as validate_metric
 from .offline import optimal_mpmd
-from .stiltwalker import Engine, TimerMode
+from .stiltwalker import TimerMode, run
 
 __all__ = ["main"]
 
@@ -224,14 +224,11 @@ def _cmd_verify_identities(args) -> int:
     for trial in range(args.trials):
         rng = np.random.default_rng(np.random.SeedSequence((args.seed, trial)))
         tree = sample_hsbt(space, rng)
-        engine_seed = int(rng.integers(2**62))
-        run = Engine(
-            tree, requests, mode=TimerMode(args.mode), seed=engine_seed
-        ).run(flush=True)
+        out = run(tree, requests, TimerMode(args.mode), int(rng.integers(2**62)))
         space_t = tree_metric(tree)
-        online_cost = total_cost(space_t, requests, run.schedule)
+        online_cost = total_cost(space_t, requests, out.schedule)
         offline = optimal_mpmd(space_t, requests)
-        ledger = track_potentials(tree, run.trace, offline.schedule)
+        ledger = track_potentials(tree, out.trace, offline.schedule)
         rep = verify_cost_identities(tree, ledger, online_cost, offline.cost)
         d = rep.to_dict()
         for key in ("residual_space", "residual_time"):

@@ -521,19 +521,13 @@ def _assert_sandwich(h: Hst, t: Hsbt) -> None:
         )
 
 
-def sample_hsbt(
-    space: MetricSpace, rng: np.random.Generator, verify: bool = True
-) -> Hsbt:
+def sample_hsbt(space: MetricSpace, rng: np.random.Generator) -> Hsbt:
     """Sample a dominating binary tree for `space` (embed + binarize)."""
-    h = frt_embed(space, rng)
-    t = binarize(h, space.n)
-    if verify:
-        pair = undominated_pair(space, t)
-        if pair is not None:
-            a, b = (space.points[k] for k in pair)
-            raise DominationViolation(
-                f"tree distance for ({a},{b}) below metric distance"
-            )
+    t = binarize(frt_embed(space, rng), space.n)
+    pair = undominated_pair(space, t)
+    if pair is not None:
+        a, b = (space.points[k] for k in pair)
+        raise DominationViolation(f"tree distance for ({a},{b}) below metric distance")
     return t
 
 

@@ -65,9 +65,9 @@ def trial_seed(master_seed: int, trial: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0] >> 1)
 
 
-def trial_rng(master_seed: int, trial: int, stream: int = 0) -> np.random.Generator:
-    """Named per-trial generator (stream 0 feeds the embedding)."""
-    return np.random.default_rng(np.random.SeedSequence((master_seed, trial, stream)))
+def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
+    """Per-trial generator of the embedding, keyed (master seed, trial, 0)."""
+    return np.random.default_rng(np.random.SeedSequence((master_seed, trial, 0)))
 
 
 @dataclass(frozen=True)
@@ -275,9 +275,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             tree = cfg.fixed_tree
             if tree is None:
                 tree = sample_hsbt(cfg.space, trial_rng(cfg.master_seed, trial))
-            run = Engine(
-                tree, cfg.requests, mode=cfg.mode, seed=seed, words=next(words)
-            ).run(flush=cfg.flush)
+            run = Engine(tree, cfg.requests, cfg.mode, next(words)).run(flush=cfg.flush)
             cost = total_cost(cfg.space, cfg.requests, run.schedule)
             if run.trace.flushed:
                 c_end = run.trace.c_end_space
@@ -359,9 +357,7 @@ def check_flush_budget(
     budgets = np.empty(trials)
     seeds = [trial_seed(master_seed, i) for i in range(trials)]
     for i, words in enumerate(stream_words(seeds, range(len(tree)))):
-        engine = Engine(
-            tree, requests, mode=TimerMode.EXPONENTIAL, seed=seeds[i], words=words
-        )
+        engine = Engine(tree, requests, TimerMode.EXPONENTIAL, words)
         # arrivals win ties with timers, so this stops just after the last one
         while engine.arrival_index < len(engine.requests):
             engine.advance_to_next_event()

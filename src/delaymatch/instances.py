@@ -304,11 +304,10 @@ def gen_two_point(
     delta: float,
     pattern: str,
     spacing: float | None = None,
-    jitter: float = 1e-9,
 ) -> tuple[MetricSpace, tuple[Request, ...]]:
     """Two points at distance delta with a scripted arrival pattern.
 
-    Patterns: "pair_at_0" (one request per point at time ~0) and
+    Patterns: "pair_at_0" (one request per point, at times 0 and 1e-9) and
     "stagger:k" (2k arrivals alternating between the points, `spacing`
     apart, 1.0 if not given).  A spacing given with "pair_at_0" is
     rejected.
@@ -321,7 +320,7 @@ def gen_two_point(
     if pattern == "pair_at_0":
         if spacing is not None:
             raise ConfigInvalid("spacing applies only to the stagger:k pattern")
-        arrivals = [("a", 0.0), ("b", jitter)]
+        arrivals = [("a", 0.0), ("b", 1e-9)]
     elif pattern.startswith("stagger:"):
         try:
             k = int(pattern.split(":", 1)[1])

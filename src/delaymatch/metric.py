@@ -130,6 +130,9 @@ def from_coords(coords, points: Sequence[str] | None = None) -> MetricSpace:
     with np.errstate(over="ignore", invalid="ignore"):
         diff = c[:, None, :] - c[None, :, :]
         d = np.sqrt((diff * diff).sum(axis=-1))
+        # squares overflow long before distances do; hypot scales instead
+        over = np.isinf(d) & np.isfinite(diff).all(axis=-1)
+        d[over] = np.hypot.reduce(diff[over], axis=-1)
         d = 0.5 * (d + d.T)  # kill float asymmetry from the sum order
     np.fill_diagonal(d, 0.0)
     if points is None:

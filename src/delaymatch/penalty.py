@@ -40,7 +40,7 @@ from .embedding import Hsbt, build_hsbt, sample_hsbt
 from .errors import InvariantViolation, RegimeMismatch, TooLarge
 from .metric import MetricSpace, stats
 from .offline import optimal_mpmd, optimal_mpmdfp
-from .stiltwalker import Engine, TimerMode, stream_words
+from .stiltwalker import Engine, TimerMode, run, stream_words
 
 __all__ = [
     "REGIME_PER_POINT",
@@ -265,19 +265,20 @@ def run_mpmdfp(
         return FpRun(schedule=schedule, cost=cost, regime=regime)
 
     metric_hat, requests_hat = _doubled_parts(space, requests, p)
-    seed = int(rng.integers(2**62))
+    seed = int(rng.integers(2**62))  # in every mode: the tree is drawn after it
     if regime == REGIME_DOUBLED:
         tree = sample_hsbt(metric_hat, rng)
-        engine = Engine(tree, requests_hat, mode=mode, seed=seed)
+        hat_run = run(tree, requests_hat, mode, seed, flush)
         twin_cross_only = False
     else:
         tree, mirror = _two_copies_tree(space, p, rng)
-        # mirrored vertices share the stream keyed by the lower of their ids
-        words = next(stream_words([seed], range(len(tree))))
-        keys = [min(v, mirror[v]) for v in range(len(tree))]
-        engine = Engine(tree, requests_hat, mode=mode, words=words[keys])
+        words = None
+        if mode is TimerMode.EXPONENTIAL:
+            # mirrored vertices share the stream keyed by the lower of their ids
+            keys = [min(v, mirror[v]) for v in range(len(tree))]
+            words = next(stream_words([seed], keys))
+        hat_run = Engine(tree, requests_hat, mode, words).run(flush=flush)
         twin_cross_only = True
-    hat_run = engine.run(flush=flush)
     hat_cost = total_cost(metric_hat, requests_hat, hat_run.schedule)
 
     pairings, clears = _translate(hat_run.schedule.pairings, twin_cross_only)

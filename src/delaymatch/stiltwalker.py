@@ -38,20 +38,20 @@ state before every event, and the ledgers tau and sigma, from the trace
 alone, with the parity replay it shares with the offline schedule.
 
 Determinism.  Each internal vertex draws from its own named RNG stream keyed
-by (master seed, vertex id), so runs are bit-for-bit reproducible and the
-timers of one subtree can be varied while all other streams stay fixed.
-Stream v yields what `np.random.default_rng(np.random.SeedSequence(key(v)))
-.exponential(w(v))` yields, call after call.  It is opened when v first
-becomes effective, and its first value is the first budget, so vertices
-that never become effective, leaves and deterministic runs open none.
-Opening a stream seeds a PCG64 from the key's seed words,
-`SeedSequence(key).generate_state(4, np.uint64)`, and draws a block of
-values; a stream that uses its block up redraws a prefix twice as long.
-Batches derive the words of all their keys at once with `stream_words`,
-and callers alias or reseed streams by the table rows they pass; an engine
-without a table has numpy's `SeedSequence` derive them per key.  Streams
-are independent and each yields its values in the same order whenever
-they are drawn, so drawing first budgets at engine start would move no bit.
+by (seed, vertex id), so runs are bit-for-bit reproducible and the timers
+of one subtree can be varied while all other streams stay fixed.  The
+engine takes its streams' seed words as a table, row v for vertex v, which
+`stream_words` derives for many seeds at once; callers alias or reseed
+streams by the rows they pass.  Stream v then yields what
+`np.random.default_rng(np.random.SeedSequence((seed, v))).exponential(w(v))`
+yields, call after call.  It is opened when v first becomes effective, by
+seeding a PCG64 from its row and drawing a block of values, and its first
+value is the first budget; a stream that uses its block up redraws a prefix
+twice as long.  Leaves, vertices that never become effective and
+deterministic engines open none, and deterministic engines take no table.
+Streams are independent and each yields its values in the same order
+whenever they are drawn, so drawing first budgets at engine start would
+move no bit.
 Simultaneous events are ordered: arrivals first (by request id), then vertex
 timers by (depth, vertex id); vertex ids are depth-sorted, so plain id order
 implements that rule.
@@ -70,6 +70,7 @@ from numpy.random.bit_generator import ISeedSequence
 from .core import Request, Schedule
 from .embedding import Hsbt
 from .errors import (
+    ConfigInvalid,
     InvariantViolation,
     NotEffective,
     OddRequestSet,
@@ -95,17 +96,24 @@ _BLOCK = 8  # values drawn when a stream opens; its later blocks double
 # numpy's SeedSequence hash (pool size 4): the running multipliers
 # init * mult^k mod 2^32 of its 16 `hashmix` calls while mixing the entropy
 # in, and of its 8 output words
-_HASH_A = np.array([0x43B0D7E5 * 0x931E8875**k & _M32 for k in range(17)], np.uint32)
+_HASH_A = np.array([[0x43B0D7E5 * 0x931E8875**k & _M32] for k in range(17)], np.uint32)
 _HASH_B = np.array([0x8B51F9DD * 0x58F38DED**k & _M32 for k in range(9)], np.uint32)
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _SHIFT = np.uint32(16)
+# mixing round src hashes word src for each other word d by call 4 + 3 src +
+# rank(d); those words sit at pool rows src + 1 to src + 3, rotated in rounds 1, 2
+_ORDER = np.r_[0:7, 8, 9, 7, 12, 10, 11, 13:16]
+_XOR, _MULT = _HASH_A[_ORDER], _HASH_A[_ORDER + 1]  # columns: a slice hashes rows
 
 
-def _hashmix(x: np.ndarray, calls: np.ndarray) -> np.ndarray:
-    x = x ^ _HASH_A[calls, None]
-    x *= _HASH_A[calls + 1, None]
+def _hashmix(x: np.ndarray, calls: int | slice) -> np.ndarray:
+    x = x ^ _XOR[calls]
+    x *= _MULT[calls]
     x ^= x >> _SHIFT
     return x
+
+
+_HASHED_ZERO = _hashmix(np.zeros(1, np.uint32), slice(2, 4))[:, :, None]  # padding
 
 
 def stream_words(seeds: Sequence[int], vertices: Sequence[int]) -> Iterator[np.ndarray]:
@@ -115,33 +123,43 @@ def stream_words(seeds: Sequence[int], vertices: Sequence[int]) -> Iterator[np.n
     numpy splits the key into 32-bit words, low first (one per number below
     2^32, two below 2^64), zero-pads them to its pool of four and hashes the
     pool with fixed uint32 arithmetic; this runs that hash on arrays of
-    keys, 64 seeds at a time.  Seeds must be below 2^64 and vertex ids below
-    2^32, so that every key fits the pool.
+    keys, 64 seeds at a time.  Every key must fit the pool: a seed outside
+    [0, 2^64) raises ValueError, as does a vertex id of 2^32 or more.
     """
+    for s in seeds:
+        if not 0 <= s < 2**64:
+            raise ValueError(f"seed {s} is outside [0, 2**64)")
     v = np.asarray(vertices, dtype=np.uint64)
-    if np.any(v >> np.uint64(32)):
+    if len(v) and v.max() >> np.uint64(32):
         raise ValueError("vertex ids must be below 2**32")
-    v = v.astype(np.uint32)
+    hashed_v = _hashmix(v.astype(np.uint32), slice(1, 3))  # as 2nd or 3rd word
     for at in range(0, len(seeds), 64):
-        block = np.asarray(seeds[at : at + 64], dtype=np.uint64)[:, None]
-        hi = (block >> np.uint64(32)).astype(np.uint32)
-        pool = np.zeros((4, len(block), len(v)), dtype=np.uint32)
-        pool[0] = block.astype(np.uint32)  # the low word
-        pool[1] = np.where(hi != 0, hi, v)
-        pool[2] = np.where(hi != 0, v, 0)
-        pool = _hashmix(pool.reshape(4, -1), np.arange(4))
-        calls = np.arange(4, 7)
+        block = np.array(seeds[at : at + 64], dtype=np.uint64)
+        pool = np.empty((7, len(block), len(v)), dtype=np.uint32)
+        pool[0] = _hashmix(block.astype(np.uint32), 0)[:, None]  # the low word
+        pool[1] = hashed_v[0]
+        pool[2:4] = _HASHED_ZERO
+        if max(seeds[at : at + 64]) >> 32:
+            wide = block >> np.uint64(32) != 0
+            hi = (block[wide] >> np.uint64(32)).astype(np.uint32)
+            pool[1, wide] = _hashmix(hi, 1)[:, None]
+            pool[2, wide] = hashed_v[1]
+        pool = pool.reshape(7, -1)
         for src in range(4):
-            dst = [d for d in range(4) if d != src]
-            mixed = _MIX_L * pool[dst] - _MIX_R * _hashmix(pool[src][None], calls)
+            if src:  # word src - 1 comes round again, as the last of the others
+                pool[src + 3] = pool[src - 1]
+            h = _hashmix(pool[src], slice(4 + 3 * src, 7 + 3 * src))
+            h *= _MIX_R
+            mixed = pool[src + 1 : src + 4]  # a view: mixes in place
+            mixed *= _MIX_L
+            mixed -= h
             mixed ^= mixed >> _SHIFT
-            pool[dst] = mixed
-            calls += 3
-        out = pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ _HASH_B[:8, None]
-        out *= _HASH_B[1:, None]
+        out = pool.T[:, [4, 5, 6, 3, 4, 5, 6, 3]]  # words 0-3, where they ended
+        out ^= _HASH_B[:8]
+        out *= _HASH_B[1:]
         out ^= out >> _SHIFT
         # numpy's own uint64 view: the two 32-bit words of each, low first
-        words = np.ascontiguousarray(out.T, dtype="<u4").view("<u8")
+        words = np.ascontiguousarray(out, dtype="<u4").view("<u8")
         yield from words.reshape(len(block), len(v), 4)
 
 
@@ -244,7 +262,6 @@ class Engine:
         tree: Hsbt,
         requests: Sequence[Request],
         mode: TimerMode = TimerMode.EXPONENTIAL,
-        seed: int = 0,
         words: np.ndarray | None = None,
     ):
         self.tree = tree
@@ -256,13 +273,10 @@ class Engine:
             if r.point not in tree.point_leaf:
                 raise UnknownLocation(f"request {r.id} at {r.point!r} not a tree leaf")
         self.leaf_of = {r.id: tree.point_leaf[r.point] for r in self.requests}
-
-        # `words` holds row v's seed words for vertex v's stream, as
-        # `stream_words` yields them; without it stream v is keyed (seed, v)
-        if words is None:
-            self._seeding = lambda v: np.random.SeedSequence((seed, v))
-        else:
-            self._seeding = lambda v: _Words(words[v])
+        # row v of `words` holds the seed words of vertex v's stream
+        if mode is TimerMode.EXPONENTIAL and words is None:
+            raise ConfigInvalid("exponential timers need a seed-word table")
+        self._words = words
         # vertex -> [values of its stream drawn so far, how many are used]
         self._streams: dict[int, list] = {}
         n_v = len(tree)
@@ -288,7 +302,7 @@ class Engine:
 
     def _prefix(self, v: int, scale: float, k: int) -> list[float]:
         """The first k values of vertex v's stream."""
-        bits = np.random.PCG64(self._seeding(v))
+        bits = np.random.PCG64(_Words(self._words[v]))
         return np.random.Generator(bits).exponential(scale, k).tolist()
 
     # -- state maintenance ----------------------------------------------------
@@ -454,11 +468,11 @@ def run(
     mode: TimerMode = TimerMode.EXPONENTIAL,
     seed: int = 0,
     flush: bool = True,
-    words: np.ndarray | None = None,
 ) -> EngineRun:
     """Run the matching engine; returns its schedule and event trace.
 
-    `words` is the streams' seed-word table (row v for vertex v), whose
-    rows a caller picks to alias or reseed streams.
+    Stream v is keyed (seed, v); `seed` must lie in [0, 2^64).
     """
-    return Engine(tree, requests, mode, seed, words).run(flush=flush)
+    exponential = mode is TimerMode.EXPONENTIAL
+    words = next(stream_words([seed], range(len(tree)))) if exponential else None
+    return Engine(tree, requests, mode, words).run(flush=flush)

@@ -26,7 +26,7 @@ from delaymatch.embedding import sample_hsbt
 from delaymatch.penalty import _doubled_parts, _two_copies_tree
 from delaymatch.metric import stats
 from delaymatch.diagnostics import _online_ledgers
-from delaymatch.stiltwalker import Engine, TimerMode, stream_words
+from delaymatch.stiltwalker import Engine, TimerMode, run, stream_words
 
 OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "engine_runs.json")
 
@@ -42,12 +42,13 @@ def _tree_rows(tree):
 
 
 def _case(name, tree, requests, mode, flush, seed=None, keys=None):
-    """`seed` runs the default per-vertex streams, `keys` aliased ones: key
-    v is (seed, u) for one seed, and vertex v reads the words of key u."""
-    words = None
-    if keys is not None:
+    """`seed` runs the streams keyed (seed, v), `keys` aliased ones: key v
+    is (seed, u) for one seed, and vertex v reads the words of key u."""
+    if keys is None:
+        out = run(tree, requests, mode, seed, flush)
+    else:
         words = next(stream_words([keys[0][0]], [u for _, u in keys]))
-    out = Engine(tree, requests, mode, seed or 0, words).run(flush=flush)
+        out = Engine(tree, requests, mode, words).run(flush=flush)
     tau, sigma, _, _ = _online_ledgers(tree, out.trace)
     streams = {"seed": seed} if keys is None else {"stream_keys": keys}
     return {

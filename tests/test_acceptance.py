@@ -246,7 +246,7 @@ def test_criterion_04_embedding_invariants_and_distortion():
         space, _ = gen_random(kind, n_pts, 2, 1.0, rng)
         stretch_sum = np.zeros((n_pts, n_pts))
         for s in range(1000):
-            tree = sample_hsbt(space, np.random.default_rng((44, m, s)), verify=True)
+            tree = sample_hsbt(space, np.random.default_rng((44, m, s)))
             tspace = tree_metric(tree)
             order = [tspace.index[p] for p in space.points]
             stretch_sum += tspace.dist[np.ix_(order, order)]

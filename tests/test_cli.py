@@ -240,8 +240,8 @@ _BAD_BUNDLES = {  # overrides of the valid bundle (None drops a key), message
         {"dist": [[0.0, float("nan")], [float("nan"), 0.0]]},
         "non-finite distance d(p0,p1)=nan",
     ),
-    "overflowing-coords": (
-        {"dist": None, "coords": [[1e200], [-1e200]]},
+    "overflowing-coords": (  # the difference itself overflows
+        {"dist": None, "coords": [[1e308], [-1e308]]},
         "non-finite distance d(p0,p1)=inf",
     ),
 }

@@ -22,6 +22,7 @@ from delaymatch.errors import (
 from delaymatch.instances import gen_random
 from delaymatch.offline import greedy_mpmd, optimal_mpmd
 from delaymatch.stiltwalker import (
+    Engine,
     EngineEvent,
     EngineTrace,
     TimerMode,
@@ -224,7 +225,7 @@ def test_two_phase_partition_with_hand_timeline():
 
 
 def _phases_for(tree, reqs, vertex, words):
-    result = run(tree, reqs, words=words, flush=True)
+    result = Engine(tree, reqs, words=words).run(flush=True)
     space = tree_metric(tree)
     offline = optimal_mpmd(space, reqs)
     return partition_phases(tree, vertex, result.trace, offline.schedule).phases

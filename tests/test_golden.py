@@ -29,7 +29,7 @@ from delaymatch.embedding import Hsbt
 from delaymatch.metric import MetricSpace
 from delaymatch.offline import greedy_mpmd, optimal_mpmd, optimal_mpmdfp
 from delaymatch.diagnostics import _online_ledgers
-from delaymatch.stiltwalker import TimerMode, run, stream_words
+from delaymatch.stiltwalker import Engine, TimerMode, run, stream_words
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "engine_runs.json")
 
@@ -73,7 +73,7 @@ def test_engine_reproduces_golden_run(case):
         (seed,) = {s for s, _ in case["stream_keys"]}
         vertices = [v for _, v in case["stream_keys"]]
         words = next(stream_words([seed], vertices))
-        out = run(tree, requests, mode, flush=case["flush"], words=words)
+        out = Engine(tree, requests, mode, words).run(flush=case["flush"])
     else:
         out = run(tree, requests, mode, seed=case["seed"], flush=case["flush"])
     want = case["expected"]

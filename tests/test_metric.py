@@ -146,6 +146,18 @@ def test_from_coords_matches_hand_distances():
     assert space.distance("x", "y") == 5.0
 
 
+def test_from_coords_keeps_distances_whose_squares_overflow():
+    coords = [(1e160, 0.0), (-1e160, 0.0), (0.0, 3.0), (0.0, 7.0)]
+    space = from_coords(coords)
+    assert space.dist[0, 1] == space.dist[1, 0] == 2e160
+    assert space.dist[0, 2] == math.hypot(1e160, 3.0)
+    # distances whose squares stay finite keep the plain formula's bits
+    assert space.dist[2, 3] == 4.0
+    # a difference that overflows by itself is still rejected
+    with pytest.raises(InstanceLoadError, match="non-finite distance"):
+        from_coords([[1e308], [-1e308]])
+
+
 def test_stats_min_max_aspect():
     names, d = square_metric()
     st_ = stats(MetricSpace(names, d))

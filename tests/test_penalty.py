@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from delaymatch import penalty
 from delaymatch.core import make_requests
 from delaymatch.errors import RegimeMismatch, TooLarge
 from delaymatch.instances import gen_random
@@ -18,6 +19,7 @@ from delaymatch.penalty import (
     run_mpmdfp,
     verify_benchmark_inequality,
 )
+from delaymatch.stiltwalker import TimerMode
 
 
 def single_point():
@@ -143,6 +145,26 @@ def test_two_copies_regime_run():
     assert out.tree.weight[0] >= p  # root must absorb the cross-copy price
     assert _served_ids(out.schedule) == sorted(r.id for r in reqs)
     assert out.cost.total <= out.hat_cost.total * (1 + 1e-9) + 1e-12
+
+
+def test_deterministic_two_copies_runs_derive_no_stream_words(monkeypatch):
+    rng = np.random.default_rng(4)
+    space, reqs = gen_random("uniform", 4, 8, horizon=3.0, rng=rng)
+    p = 2 * stats(space).d_max + 1.0
+    exp = run_mpmdfp(space, reqs, p, np.random.default_rng(9))
+
+    def refuse(*args):
+        raise AssertionError("a deterministic run derived stream words")
+
+    monkeypatch.setattr(penalty, "stream_words", refuse)
+    det = run_mpmdfp(
+        space, reqs, p, np.random.default_rng(9), mode=TimerMode.DETERMINISTIC
+    )
+    assert det.regime == REGIME_TWO_COPIES
+    # the engine seed is drawn in both modes, so the tree drawn after it agrees
+    assert (det.tree.parent, det.tree.weight) == (exp.tree.parent, exp.tree.weight)
+    with pytest.raises(AssertionError, match="derived stream words"):
+        run_mpmdfp(space, reqs, p, np.random.default_rng(9))
 
 
 def test_run_mpmdfp_deterministic_under_fixed_rng():

@@ -6,7 +6,12 @@ from hypothesis import strategies as st
 from delaymatch.core import make_requests, total_cost
 from delaymatch.diagnostics import _online_ledgers, _replay_trace
 from delaymatch.embedding import build_hsbt, sample_hsbt, tree_metric
-from delaymatch.errors import NotEffective, OddRequestSet, UnknownLocation
+from delaymatch.errors import (
+    ConfigInvalid,
+    NotEffective,
+    OddRequestSet,
+    UnknownLocation,
+)
 from delaymatch.instances import gen_random
 from delaymatch.stiltwalker import (
     Engine,
@@ -205,7 +210,7 @@ def _replay_check(tree, reqs, result):
 
 def _step_check(tree, reqs, mode, seed, flush):
     """Step an engine event by event, checking its live state after each."""
-    engine = Engine(tree, reqs, mode=mode, seed=seed)
+    engine = Engine(tree, reqs, mode, next(stream_words([seed], range(len(tree)))))
     while not (flush and engine.arrival_index == len(engine.requests)):
         if engine.advance_to_next_event() is None:
             break
@@ -260,12 +265,12 @@ def test_words_table_defaults_to_seed_vertex_pairs():
     tree = sample_hsbt(space, rng)
     base = run(tree, reqs, seed=17)
     table = next(stream_words([17], range(len(tree))))
-    aliased = run(tree, reqs, seed=999, words=table)
-    assert aliased.schedule == base.schedule
-    assert aliased.trace.events == base.trace.events
+    tabled = Engine(tree, reqs, words=table).run()
+    assert tabled.schedule == base.schedule
+    assert tabled.trace.events == base.trace.events
     root, w = tree.root, tree.weight[tree.root]
     want = np.random.default_rng(np.random.SeedSequence((17, root))).exponential(w)
-    engine = Engine(tree, reqs, seed=17)
+    engine = Engine(tree, reqs, words=table)
     while root not in engine.effective:  # its first budget is drawn then
         assert engine.advance_to_next_event() is not None
     assert engine.budget[root] == want
@@ -283,11 +288,12 @@ def test_first_budgets_are_drawn_when_first_effective(seed):
     def default_key(v):
         return (seed, v)
 
-    # words derived per key by numpy, and taken from picked table rows
+    # the table `run` derives for the seed, and picked table rows
+    table = next(stream_words([seed], range(len(tree))))
     rows = next(stream_words([seed], [3 * v + 1 for v in range(len(tree))]))
     for engine, key_of in (
-        (Engine(tree, reqs, seed=seed), default_key),
-        (Engine(tree, reqs, seed=seed, words=rows), key),
+        (Engine(tree, reqs, words=table), default_key),
+        (Engine(tree, reqs, words=rows), key),
     ):
         assert engine._streams == {} and set(engine.budget) == {None}
         first = {}  # vertex -> budget right after the event that made it effective
@@ -331,6 +337,16 @@ def test_stream_words_reject_wide_vertex_ids():
         next(stream_words([0], [2**32]))
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+def test_seeds_outside_64_bits_are_rejected(seed):
+    with pytest.raises(ValueError, match=f"seed {seed} "):
+        next(stream_words([5, seed], [0]))
+    tree = two_leaf_tree()
+    reqs = make_requests(tree_metric(tree), [("a", 0.0), ("b", 1.0)])
+    with pytest.raises(ValueError, match=f"seed {seed} "):
+        run(tree, reqs, seed=seed)
+
+
 @pytest.mark.parametrize("seed", EDGE_SEEDS + [12345, 2**40 + 7])
 def test_table_streams_draw_what_numpy_draws(seed):
     tree = four_leaf_tree()
@@ -342,7 +358,7 @@ def test_table_streams_draw_what_numpy_draws(seed):
         row = np.asfortranarray(
             np.repeat(next(stream_words([seed], [v])), len(tree), axis=0)
         )
-        engine = Engine(tree, [], seed=seed, words=row)
+        engine = Engine(tree, [], words=row)
         want = np.random.default_rng(np.random.SeedSequence((seed, v)))
         count = 8 if v else 40  # vertex 0 uses up its first blocks
         got = [engine._draw(tree.root) for _ in range(count)]
@@ -358,12 +374,18 @@ def test_engine_rejects_bad_inputs():
     bigger = gen_random("line", 4, 4, horizon=1.0, rng=np.random.default_rng(0))
     with pytest.raises(UnknownLocation):
         Engine(tree, bigger[1])
+    # exponential timers draw from a seed-word table; deterministic ones never draw
+    reqs = make_requests(space, [("a", 0.0), ("b", 1.0)])
+    with pytest.raises(ConfigInvalid):
+        Engine(tree, reqs)
+    Engine(tree, reqs, TimerMode.DETERMINISTIC).run()
 
 
 def test_match_across_requires_effective_vertex():
     tree = two_leaf_tree()
     space = tree_metric(tree)
-    engine = Engine(tree, make_requests(space, [("a", 0.0), ("b", 1.0)]))
+    reqs = make_requests(space, [("a", 0.0), ("b", 1.0)])
+    engine = Engine(tree, reqs, TimerMode.DETERMINISTIC)
     with pytest.raises(NotEffective):
         engine.match_across(0)
 
