@@ -1,5 +1,10 @@
 """Random embeddings of finite metrics into weighted binary trees.
 
+A tree is its parent array, every parent an earlier id; the one tree
+constructor derives `children` and `depth` from it.  `Hsbt` ids are
+breadth-first and checked, as the engine breaks timer ties by vertex id;
+tree files load through `build_hsbt`, which renumbers any tree rooted at 0.
+
 Two stages:
 
 1. `frt_embed` draws a random hierarchical ball decomposition (uniform point
@@ -12,7 +17,8 @@ Two stages:
    logarithmic in n.  It computes every point's ball owner at every level
    as one levels x n table, sorts the points by it once, and reads the tree
    off the sorted order in O(n) Python steps: O(n^2 * levels) array work and
-   O(n * levels + n^2) memory.
+   O(n * levels + n^2) memory.  A metric whose diameter or aspect ratio
+   would drive a weight past the float range is rejected as `OutOfDomain`.
 
 2. `binarize` turns that tree into a full binary tree while keeping leaf
    ancestry.  Mapped vertices carry twice their original weight; auxiliary
@@ -44,6 +50,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 from bisect import bisect_left
 from itertools import accumulate
 from typing import Sequence
@@ -79,12 +86,22 @@ def separation_alpha(n: int) -> float:
 
 
 class _Tree:
-    """Shared read-only tree plumbing (parent/children/weight arrays)."""
+    """A rooted weighted tree: its parent array, root 0 with parent -1 and
+    every other parent an earlier id.  One pass derives `children` (ascending
+    ids) and `depth`; the constructor owns its arguments and copies none."""
 
-    parent: list[int]
-    children: list[list[int]]
-    weight: list[float]
-    leaf_point: dict[int, str]
+    def __init__(self, parent, weight, leaf_point):
+        children: list[list[int]] = [[] for _ in parent]
+        depth = [0] * len(parent)
+        for v, p in enumerate(parent):
+            if not (0 <= p < v if v else p == -1):
+                raise InvariantViolation(f"vertex {v}: parent {p} is not an earlier id")
+            if v:
+                children[p].append(v)
+                depth[v] = depth[p] + 1
+        self.parent, self.weight, self.leaf_point = parent, weight, leaf_point
+        self.children, self.depth, self.height = children, depth, max(depth)
+        self.point_leaf = {p: v for v, p in leaf_point.items()}
 
     def __len__(self) -> int:
         return len(self.parent)
@@ -95,15 +112,6 @@ class _Tree:
 
     def is_leaf(self, v: int) -> bool:
         return not self.children[v]
-
-    def leaves(self) -> list[int]:
-        return sorted(self.leaf_point)
-
-    def _compute_depth(self) -> list[int]:
-        depth = [0] * len(self.parent)
-        for v in range(1, len(self.parent)):
-            depth[v] = depth[self.parent[v]] + 1
-        return depth
 
     def ancestors(self, v: int) -> list[int]:
         """Proper ancestors of v, nearest first."""
@@ -194,52 +202,39 @@ class Hst(_Tree):
     leaves correspond one-to-one with metric points.
     """
 
-    def __init__(self, parent, children, weight, leaf_point):
-        self.parent = list(parent)
-        self.children = [list(c) for c in children]
-        self.weight = [float(w) for w in weight]
-        self.leaf_point = dict(leaf_point)
-        self.point_leaf = {p: v for v, p in self.leaf_point.items()}
-        self.depth = self._compute_depth()
-        self.height = max(self.depth)
-        for v in range(len(self.parent)):
-            if not self.is_leaf(v) and len(self.children[v]) < 2:
+    def __init__(self, parent, weight, leaf_point):
+        super().__init__(parent, weight, leaf_point)
+        for v, kids in enumerate(self.children):
+            if len(kids) == 1:
                 raise InvariantViolation(f"unary internal vertex {v} in Hst")
 
 
 class Hsbt(_Tree):
     """Full binary tree with geometric weight separation.
 
-    Vertex ids are breadth-first (sorted by depth, then construction order),
-    so sorting ids is the canonical deterministic event order.  Leaves carry
-    weight 0; every non-root vertex satisfies w(parent) >= alpha * w(v).
+    Vertex ids are breadth-first, checked by `validate`: no vertex's parent
+    precedes its predecessor's, so ids are sorted by depth and sorting ids
+    is the canonical deterministic event order.  Leaves carry weight 0;
+    every non-root vertex satisfies w(parent) >= alpha * w(v).
     """
 
-    def __init__(self, parent, children, weight, leaf_point, alpha: float):
-        self.parent = list(parent)
-        self.children = [list(c) for c in children]
-        self.weight = [float(w) for w in weight]
-        self.leaf_point = dict(leaf_point)
-        self.point_leaf = {p: v for v, p in self.leaf_point.items()}
+    def __init__(self, parent, weight, leaf_point, alpha: float):
+        super().__init__(parent, weight, leaf_point)
         self.alpha = float(alpha)
-        self.depth = self._compute_depth()
-        self.height = max(self.depth)
         self.validate()
 
     def internal_vertices(self) -> list[int]:
         return [v for v in range(len(self.parent)) if not self.is_leaf(v)]
 
     def validate(self) -> None:
-        n_pts = len(self.leaf_point)
-        if len(self.point_leaf) != n_pts:
+        if len(self.point_leaf) != len(self.leaf_point):
             raise InvariantViolation("duplicate leaf point names")
         if not math.isfinite(self.alpha):
             raise InvariantViolation(f"separation factor {self.alpha} is not finite")
-        for v in range(len(self.parent)):
-            kids = self.children[v]
+        for v, kids in enumerate(self.children):
             if len(kids) not in (0, 2):
                 raise InvariantViolation(f"vertex {v} has {len(kids)} children")
-            if self.is_leaf(v):
+            if not kids:
                 if self.weight[v] != 0.0:
                     raise InvariantViolation(f"leaf {v} has weight {self.weight[v]}")
                 if v not in self.leaf_point:
@@ -257,8 +252,8 @@ class Hsbt(_Tree):
                     f"separation violated at {v}: w(parent)={self.weight[p]} < "
                     f"alpha*w(v)={self.alpha * self.weight[v]}"
                 )
-            if not (0 <= p < v if v else p == -1):
-                raise InvariantViolation(f"vertex {v}: parent {p} is not an earlier id")
+            if v > 1 and p < self.parent[v - 1]:
+                raise InvariantViolation(f"vertex {v}: ids are not breadth-first")
 
     def to_json(self, path: str) -> None:
         rows = []
@@ -280,14 +275,14 @@ class Hsbt(_Tree):
             raise InstanceLoadError(f"cannot read tree {path}: {exc}") from exc
         try:
             rows = sorted(obj["vertices"], key=lambda r: r["id"])
-            parent = [r["parent"] for r in rows]
-            weight = [r["weight"] for r in rows]
-            children: list[list[int]] = [[] for _ in rows]
-            for r in rows:
-                if r["parent"] >= 0:
-                    children[r["parent"]].append(r["id"])
-            leaf_point = {r["id"]: r["point"] for r in rows if "point" in r}
-            return cls(parent, children, weight, leaf_point, obj["alpha"])
+            if [r["id"] for r in rows] != list(range(len(rows))):
+                raise ValueError("vertex ids are not 0 .. n-1")
+            return build_hsbt(
+                [r["parent"] for r in rows],
+                [r["weight"] for r in rows],
+                {r["id"]: r["point"] for r in rows if "point" in r},
+                obj["alpha"],
+            )
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise InstanceLoadError(f"malformed tree {path}: {exc!r}") from exc
         except InvariantViolation as exc:
@@ -320,6 +315,16 @@ def undominated_pair(space: MetricSpace, tree: _Tree) -> tuple[int, int] | None:
 # Stage 1: random hierarchical decomposition
 # ---------------------------------------------------------------------------
 
+# The float range: a cluster splitting at level lev < top = ceil(lg delta)+1
+# weighs beta * 2^(lev+1) * d_min with beta < 2, below 8 * delta before the
+# rescaling by d_min and 8 * d_max after it.  `binarize` doubles weights and
+# the two-copies penalty root is alpha <= 2 times a binarized root, so every
+# tree built stays finite if 8 * delta and 32 * d_max do; the bounds keep a
+# further factor of two for round-off.
+_MAX_DIAMETER = sys.float_info.max / 64
+_MAX_ASPECT = sys.float_info.max / 16
+
+
 def frt_embed(space: MetricSpace, rng: np.random.Generator) -> Hst:
     """Sample a dominating tree for `space` (weights in original units).
 
@@ -342,6 +347,11 @@ def frt_embed(space: MetricSpace, rng: np.random.Generator) -> Hst:
     if space.n < 2:
         raise OutOfDomain("embedding needs at least two points")
     st = stats(space)
+    for what, value, limit in (("diameter", st.d_max, _MAX_DIAMETER),
+                               ("aspect ratio", st.aspect_ratio, _MAX_ASPECT)):
+        if value > limit:
+            raise OutOfDomain(f"{what} {value:.6g} exceeds {limit:.6g}, the "
+                              "largest whose embedded tree weights stay finite")
     scale = st.d_min
     dist = space.dist / scale
     delta = float(dist.max())
@@ -387,7 +397,6 @@ def frt_embed(space: MetricSpace, rng: np.random.Generator) -> Hst:
     # scale) is what keeps the expected stretch logarithmic when a near-pair
     # rides a compressed path many levels down
     parent: list[int] = [-1]
-    children: list[list[int]] = [[]]
     weight: list[float] = [beta * 2.0 ** (levels[root] + 1)]
     leaf_point: dict[int, str] = {}
     stack = [(0, root)]
@@ -396,8 +405,6 @@ def frt_embed(space: MetricSpace, rng: np.random.Generator) -> Hst:
         for c in kids[cluster]:  # ascending owner rank at the split level
             u = len(parent)
             parent.append(v)
-            children[v].append(u)
-            children.append([])
             if c < 0:
                 weight.append(0.0)
                 leaf_point[u] = space.points[~c]
@@ -406,7 +413,7 @@ def frt_embed(space: MetricSpace, rng: np.random.Generator) -> Hst:
                 stack.append((u, c))
 
     weight = [w * scale for w in weight]
-    return Hst(parent, children, weight, leaf_point)
+    return Hst(parent, weight, leaf_point)
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +447,8 @@ def _gadget(depths: list[int], order: list[int]) -> tuple:
     return split(0, len(order), 0)
 
 
-def binarize(tree: Hst, n: int) -> Hsbt:
-    """Full binary version of `tree` with separation alpha = 1+1/ceil(lg n).
+def binarize(tree: Hst) -> Hsbt:
+    """Full binary `tree`, separation alpha = 1+1/ceil(lg n) for its n leaves.
 
     Mapped vertices carry doubled weights; auxiliary vertices decay from
     their parent by the factor alpha.  Leaf-pair distances land in
@@ -457,12 +464,11 @@ def binarize(tree: Hst, n: int) -> Hsbt:
     several vertices' bounds overflow the Kraft sum, the first one emitted
     is reported.
     """
-    alpha = separation_alpha(n)
+    alpha = separation_alpha(len(tree.leaf_point))
     log_alpha = math.log(alpha)
     aux_cap = int(math.log(2.0) / log_alpha + 1e-9)  # max aux depth in a gadget
     h_kids, h_weight, labels = tree.children, tree.weight, tree.leaf_point
     parent = [-1]
-    children: list[list[int]] = []
     weight = [2.0 * h_weight[tree.root]]
     leaf_point: dict[int, str] = {}
     queue: list = [tree.root]  # input vertex ids, and auxiliary vertices as pairs
@@ -473,7 +479,6 @@ def binarize(tree: Hst, n: int) -> Hsbt:
             pair = h_kids[node]
             if not pair:
                 leaf_point[u] = labels[node]
-                children.append([])
                 continue
             if len(pair) > 2:
                 bounds = []
@@ -492,8 +497,6 @@ def binarize(tree: Hst, n: int) -> Hsbt:
                         f"tree (depths {depths}, alpha {alpha})"
                     )
                 pair = _gadget(depths, [pair[i] for i in ranks])
-        first = len(queue)
-        children.append([first, first + 1])
         queue += pair
         parent += (u, u)
         for c in pair:
@@ -501,7 +504,7 @@ def binarize(tree: Hst, n: int) -> Hsbt:
                 weight.append(weight[u] / alpha)
             else:
                 weight.append(2.0 * h_weight[c] if h_kids[c] else 0.0)
-    out = Hsbt(parent, children, weight, leaf_point, alpha)
+    out = Hsbt(parent, weight, leaf_point, alpha)
     _assert_sandwich(tree, out)
     return out
 
@@ -523,7 +526,7 @@ def _assert_sandwich(h: Hst, t: Hsbt) -> None:
 
 def sample_hsbt(space: MetricSpace, rng: np.random.Generator) -> Hsbt:
     """Sample a dominating binary tree for `space` (embed + binarize)."""
-    t = binarize(frt_embed(space, rng), space.n)
+    t = binarize(frt_embed(space, rng))
     pair = undominated_pair(space, t)
     if pair is not None:
         a, b = (space.points[k] for k in pair)
@@ -539,9 +542,12 @@ def build_hsbt(
 ) -> Hsbt:
     """Construct a validated Hsbt from explicit parent pointers.
 
-    Intended for prescribed trees (adversarial instances, tests).  Vertex 0
-    must be the root; ids are renumbered breadth-first, children in id order.
+    The loader for prescribed trees (adversarial instances, tree files,
+    tests).  Vertex 0 must be the root; ids are renumbered breadth-first,
+    children in id order (breadth-first ids stay), and weights made floats.
     """
+    if parent[0] != -1:
+        raise InvariantViolation(f"vertex 0 has parent {parent[0]}, not -1")
     children: list[list[int]] = [[] for _ in parent]
     for v, p in enumerate(parent):
         if p >= 0:
@@ -556,8 +562,7 @@ def build_hsbt(
     new_id = {v: u for u, v in enumerate(order)}
     return Hsbt(
         [new_id.get(parent[v], -1) for v in order],
-        [[new_id[c] for c in children[v]] for v in order],
-        [weight[v] for v in order],
+        [float(weight[v]) for v in order],
         {new_id[v]: p for v, p in leaf_points.items()},
         alpha,
     )

@@ -107,24 +107,14 @@ class GammaInstance:
 
 
 def _perfect_tree(n: int) -> Hsbt:
-    """Perfect binary tree, depth-i internal weight alpha^(lg n - 1 - i)."""
+    """Perfect binary tree in heap order, depth-i internal weight
+    alpha^(lg n - 1 - i); the leaves p0, p1, ... are the last n ids."""
     lg = n.bit_length() - 1
     alpha = 1.0 + 1.0 / lg
-    parent = [-1]
-    weight = [alpha ** (lg - 1)]
-    leaf_points: dict[int, str] = {}
-    frontier = [(0, 0)]  # (vertex, depth)
-    counter = [0]
-    for v, d in frontier:
-        if d == lg:
-            leaf_points[v] = f"p{counter[0]}"
-            counter[0] += 1
-            continue
-        for _ in range(2):
-            u = len(parent)
-            parent.append(v)
-            weight.append(0.0 if d + 1 == lg else alpha ** (lg - 1 - (d + 1)))
-            frontier.append((u, d + 1))
+    parent = [-1] + [(v - 1) // 2 for v in range(1, 2 * n - 1)]
+    weight = [alpha ** (lg - (v + 1).bit_length()) for v in range(n - 1)]
+    weight += [0.0] * n
+    leaf_points = {n - 1 + i: f"p{i}" for i in range(n)}
     return build_hsbt(parent, weight, leaf_points, alpha)
 
 

@@ -94,20 +94,21 @@ class MetricSpace:
         rows = max(1, _TRIANGLE_BLOCK // (n * n))
         slack = np.empty((min(rows, n), n, n))  # d[i,j] - (d[i,k] + d[k,j])
         over = np.empty(slack.shape, dtype=bool)
-        for lo in range(0, n, rows):
-            block = d[lo:lo + rows]
-            s, o = slack[: len(block)], over[: len(block)]
-            np.add(block[:, :, None], d[None, :, :], out=s)
-            np.subtract(block[:, None, :], s, out=s)
-            if not np.greater(s, tol, out=o).any():
-                continue
-            i, k, j = (int(x) for x in np.argwhere(o)[0])
-            i += lo
-            raise TriangleViolation(
-                f"d({self.points[i]},{self.points[j]})={d[i, j]} > "
-                f"d({self.points[i]},{self.points[k]})+d({self.points[k]},{self.points[j]})"
-                f"={d[i, k] + d[k, j]}"
-            )
+        with np.errstate(over="ignore"):  # a sum past the float range is no violation
+            for lo in range(0, n, rows):
+                block = d[lo:lo + rows]
+                s, o = slack[: len(block)], over[: len(block)]
+                np.add(block[:, :, None], d[None, :, :], out=s)
+                np.subtract(block[:, None, :], s, out=s)
+                if not np.greater(s, tol, out=o).any():
+                    continue
+                i, k, j = (int(x) for x in np.argwhere(o)[0])
+                i += lo
+                raise TriangleViolation(
+                    f"d({self.points[i]},{self.points[j]})={d[i, j]} > "
+                    f"d({self.points[i]},{self.points[k]})+d({self.points[k]},{self.points[j]})"
+                    f"={d[i, k] + d[k, j]}"
+                )
 
     def distance(self, a: str, b: str) -> float:
         return float(self.dist[self.index[a], self.index[b]])
@@ -133,7 +134,6 @@ def from_coords(coords, points: Sequence[str] | None = None) -> MetricSpace:
         # squares overflow long before distances do; hypot scales instead
         over = np.isinf(d) & np.isfinite(diff).all(axis=-1)
         d[over] = np.hypot.reduce(diff[over], axis=-1)
-        d = 0.5 * (d + d.T)  # kill float asymmetry from the sum order
     np.fill_diagonal(d, 0.0)
     if points is None:
         points = [f"p{i}" for i in range(len(c))]

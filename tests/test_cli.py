@@ -5,8 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from delaymatch import embedding
 from delaymatch.cli import _build_parser, load_bundle, main, save_bundle
 from delaymatch.embedding import Hsbt
+from delaymatch.penalty import REGIME_TWO_COPIES, classify_regime
 
 
 def run_cli(capsys, *argv):
@@ -371,6 +373,101 @@ def test_fixed_tree_must_fit_the_bundle(tmp_path, capsys, case):
     assert code == 1
     assert err.startswith("error: ") and message in err
     assert out == "" and "Traceback" not in err
+
+
+def _write_bundle(path, dist, times):
+    """A bundle of points p0, p1, ... with request k at point k mod n, time times[k]."""
+    n = len(dist)
+    path.write_text(json.dumps({
+        "points": [f"p{i}" for i in range(n)],
+        "dist": dist,
+        "requests": [{"point": f"p{k % n}", "t": t} for k, t in enumerate(times)],
+    }))
+    return str(path)
+
+
+def _triangle(near, far):
+    """p0, p1 `near` apart and p2 `far` from both."""
+    return [[0.0, near, far], [near, 0.0, far], [far, far, 0.0]]
+
+
+def test_depth_first_fixed_tree_runs_as_its_breadth_first_twin(tmp_path, capsys):
+    # one four-leaf tree in two numberings: inner vertices 1, 4 (depth-first)
+    # and 1, 2 (breadth-first); the engine keys timer streams by vertex id
+    names = ["a", "b", "c", "d"]
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({
+        "points": names,
+        "dist": [[0 if x == y else 2.0 if (x < 2) == (y < 2) else 4.0
+                  for y in range(4)] for x in range(4)],
+        "requests": [{"point": names[k % 4], "t": 0.25 * k} for k in range(12)],
+    }))
+    reports = []
+    for parent, weight, leaves in (
+        ([-1, 0, 1, 1, 0, 4, 4], [4.0, 2.0, 0, 0, 2.0, 0, 0], [2, 3, 5, 6]),
+        ([-1, 0, 0, 1, 1, 2, 2], [4.0, 2.0, 2.0, 0, 0, 0, 0], [3, 4, 5, 6]),
+    ):
+        rows = [{"id": v, "parent": p, "weight": w} for v, (p, w)
+                in enumerate(zip(parent, weight))]
+        for v, name in zip(leaves, names):
+            rows[v]["point"] = name
+        tree = tmp_path / f"tree{len(reports)}.json"
+        tree.write_text(json.dumps({"alpha": 1.5, "vertices": rows}))
+        code, text, err = run_cli(
+            capsys, "run", "--instance", str(inst), "--fixed-tree", str(tree),
+            "--trials", "3", "--seed", "5",
+        )
+        assert code == 0, err
+        reports.append(text)
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.filterwarnings("error")
+def test_validate_accepts_distances_near_the_float_maximum(tmp_path, capsys):
+    inst = _write_bundle(tmp_path / "inst.json", _triangle(1e308, 1e308), [0.0, 1.0])
+    code, text, err = run_cli(capsys, "validate", "--instance", inst)
+    assert code == 0 and "ok" in text
+    assert err == ""
+
+
+_BEYOND_RANGE = {  # metric past the embedding's float range, limit named
+    "diameter": (_triangle(1e308, 1e308), "diameter 1e+308 exceeds 2.8089e+306"),
+    "aspect-ratio": (
+        _triangle(1e-300, 1e10), "aspect ratio inf exceeds 1.12356e+307"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "embed"])
+@pytest.mark.parametrize("case", sorted(_BEYOND_RANGE))
+def test_metric_beyond_the_float_range_is_user_error(tmp_path, capsys, case, command):
+    dist, message = _BEYOND_RANGE[case]
+    inst = _write_bundle(tmp_path / "inst.json", dist, [0.0, 1.0])
+    code, out, err = run_cli(
+        capsys, command, "--instance", inst, "--out", str(tmp_path / "out")
+    )
+    assert code == 1
+    assert err.startswith("error: ") and message in err
+    assert "the largest whose embedded tree weights stay finite" in err
+    assert out == "" and "Traceback" not in err
+
+
+@pytest.mark.parametrize("near, far", [
+    (embedding._MAX_DIAMETER, embedding._MAX_DIAMETER),
+    (2.0**-960, embedding._MAX_ASPECT * 2.0**-960),
+], ids=["diameter", "aspect-ratio"])
+def test_metric_at_the_float_range_bounds_runs(tmp_path, capsys, near, far):
+    inst = _write_bundle(
+        tmp_path / "inst.json", _triangle(near, far), [0.5 * k for k in range(6)]
+    )
+    code, text, err = run_cli(capsys, "run", "--instance", inst, "--trials", "3")
+    assert code == 0, err
+    penalty = 2.5 * far
+    assert classify_regime(load_bundle(inst)[0], penalty) == REGIME_TWO_COPIES
+    code, text, err = run_cli(
+        capsys, "run", "--instance", inst, "--trials", "3", "--penalty", str(penalty)
+    )
+    assert code == 0, err
 
 
 def _seeded_command(tmp_path, capsys, command):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -18,10 +19,15 @@ from delaymatch.embedding import (
     separation_alpha,
     tree_metric,
 )
-from delaymatch.errors import DominationViolation, InvariantViolation, OutOfDomain
+from delaymatch.errors import (
+    DominationViolation,
+    InstanceLoadError,
+    InvariantViolation,
+    OutOfDomain,
+)
 from delaymatch.experiment import trial_rng
 from delaymatch.instances import gen_random
-from delaymatch.metric import from_coords, stats
+from delaymatch.metric import MetricSpace, from_coords, stats
 
 
 def oracle_leaf_distance(parent, weight, x, y):
@@ -80,7 +86,7 @@ def test_binarize_sandwich_against_oracle():
     space = grid_space(3)
     for seed in range(10):
         h = frt_embed(space, np.random.default_rng(seed))
-        t = binarize(h, space.n)
+        t = binarize(h)
         assert t.alpha == separation_alpha(space.n)
         assert sorted(t.leaf_point.values()) == sorted(space.points)
         for i, a in enumerate(space.points):
@@ -136,7 +142,7 @@ def test_leaf_distances_equal_the_pair_loop(n):
     rng = np.random.default_rng(n)
     space = from_coords(rng.uniform(size=(n, 2)))
     h = frt_embed(space, rng)
-    t = binarize(h, n)
+    t = binarize(h)
     points = [str(p) for p in rng.permutation(space.points)]
     for tree in (h, t):
         got = tree.leaf_distances(points)
@@ -181,7 +187,9 @@ def reference_frt_embed(space, rng):
                 leaf_point[u] = space.points[int(members[0])]
             else:
                 stack.append((u, members, lev))
-    return Hst(parent, children, [w * scale for w in weight], leaf_point)
+    tree = Hst(parent, [w * scale for w in weight], leaf_point)
+    assert tree.children == children  # the derived lists match the built ones
+    return tree
 
 
 def reference_leaf_distances(tree, points):
@@ -358,13 +366,15 @@ def reference_binarize(tree, n):
     for v in order:
         order.extend(children[v])
     new_id = {old: new for new, old in enumerate(order)}
-    return Hsbt(
+    tree = Hsbt(
         [new_id[parent[v]] if parent[v] >= 0 else -1 for v in order],
-        [[new_id[c] for c in children[v]] for v in order],
         [weight[v] for v in order],
         {new_id[v]: p for v, p in leaf_point.items()},
         alpha,
     )
+    # the derived lists match the built ones
+    assert tree.children == [[new_id[c] for c in children[v]] for v in order]
+    return tree
 
 
 def assert_binarize_matches_reference(h, n):
@@ -373,10 +383,10 @@ def assert_binarize_matches_reference(h, n):
         want = reference_binarize(h, n)
     except InvariantViolation as exc:
         with pytest.raises(InvariantViolation) as err:
-            binarize(h, n)
+            binarize(h)
         assert str(err.value) == str(exc)
         return False
-    assert_same_hst(binarize(h, n), want)
+    assert_same_hst(binarize(h), want)
     return True
 
 
@@ -432,11 +442,7 @@ def test_leaf_distances_on_high_degree_vertices():
     parent = [-1, 0, 0, 0, 0, 0, 1, 1, 1, 1]
     weight = [8.0, 3.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
     names = {v: f"q{v}" for v in range(2, 10)}
-    children = [[] for _ in parent]
-    for v, p in enumerate(parent):
-        if p >= 0:
-            children[p].append(v)
-    h = Hst(parent, children, weight, names)
+    h = Hst(parent, weight, names)
     points = ["q7", "q2", "q9", "q5", "q6", "q3", "q8", "q4"]
     got = h.leaf_distances(points)
     assert np.array_equal(got, reference_leaf_distances(h, points))
@@ -455,7 +461,7 @@ def test_leaf_distances_with_non_monotone_weights(seed):
     rng = np.random.default_rng(seed)
     space = from_coords(rng.uniform(size=(20, 2)))
     h = frt_embed(space, rng)
-    t = binarize(h, space.n)
+    t = binarize(h)
     h.leaf_distances(space.points)  # build the layouts before the edits
     t.leaf_distances(space.points)
     for tree in (h, t):
@@ -507,7 +513,7 @@ def test_sandwich_check_names_first_corrupted_pair(seed, factor):
     rng = np.random.default_rng(seed)
     space = from_coords(rng.uniform(size=(12, 2)))
     h = frt_embed(space, rng)
-    t = binarize(h, space.n)
+    t = binarize(h)
     inner = t.internal_vertices()
     t.weight[inner[len(inner) // 2]] *= factor  # after binarize's own check
     want = sandwich_scan(h, t)
@@ -523,8 +529,8 @@ def test_domination_check_names_first_underweighted_pair(seed, monkeypatch):
     space = from_coords(rng.uniform(size=(12, 2)))
     binarize_real, built = embedding.binarize, []
 
-    def underweighted(h, n):
-        t = binarize_real(h, n)
+    def underweighted(h):
+        t = binarize_real(h)
         inner = t.internal_vertices()
         t.weight[inner[len(inner) // 2]] *= 1e-3
         built.append(t)
@@ -562,6 +568,111 @@ def test_build_hsbt_validates_separation():
     # fine when well formed
     t = build_hsbt(parent, weight, {1: "a", 2: "b"}, alpha=2.0)
     assert t.point_distance("a", "b") == 1.0
+
+
+# a four-leaf tree numbered depth-first (inner vertices 1 and 4) and its
+# breadth-first twin (inner vertices 1 and 2)
+DEPTH_FIRST = [-1, 0, 1, 1, 0, 4, 4]
+BREADTH_FIRST = [-1, 0, 0, 1, 1, 2, 2]
+
+
+def test_tree_derives_children_and_depth_from_parents():
+    weight = [4.0, 2.0, 2.0, 0.0, 0.0, 0.0, 0.0]
+    names = {3: "a", 4: "b", 5: "c", 6: "d"}
+    parent = list(BREADTH_FIRST)
+    t = Hsbt(parent, weight, names, alpha=2.0)
+    assert t.children == [[1, 2], [3, 4], [5, 6], [], [], [], []]
+    assert t.depth == [0, 1, 1, 2, 2, 2, 2]
+    assert t.height == 2
+    assert t.parent is parent and t.weight is weight  # owned, not copied
+    h = Hst(list(DEPTH_FIRST), [4.0, 2.0, 0.0, 0.0, 2.0, 0.0, 0.0], {})
+    assert h.children == [[1, 4], [2, 3], [], [], [5, 6], [], []]
+    assert h.depth == [0, 1, 2, 2, 1, 2, 2]
+
+
+@pytest.mark.parametrize("parent, vertex", [
+    ([-1, 2, 0], 1),       # parent after the vertex
+    ([-1, 0, 2], 2),       # its own parent
+    ([0, 0, 0], 0),        # a root with a parent
+    ([-1, -1, 0], 1),      # a second root
+], ids=["later", "self", "rooted-root", "two-roots"])
+def test_parent_must_be_an_earlier_id(parent, vertex):
+    weight = [2.0, 0.0, 0.0]
+    for build in (
+        lambda: Hst(list(parent), list(weight), {}),
+        lambda: Hsbt(list(parent), list(weight), {1: "a", 2: "b"}, alpha=2.0),
+    ):
+        with pytest.raises(InvariantViolation, match="not an earlier id") as err:
+            build()
+        assert str(err.value).startswith(f"vertex {vertex}: parent ")
+
+
+def test_hsbt_rejects_depth_first_ids():
+    weight = [4.0, 2.0, 0.0, 0.0, 2.0, 0.0, 0.0]
+    names = {2: "a", 3: "b", 5: "c", 6: "d"}
+    with pytest.raises(InvariantViolation, match="not breadth-first") as err:
+        Hsbt(list(DEPTH_FIRST), weight, names, alpha=2.0)
+    assert str(err.value).startswith("vertex 4: ")
+    # build_hsbt renumbers the same tree into its breadth-first twin
+    t = build_hsbt(DEPTH_FIRST, weight, names, alpha=2.0)
+    assert t.parent == BREADTH_FIRST
+    assert t.leaf_point == {3: "a", 4: "b", 5: "c", 6: "d"}
+
+
+def test_build_hsbt_needs_vertex_0_as_root():
+    # 0 and 1 are each other's parents: a walk down from 0 would never end
+    with pytest.raises(InvariantViolation, match="vertex 0 has parent 1"):
+        build_hsbt([1, 0], [1.0, 0.0], {1: "a"}, alpha=2.0)
+
+
+def test_depth_first_tree_file_loads_breadth_first(tmp_path):
+    weight = [4, 2, 0, 0, 2, 0, 0]  # integer weights load as floats
+    names = {2: "a", 3: "b", 5: "c", 6: "d"}
+    rows = [{"id": v, "parent": p, "weight": w}
+            for v, (p, w) in enumerate(zip(DEPTH_FIRST, weight))]
+    for v, name in names.items():
+        rows[v]["point"] = name
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps({"alpha": 2, "vertices": rows[::-1]}))
+    t = Hsbt.from_json(str(path))
+    assert t.parent == BREADTH_FIRST
+    assert t.weight == [4.0, 2.0, 2.0, 0.0, 0.0, 0.0, 0.0]
+    assert all(type(w) is float for w in t.weight)
+    assert t.leaf_point == {3: "a", 4: "b", 5: "c", 6: "d"}
+    # files written by to_json load unchanged
+    t.to_json(str(path))
+    assert Hsbt.from_json(str(path)).parent == BREADTH_FIRST
+
+
+def test_tree_file_ids_must_be_0_to_n_minus_1(tmp_path):
+    rows = [{"id": 0, "parent": -1, "weight": 1.0},
+            {"id": 1, "parent": 0, "weight": 0.0, "point": "a"},
+            {"id": 3, "parent": 0, "weight": 0.0, "point": "b"}]
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps({"alpha": 2.0, "vertices": rows}))
+    with pytest.raises(InstanceLoadError, match="vertex ids are not 0 .. n-1"):
+        Hsbt.from_json(str(path))
+
+
+def triangle(near, far):
+    """Points a, b `near` apart and c `far` from both."""
+    return MetricSpace(["a", "b", "c"], [[0, near, far], [near, 0, far], [far, far, 0]])
+
+
+@pytest.mark.parametrize("near, far", [
+    (embedding._MAX_DIAMETER, embedding._MAX_DIAMETER),
+    (2.0**-960, embedding._MAX_ASPECT * 2.0**-960),
+], ids=["diameter", "aspect-ratio"])
+def test_trees_at_the_float_range_bounds_stay_finite(near, far):
+    space = triangle(near, far)
+    st_ = stats(space)
+    assert st_.d_max <= embedding._MAX_DIAMETER
+    assert st_.aspect_ratio <= embedding._MAX_ASPECT
+    for seed in range(20):
+        t = sample_hsbt(space, np.random.default_rng(seed))
+        assert all(math.isfinite(w) for w in t.weight)
+        # the two-copies penalty root: alpha times the binarized root
+        assert math.isfinite(t.alpha * t.weight[t.root])
 
 
 def test_hsbt_json_round_trip(tmp_path):

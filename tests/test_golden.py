@@ -38,13 +38,14 @@ with open(GOLDEN) as _fh:
 
 
 def _tree(rows) -> Hsbt:
-    return Hsbt(
+    tree = Hsbt(
         rows["parent"],
-        rows["children"],
         [float.fromhex(w) for w in rows["weight"]],
         {int(v): p for v, p in rows["leaf_point"].items()},
         float.fromhex(rows["alpha"]),
     )
+    assert tree.children == rows["children"]  # derived from the parents alone
+    return tree
 
 
 def _hex(values) -> list[str]:

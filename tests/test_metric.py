@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -156,6 +157,21 @@ def test_from_coords_keeps_distances_whose_squares_overflow():
     # a difference that overflows by itself is still rejected
     with pytest.raises(InstanceLoadError, match="non-finite distance"):
         from_coords([[1e308], [-1e308]])
+
+
+def test_from_coords_keeps_distances_near_the_float_maximum():
+    space = from_coords([[0.0], [1e308]])
+    assert space.dist[0, 1] == space.dist[1, 0] == 1e308
+
+
+def test_triangle_scan_ignores_sums_past_the_float_maximum():
+    # every d[i,k] + d[k,j] overflows to inf, which bounds any d[i,j]
+    d = np.full((3, 3), 1e308)
+    np.fill_diagonal(d, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        space = MetricSpace(["a", "b", "c"], d)
+    assert space.distance("a", "c") == 1e308
 
 
 def test_stats_min_max_aspect():
