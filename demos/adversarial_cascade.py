@@ -19,8 +19,8 @@ import argparse
 import numpy as np
 
 from delaymatch.core import total_cost
+from delaymatch.experiment import offline_baseline
 from delaymatch.instances import GammaConfig, gen_adversarial_gamma
-from delaymatch.offline import greedy_mpmd, optimal_mpmd
 from delaymatch.stiltwalker import TimerMode, run as run_online
 
 
@@ -33,10 +33,7 @@ def main() -> None:
     for n in (8, 16, 32):
         inst = gen_adversarial_gamma(GammaConfig(n))
         # offline baseline: exact optimum while tractable, greedy above that
-        if len(inst.requests) <= 16:
-            baseline = optimal_mpmd(inst.space, inst.requests).cost.total
-        else:
-            baseline = greedy_mpmd(inst.space, inst.requests).cost.total
+        baseline = offline_baseline(inst.space, inst.requests).cost.total
 
         det = run_online(inst.tree, inst.requests, TimerMode.DETERMINISTIC, seed=0)
         det_cost = total_cost(inst.space, inst.requests, det.schedule).total

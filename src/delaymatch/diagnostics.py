@@ -221,17 +221,6 @@ class PotentialLedger:
     c_end: float
     t_end: float
 
-    def to_dict(self) -> dict:
-        return {
-            "tau": self.tau.tolist(),
-            "sigma": self.sigma.tolist(),
-            "tau_star": self.tau_star.tolist(),
-            "sigma_star": self.sigma_star.tolist(),
-            "zeta": self.zeta,
-            "c_end": self.c_end,
-            "t_end": self.t_end,
-        }
-
 
 def _online_ledgers(
     tree: Hsbt, trace: EngineTrace

@@ -36,13 +36,15 @@ Two stages:
    for n <= 16; a vertex with too many children for the cap (a uniform
    metric on 17 points, say) raises an internal error.
 
-`sample_hsbt` composes the two and re-checks domination against the original
-metric, raising `DominationViolation` (a bug sentinel, not bad input) if the
-guarantee ever fails; `undominated_pair` is that check on its own, for trees
-from elsewhere.  Every distance check reads `leaf_distances`, which lays the
-leaves out in preorder and fills each internal vertex's square block of the
-distance matrix with its weight, parents first: one slice assignment per
-internal vertex and an O(n^2) gather per call.
+`sample_hsbt` composes the two and is the one place a sampled tree is
+checked: on the leaf-distance matrices of H and its binarization T, filled
+once each in the metric's point order, it checks d_H <= d_T <= 2*d_H and then
+that T dominates the metric (`undominated_pair`, shared with trees from
+elsewhere).  Failures are bug sentinels, not bad input, naming the first bad
+pair.  `leaf_distances` lays the leaves out in preorder and fills each
+internal vertex's square block of the distance matrix with its weight,
+parents first: one slice assignment per internal vertex and an O(n^2) gather
+per call.
 """
 
 from __future__ import annotations
@@ -297,18 +299,21 @@ def tree_metric(tree: _Tree) -> MetricSpace:
 
 def _first_pair(bad: np.ndarray) -> tuple[int, int] | None:
     """First (i, j) with i < j and bad[i, j], in row-major order."""
+    if not bad.any():
+        return None
     hits = np.argwhere(np.triu(bad, 1))
     return (int(hits[0, 0]), int(hits[0, 1])) if len(hits) else None
 
 
-def undominated_pair(space: MetricSpace, tree: _Tree) -> tuple[int, int] | None:
+def undominated_pair(space: MetricSpace, tree_dist: np.ndarray) -> tuple[int, int] | None:
     """First pair (i, j), i < j in `space`'s point order, whose tree distance
     falls short of its metric distance by more than 1e-12 of the diameter.
 
-    The tree must have a leaf for every point of `space`.
+    `tree_dist` is a tree's leaf-distance matrix in `space`'s point order,
+    as `tree.leaf_distances(space.points)` gives it.
     """
     tol = 1e-12 * float(space.dist.max())
-    return _first_pair(tree.leaf_distances(space.points) + tol < space.dist)
+    return _first_pair(tree_dist + tol < space.dist)
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +456,9 @@ def binarize(tree: Hst) -> Hsbt:
     """Full binary `tree`, separation alpha = 1+1/ceil(lg n) for its n leaves.
 
     Mapped vertices carry doubled weights; auxiliary vertices decay from
-    their parent by the factor alpha.  Leaf-pair distances land in
-    [d_H, 2*d_H] where d_H is the distance in the input tree.
+    their parent by the factor alpha, so leaf-pair distances land in
+    [d_H, 2*d_H] where d_H is the distance in the input tree.  Only
+    `Hsbt.validate` runs here; `sample_hsbt` checks that sandwich.
 
     A vertex with more than two children gets a `_gadget` that puts each
     child at depth at most its bound: the depth at which alpha-decay still
@@ -504,30 +510,28 @@ def binarize(tree: Hst) -> Hsbt:
                 weight.append(weight[u] / alpha)
             else:
                 weight.append(2.0 * h_weight[c] if h_kids[c] else 0.0)
-    out = Hsbt(parent, weight, leaf_point, alpha)
-    _assert_sandwich(tree, out)
-    return out
+    return Hsbt(parent, weight, leaf_point, alpha)
 
 
-def _assert_sandwich(h: Hst, t: Hsbt) -> None:
-    """Every leaf pair: d_H <= d_T' <= 2*d_H (exact up to float round-off)."""
-    pts = sorted(h.point_leaf)
-    dh_all = h.leaf_distances(pts)
-    dt_all = t.leaf_distances(pts)
+def sample_hsbt(space: MetricSpace, rng: np.random.Generator) -> Hsbt:
+    """Sample a dominating binary tree for `space` (embed + binarize), and
+    check it: d_H <= d_T <= 2*d_H up to round-off (else `InvariantViolation`),
+    then domination (else `DominationViolation`), on one pair of leaf-distance
+    matrices in `space`'s point order."""
+    h = frt_embed(space, rng)
+    t = binarize(h)
+    dh_all = h.leaf_distances(space.points)
+    dt_all = t.leaf_distances(space.points)
     inside = (dh_all * (1 - 1e-12) <= dt_all) & (dt_all <= 2 * dh_all * (1 + 1e-12))
     pair = _first_pair(~inside)
     if pair is not None:
         i, j = pair
         dh, dt = float(dh_all[i, j]), float(dt_all[i, j])
+        a, b = space.points[i], space.points[j]
         raise InvariantViolation(
-            f"binarized distance {dt} for ({pts[i]},{pts[j]}) outside [{dh}, {2 * dh}]"
+            f"binarized distance {dt} for ({a},{b}) outside [{dh}, {2 * dh}]"
         )
-
-
-def sample_hsbt(space: MetricSpace, rng: np.random.Generator) -> Hsbt:
-    """Sample a dominating binary tree for `space` (embed + binarize)."""
-    t = binarize(frt_embed(space, rng))
-    pair = undominated_pair(space, t)
+    pair = undominated_pair(space, dt_all)
     if pair is not None:
         a, b = (space.points[k] for k in pair)
         raise DominationViolation(f"tree distance for ({a},{b}) below metric distance")

@@ -27,9 +27,16 @@ import numpy as np
 
 from .core import Request, Schedule, total_cost
 from .embedding import Hsbt, sample_hsbt, undominated_pair
-from .errors import ConfigInvalid, InvariantViolation, TooLarge
+from .errors import ConfigInvalid, InvariantViolation
 from .metric import MetricSpace
-from .offline import OfflineSolution, greedy_mpmd, optimal_mpmd, optimal_mpmdfp
+from .offline import (
+    MAX_EXACT,
+    MAX_EXACT_FP,
+    OfflineSolution,
+    greedy_mpmd,
+    optimal_mpmd,
+    optimal_mpmdfp,
+)
 from .penalty import run_mpmdfp
 from .stiltwalker import Engine, TimerMode, stream_words
 
@@ -133,7 +140,7 @@ def _check_fixed_tree(tree: Hsbt, space: MetricSpace) -> None:
     extra = sorted(set(tree.point_leaf).difference(space.points))
     if extra:
         raise ConfigInvalid(f"fixed tree leaf {extra[0]} is not an instance point")
-    pair = undominated_pair(space, tree)
+    pair = undominated_pair(space, tree.leaf_distances(space.points))
     if pair is not None:
         a, b = (space.points[k] for k in pair)
         raise ConfigInvalid(f"fixed tree distance for ({a},{b}) below metric distance")
@@ -146,20 +153,17 @@ def offline_baseline(
 ) -> OfflineSolution:
     """Exact optimum when it fits the oracle cap, else a cheap upper bound."""
     if penalty is None:
-        try:
+        if len(requests) <= MAX_EXACT:
             return optimal_mpmd(space, requests)
-        except TooLarge:
-            return greedy_mpmd(space, requests)
-    try:
+        return greedy_mpmd(space, requests)
+    if len(requests) <= MAX_EXACT_FP:
         return optimal_mpmdfp(space, requests, penalty)
-    except TooLarge:
-        clear_all = Schedule(pairings=(), clears=tuple((r.id, r.t) for r in requests))
-        clear_cost = total_cost(space, requests, clear_all, penalty_p=penalty)
-        candidates = [OfflineSolution(clear_all, clear_cost, optimal=False)]
-        if len(requests) % 2 == 0:
-            g = greedy_mpmd(space, requests)
-            candidates.append(OfflineSolution(g.schedule, g.cost, optimal=False))
-        return min(candidates, key=lambda s: s.cost.total)
+    clear_all = Schedule(pairings=(), clears=tuple((r.id, r.t) for r in requests))
+    clear_cost = total_cost(space, requests, clear_all, penalty_p=penalty)
+    candidates = [OfflineSolution(clear_all, clear_cost, optimal=False)]
+    if len(requests) % 2 == 0:
+        candidates.append(greedy_mpmd(space, requests))
+    return min(candidates, key=lambda s: s.cost.total)
 
 
 def batch_summary(
@@ -334,15 +338,6 @@ class FlushBudgetReport:
     budget_mean: float
     std_err: float
     ok: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "extra_mean": self.extra_mean,
-            "budget_mean": self.budget_mean,
-            "std_err": self.std_err,
-            "ok": self.ok,
-        }
 
 
 def check_flush_budget(

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import CostBreakdown, Request, Schedule, total_cost
-from .errors import OddRequestSet, TooLarge
+from .errors import OddRequestSet, OutOfDomain, TooLarge
 from .metric import MetricSpace
 
 MAX_EXACT = 16       # matching-only oracle size cap
@@ -107,10 +107,14 @@ def _solve(
         np.fill_diagonal(edge, penalty)
     cand = edge.ravel()[cell]
     best = np.zeros(len(start) - 1)
-    for lo, hi in levels:
-        t0, t1 = start[lo], start[hi]
-        cand[t0:t1] += best[sub[t0:t1]]
-        best[lo:hi] = np.minimum.reduceat(cand[t0:t1], start[lo:hi] - t0)
+    # a sum that overflows is inf, the minimum only if every candidate is
+    with np.errstate(over="ignore"):
+        for lo, hi in levels:
+            t0, t1 = start[lo], start[hi]
+            cand[t0:t1] += best[sub[t0:t1]]
+            best[lo:hi] = np.minimum.reduceat(cand[t0:t1], start[lo:hi] - t0)
+    if not np.isfinite(best[0]):
+        raise OutOfDomain("the offline optimum exceeds the float range")
     pairs, clears, s = [], [], 0
     while s < len(best) - 1:
         m = start[s] + int(np.argmax(cand[start[s]:start[s + 1]] == best[s]))

@@ -430,6 +430,18 @@ def test_validate_accepts_distances_near_the_float_maximum(tmp_path, capsys):
     assert err == ""
 
 
+@pytest.mark.filterwarnings("error")
+def test_offline_solve_past_the_float_range_warns_nothing(tmp_path, capsys):
+    # the optimum pairs each point with itself; the solver's other candidates
+    # overflow, and the embedding's range check then rejects the metric
+    times = [float(k) for k in range(6)]
+    inst = _write_bundle(tmp_path / "inst.json", _triangle(1e308, 1e308), times)
+    code, out, err = run_cli(capsys, "run", "--instance", inst)
+    assert code == 1
+    assert err.startswith("error: diameter 1e+308 exceeds")
+    assert out == "" and "Traceback" not in err and "Warning" not in err
+
+
 _BEYOND_RANGE = {  # metric past the embedding's float range, limit named
     "diameter": (_triangle(1e308, 1e308), "diameter 1e+308 exceeds 2.8089e+306"),
     "aspect-ratio": (

@@ -10,7 +10,6 @@ from delaymatch import embedding
 from delaymatch.embedding import (
     Hst,
     Hsbt,
-    _assert_sandwich,
     _first_pair,
     binarize,
     build_hsbt,
@@ -476,11 +475,10 @@ def test_leaf_distances_with_non_monotone_weights(seed):
         assert np.array_equal(got, pair_loop_distances(tree, points))
 
 
-def sandwich_scan(h, t):
+def sandwich_scan(space, h, t):
     """The pair-loop sandwich check: its message for the first bad pair."""
-    pts = sorted(h.point_leaf)
-    for i, a in enumerate(pts):
-        for b in pts[i + 1:]:
+    for i, a in enumerate(space.points):
+        for b in space.points[i + 1:]:
             dh = h.point_distance(a, b)
             dt = t.point_distance(a, b)
             if not (dh * (1 - 1e-12) <= dt <= 2 * dh * (1 + 1e-12)):
@@ -509,39 +507,59 @@ def test_first_pair_scans_the_upper_triangle_row_major():
 
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("factor", [3.0, 1 / 3])
-def test_sandwich_check_names_first_corrupted_pair(seed, factor):
+def test_sandwich_check_names_first_corrupted_pair(seed, factor, monkeypatch):
     rng = np.random.default_rng(seed)
     space = from_coords(rng.uniform(size=(12, 2)))
-    h = frt_embed(space, rng)
-    t = binarize(h)
-    inner = t.internal_vertices()
-    t.weight[inner[len(inner) // 2]] *= factor  # after binarize's own check
-    want = sandwich_scan(h, t)
-    assert want is not None
+    binarize_real, built = embedding.binarize, []
+
+    def corrupted(h):
+        t = binarize_real(h)
+        inner = t.internal_vertices()
+        t.weight[inner[len(inner) // 2]] *= factor
+        built.append((h, t))
+        return t
+
+    monkeypatch.setattr(embedding, "binarize", corrupted)
     with pytest.raises(InvariantViolation) as err:
-        _assert_sandwich(h, t)
+        sample_hsbt(space, rng)
+    want = sandwich_scan(space, *built[0])
+    assert want is not None
     assert str(err.value) == want
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_domination_check_names_first_underweighted_pair(seed, monkeypatch):
+    # an underweighted H binarizes faithfully, so only domination can fail
     rng = np.random.default_rng(seed)
     space = from_coords(rng.uniform(size=(12, 2)))
-    binarize_real, built = embedding.binarize, []
+    frt_real, built = embedding.frt_embed, []
 
-    def underweighted(h):
-        t = binarize_real(h)
-        inner = t.internal_vertices()
-        t.weight[inner[len(inner) // 2]] *= 1e-3
-        built.append(t)
-        return t
+    def underweighted(space, rng):
+        h = frt_real(space, rng)
+        h.weight[:] = [w * 1e-3 for w in h.weight]
+        built.append(h)
+        return h
 
-    monkeypatch.setattr(embedding, "binarize", underweighted)
+    monkeypatch.setattr(embedding, "frt_embed", underweighted)
     with pytest.raises(DominationViolation) as err:
         sample_hsbt(space, rng)
-    want = domination_scan(space, built[0])
+    t = binarize(built[0])
+    assert sandwich_scan(space, built[0], t) is None
+    want = domination_scan(space, t)
     assert want is not None
     assert str(err.value) == want
+
+
+def test_sample_hsbt_fills_each_leaf_distance_matrix_once(monkeypatch):
+    filled, real = [], embedding._Tree.leaf_distances
+
+    def counted(tree, points):
+        filled.append(type(tree).__name__)
+        return real(tree, points)
+
+    monkeypatch.setattr(embedding._Tree, "leaf_distances", counted)
+    sample_hsbt(grid_space(3), np.random.default_rng(0))
+    assert sorted(filled) == ["Hsbt", "Hst"]
 
 
 def test_build_hsbt_renumbers_depth_first_input():

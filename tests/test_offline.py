@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delaymatch.core import Request, Schedule, make_requests, total_cost
-from delaymatch.errors import OddRequestSet, TooLarge
+from delaymatch.errors import OddRequestSet, OutOfDomain, TooLarge
 from delaymatch.instances import gen_random
 from delaymatch.metric import MetricSpace, from_coords
 from delaymatch.offline import (
@@ -210,6 +210,15 @@ def test_size_caps_enforced():
         optimal_mpmd(space, reqs)
     with pytest.raises(TooLarge):
         optimal_mpmdfp(space, reqs[: MAX_EXACT_FP + 2], penalty=1.0)
+
+
+def test_optimum_beyond_the_float_range_is_out_of_domain():
+    # every perfect matching of four points pairwise 1e308 apart costs 2e308
+    names = ["a", "b", "c", "d"]
+    space = MetricSpace(names, np.where(np.eye(4, dtype=bool), 0.0, 1e308))
+    reqs = make_requests(space, [(p, float(k)) for k, p in enumerate(names)])
+    with pytest.raises(OutOfDomain, match="the offline optimum exceeds the float range"):
+        optimal_mpmd(space, reqs)
 
 
 def test_rejected_sizes_build_no_plan():
