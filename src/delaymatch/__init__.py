@@ -11,130 +11,7 @@ Layers, bottom up:
 * `diagnostics`           -- potential ledgers, cost identities, phases
 * `instances`             -- generators, including the adversarial cascade
 * `experiment`, `cli`     -- seeded batches, reports, command line
+
+Names are imported from the layer modules (`from delaymatch.metric import
+MetricSpace`); importing the package alone loads none of them.
 """
-
-from .altpoisson import (
-    AppRealization,
-    AppReport,
-    Coloring,
-    closed_form_digest,
-    simulate_app,
-    simulate_rate_varying,
-    verify_digestion,
-)
-from .core import (
-    CostBreakdown,
-    Request,
-    Schedule,
-    make_requests,
-    pair_cost,
-    total_cost,
-)
-from .diagnostics import (
-    IdentityReport,
-    PhasePartition,
-    PotentialLedger,
-    SigmaTauReport,
-    monte_carlo_sigma_tau,
-    partition_phases,
-    track_potentials,
-    verify_cost_identities,
-)
-from .embedding import (
-    Hsbt,
-    Hst,
-    binarize,
-    build_hsbt,
-    frt_embed,
-    sample_hsbt,
-    separation_alpha,
-    tree_metric,
-)
-from .errors import DelayMatchError, InvariantViolation, UserError
-from .experiment import (
-    ExperimentConfig,
-    ExperimentReport,
-    check_flush_budget,
-    offline_baseline,
-    run_experiment,
-)
-from .instances import (
-    GammaConfig,
-    GammaInstance,
-    gen_adversarial_gamma,
-    gen_random,
-    gen_two_point,
-)
-from .metric import MetricSpace, from_coords, stats
-from .offline import greedy_mpmd, optimal_mpmd, optimal_mpmdfp
-from .penalty import (
-    FpRun,
-    build_doubled,
-    classify_regime,
-    clear_fraction,
-    run_mpmdfp,
-    verify_benchmark_inequality,
-)
-from .stiltwalker import Engine, EngineRun, TimerMode, recompute_state, run
-
-__all__ = [
-    "AppRealization",
-    "AppReport",
-    "Coloring",
-    "CostBreakdown",
-    "DelayMatchError",
-    "Engine",
-    "EngineRun",
-    "ExperimentConfig",
-    "ExperimentReport",
-    "FpRun",
-    "GammaConfig",
-    "GammaInstance",
-    "Hsbt",
-    "Hst",
-    "IdentityReport",
-    "InvariantViolation",
-    "MetricSpace",
-    "PhasePartition",
-    "PotentialLedger",
-    "Request",
-    "Schedule",
-    "SigmaTauReport",
-    "TimerMode",
-    "UserError",
-    "binarize",
-    "build_doubled",
-    "build_hsbt",
-    "check_flush_budget",
-    "classify_regime",
-    "clear_fraction",
-    "closed_form_digest",
-    "frt_embed",
-    "from_coords",
-    "gen_adversarial_gamma",
-    "gen_random",
-    "gen_two_point",
-    "greedy_mpmd",
-    "make_requests",
-    "monte_carlo_sigma_tau",
-    "offline_baseline",
-    "optimal_mpmd",
-    "optimal_mpmdfp",
-    "pair_cost",
-    "partition_phases",
-    "recompute_state",
-    "run",
-    "run_experiment",
-    "run_mpmdfp",
-    "sample_hsbt",
-    "separation_alpha",
-    "simulate_app",
-    "simulate_rate_varying",
-    "stats",
-    "total_cost",
-    "track_potentials",
-    "tree_metric",
-    "verify_benchmark_inequality",
-    "verify_cost_identities",
-    "verify_digestion",
-]

@@ -23,7 +23,12 @@ Exact laws verified by the test-suite (and checkable via `verify_digestion`):
   N is stochastically dominated by 1 + 2 Pois(lambda * min(V1, V2)); the
   sampled check (`count_dominance`) is an exact binomial test per level
   with a Bonferroni correction, so a correct run fails it with probability
-  at most DOMINANCE_ALPHA.
+  at most DOMINANCE_ALPHA.  Its binomial and Poisson tails come from
+  `scipy.stats`, which `count_dominance` imports when first called: the
+  import takes about a second on a 2-vCPU host, several times the rest of
+  a `delaymatch run` process, and no other command needs it.
+  (`scipy.special`'s `pdtrc`/`bdtrc` import faster, but their values
+  differ from `scipy.stats`' in the last bits.)
 
 Sampling.  `Coloring` keeps each color's (start, end) runs, and one kernel,
 `_advance`, digests an iteration by walking only its color's runs.
@@ -53,7 +58,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _sps
 
 from .errors import ConfigInvalid, InstanceLoadError, InvariantViolation, RateAboveCap
 
@@ -332,12 +336,14 @@ def count_dominance(
     adjusted p-value, min_L min(1, (K+1) p_L), minus DOMINANCE_ALPHA; it is
     positive iff the check passes.
     """
+    from scipy import stats  # about 1 s to import; see the module docstring
+
     counts = np.asarray(counts, dtype=int)
     levels = np.arange(2, discontinuities + 3)
     hist = np.bincount(counts, minlength=levels[-1] + 1)
     observed = hist[::-1].cumsum()[::-1][levels]   # samples with N >= L
-    q = _sps.poisson.sf(levels // 2 - 1, mu)
-    p = _sps.binom.sf(observed - 1, len(counts), q)
+    q = stats.poisson.sf(levels // 2 - 1, mu)
+    p = stats.binom.sf(observed - 1, len(counts), q)
     margin = float(np.minimum(1.0, len(levels) * p).min()) - DOMINANCE_ALPHA
     return margin > 0.0, margin
 

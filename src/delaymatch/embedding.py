@@ -18,7 +18,8 @@ Two stages:
    as one levels x n table, sorts the points by it once, and reads the tree
    off the sorted order in O(n) Python steps: O(n^2 * levels) array work and
    O(n * levels + n^2) memory.  A metric whose diameter or aspect ratio
-   would drive a weight past the float range is rejected as `OutOfDomain`.
+   would drive a weight past the float range is rejected as `OutOfDomain`
+   by `embeddable_stats`, which batches also call before any other work.
 
 2. `binarize` turns that tree into a full binary tree while keeping leaf
    ancestry.  Mapped vertices carry twice their original weight; auxiliary
@@ -65,12 +66,13 @@ from .errors import (
     InvariantViolation,
     OutOfDomain,
 )
-from .metric import MetricSpace, stats
+from .metric import MetricSpace, MetricStats, stats
 
 __all__ = [
     "Hst",
     "Hsbt",
     "separation_alpha",
+    "embeddable_stats",
     "frt_embed",
     "binarize",
     "sample_hsbt",
@@ -136,14 +138,6 @@ class _Tree:
             y = self.parent[y]
         return x
 
-    def tree_distance(self, x: int, y: int) -> float:
-        if x == y:
-            return 0.0
-        return self.weight[self.lca(x, y)]
-
-    def point_distance(self, a: str, b: str) -> float:
-        return self.tree_distance(self.point_leaf[a], self.point_leaf[b])
-
     @functools.cached_property
     def _leaf_blocks(self) -> tuple[list[tuple[int, slice]], dict[int, int]]:
         """Preorder leaf layout: (vertex, leaf range) per internal vertex,
@@ -166,7 +160,8 @@ class _Tree:
         return blocks, position
 
     def leaf_distances(self, points: Sequence[str]) -> np.ndarray:
-        """`point_distance` over every pair of `points`, as a matrix in that order.
+        """Tree distance (the weight of the LCA) over every pair of `points`, as
+        a matrix in that order.
 
         With the leaves laid out in preorder, every subtree's leaves form one
         contiguous range, so the leaf pairs whose LCA is v, or lies below v,
@@ -330,6 +325,21 @@ _MAX_DIAMETER = sys.float_info.max / 64
 _MAX_ASPECT = sys.float_info.max / 16
 
 
+def embeddable_stats(space: MetricSpace) -> MetricStats:
+    """`stats(space)`, once the space is checked to embed: at least two
+    points, and a diameter and aspect ratio whose tree weights stay finite
+    (else `OutOfDomain`)."""
+    if space.n < 2:
+        raise OutOfDomain("embedding needs at least two points")
+    st = stats(space)
+    for what, value, limit in (("diameter", st.d_max, _MAX_DIAMETER),
+                               ("aspect ratio", st.aspect_ratio, _MAX_ASPECT)):
+        if value > limit:
+            raise OutOfDomain(f"{what} {value:.6g} exceeds {limit:.6g}, the "
+                              "largest whose embedded tree weights stay finite")
+    return st
+
+
 def frt_embed(space: MetricSpace, rng: np.random.Generator) -> Hst:
     """Sample a dominating tree for `space` (weights in original units).
 
@@ -349,15 +359,7 @@ def frt_embed(space: MetricSpace, rng: np.random.Generator) -> Hst:
     Python steps, and O(n * levels) memory for the table besides the n x n
     scaled distances and one n x n temporary.
     """
-    if space.n < 2:
-        raise OutOfDomain("embedding needs at least two points")
-    st = stats(space)
-    for what, value, limit in (("diameter", st.d_max, _MAX_DIAMETER),
-                               ("aspect ratio", st.aspect_ratio, _MAX_ASPECT)):
-        if value > limit:
-            raise OutOfDomain(f"{what} {value:.6g} exceeds {limit:.6g}, the "
-                              "largest whose embedded tree weights stay finite")
-    scale = st.d_min
+    scale = embeddable_stats(space).d_min
     dist = space.dist / scale
     delta = float(dist.max())
 

@@ -26,7 +26,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .core import Request, Schedule, total_cost
-from .embedding import Hsbt, sample_hsbt, undominated_pair
+from .embedding import Hsbt, embeddable_stats, sample_hsbt, undominated_pair
 from .errors import ConfigInvalid, InvariantViolation
 from .metric import MetricSpace
 from .offline import (
@@ -37,7 +37,7 @@ from .offline import (
     optimal_mpmd,
     optimal_mpmdfp,
 )
-from .penalty import run_mpmdfp
+from .penalty import REGIME_PER_POINT, classify_regime, run_mpmdfp
 from .stiltwalker import Engine, TimerMode, stream_words
 
 __all__ = [
@@ -128,6 +128,14 @@ class ExperimentConfig:
                 )
         if self.fixed_tree is not None:
             _check_fixed_tree(self.fixed_tree, self.space)
+        elif (
+            self.penalty is None
+            or classify_regime(self.space, self.penalty) != REGIME_PER_POINT
+        ):
+            # trials embed the space, or its doubled metric, whose diameter
+            # and aspect ratio are no smaller: reject a space out of the
+            # embedding's range before the offline baseline is solved
+            embeddable_stats(self.space)
         return self
 
 

@@ -46,15 +46,10 @@ __all__ = [
     "REGIME_PER_POINT",
     "REGIME_DOUBLED",
     "REGIME_TWO_COPIES",
-    "DoubledInstance",
     "FpRun",
     "classify_regime",
-    "build_doubled",
     "run_mpmdfp",
     "verify_benchmark_inequality",
-    "clear_fraction",
-    "hat_side",
-    "hat_orig",
 ]
 
 REGIME_PER_POINT = "per_point"    # p below d/2
@@ -88,13 +83,6 @@ def classify_regime(space: MetricSpace, p: float) -> str:
     return REGIME_DOUBLED
 
 
-@dataclass(frozen=True)
-class DoubledInstance:
-    metric_hat: MetricSpace
-    requests_hat: tuple[Request, ...]
-    p: float
-
-
 def _hat_point(name: str, side: int) -> str:
     return f"{name}|{side}"
 
@@ -116,26 +104,6 @@ def _doubled_parts(
         hat.append(Request(id=2 * k, point=_hat_point(r.point, 1), t=r.t))
         hat.append(Request(id=2 * k + 1, point=_hat_point(r.point, 2), t=r.t))
     return metric_hat, tuple(hat)
-
-
-def build_doubled(
-    space: MetricSpace, requests: tuple[Request, ...], p: float
-) -> DoubledInstance:
-    """Doubled instance for the middle regime (d/2 <= p <= 2D)."""
-    regime = classify_regime(space, p)
-    if regime != REGIME_DOUBLED:
-        st = stats(space)
-        raise RegimeMismatch(
-            f"p={p} outside [{st.d_min / 2}, {2 * st.d_max}]; regime is {regime}"
-        )
-    metric_hat, requests_hat = _doubled_parts(space, requests, p)
-    st = stats(space)
-    st_hat = stats(metric_hat)
-    if st_hat.aspect_ratio > 6.0 * st.aspect_ratio * (1 + 1e-9):
-        raise InvariantViolation(
-            f"doubled aspect ratio {st_hat.aspect_ratio} blew past 6x original"
-        )
-    return DoubledInstance(metric_hat=metric_hat, requests_hat=requests_hat, p=p)
 
 
 @dataclass(frozen=True)
@@ -311,19 +279,3 @@ def verify_benchmark_inequality(
     opt_fp = optimal_mpmdfp(space, requests, p)
     return opt_hat.cost.total <= 2.0 * opt_fp.cost.total * (1 + 1e-9) + 1e-12
 
-
-def clear_fraction(
-    space: MetricSpace,
-    requests: tuple[Request, ...],
-    p: float,
-    trials: int,
-    rng: np.random.Generator,
-) -> float:
-    """Monte-Carlo fraction of requests cleared by run_mpmdfp."""
-    if not requests:
-        return 0.0
-    cleared = 0
-    for _ in range(trials):
-        out = run_mpmdfp(space, requests, p, rng)
-        cleared += len(out.schedule.clears)
-    return cleared / (trials * len(requests))

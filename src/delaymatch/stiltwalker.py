@@ -79,12 +79,10 @@ from .errors import (
 
 __all__ = [
     "TimerMode",
-    "StiltState",
     "EngineEvent",
     "EngineTrace",
     "EngineRun",
     "Engine",
-    "recompute_state",
     "run",
     "stream_words",
 ]
@@ -179,48 +177,6 @@ class _Words(ISeedSequence):
 class TimerMode(enum.Enum):
     EXPONENTIAL = "exponential"
     DETERMINISTIC = "deterministic"
-
-
-@dataclass(frozen=True)
-class StiltState:
-    """Snapshot of the stilt decomposition at one instant."""
-
-    odd: frozenset[int]
-    heads: frozenset[int]
-    stilts: tuple[tuple[int, int], ...]          # (head, foot), sorted by head
-    effective: tuple[tuple[int, int, int], ...]  # (vertex, foot1, foot2), sorted
-
-
-def recompute_state(tree: Hsbt, active_leaves: Sequence[int]) -> StiltState:
-    """Derive odd set, stilts, heads and effective vertices from scratch."""
-    parity = [0] * len(tree)
-    for leaf in active_leaves:
-        v = leaf
-        while v >= 0:
-            parity[v] ^= 1
-            v = tree.parent[v]
-    odd = frozenset(v for v in range(len(tree)) if parity[v])
-
-    def foot(v: int) -> int:
-        while not tree.is_leaf(v):
-            kids = [c for c in tree.children[v] if parity[c]]
-            if len(kids) != 1:
-                raise InvariantViolation("odd vertex without a unique odd child")
-            v = kids[0]
-        return v
-
-    heads = frozenset(
-        v for v in odd if tree.parent[v] < 0 or tree.parent[v] not in odd
-    )
-    stilts = tuple(sorted((h, foot(h)) for h in heads))
-    effective = []
-    for v in range(len(tree)):
-        kids = tree.children[v]
-        if len(kids) == 2 and parity[kids[0]] and parity[kids[1]]:
-            effective.append((v, foot(kids[0]), foot(kids[1])))
-    return StiltState(
-        odd=odd, heads=heads, stilts=stilts, effective=tuple(sorted(effective))
-    )
 
 
 class EngineEvent(NamedTuple):

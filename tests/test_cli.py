@@ -5,10 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from delaymatch import embedding
+from delaymatch import embedding, offline
 from delaymatch.cli import _build_parser, load_bundle, main, save_bundle
 from delaymatch.embedding import Hsbt
-from delaymatch.penalty import REGIME_TWO_COPIES, classify_regime
+from delaymatch.penalty import REGIME_PER_POINT, REGIME_TWO_COPIES, classify_regime
 
 
 def run_cli(capsys, *argv):
@@ -440,6 +440,37 @@ def test_offline_solve_past_the_float_range_warns_nothing(tmp_path, capsys):
     assert code == 1
     assert err.startswith("error: diameter 1e+308 exceeds")
     assert out == "" and "Traceback" not in err and "Warning" not in err
+
+
+def test_out_of_range_metric_is_rejected_before_the_offline_solve(
+    tmp_path, capsys, monkeypatch
+):
+    solved = []
+    monkeypatch.setattr(offline, "_solve", lambda *args: solved.append(args))
+    times = [float(k) for k in range(6)]
+    inst = _write_bundle(tmp_path / "inst.json", _triangle(1e308, 1e308), times)
+    code, out, err = run_cli(capsys, "run", "--instance", inst)
+    assert code == 1
+    assert err.startswith("error: diameter 1e+308 exceeds")
+    assert solved == []
+
+
+@pytest.mark.parametrize("dist, penalty", [
+    (_triangle(1e308, 1e308), "1.0"),
+    (_triangle(1e-300, 1e10), "1e-301"),
+], ids=["diameter", "aspect-ratio"])
+def test_per_point_penalty_on_an_out_of_range_metric_runs(
+    tmp_path, capsys, dist, penalty
+):
+    # below d_min / 2 no tree is embedded, so the embedding's range is moot
+    inst = _write_bundle(tmp_path / "inst.json", dist, [0.0, 1.0, 1.5, 2.0])
+    assert classify_regime(load_bundle(inst)[0], float(penalty)) == REGIME_PER_POINT
+    code, text, err = run_cli(
+        capsys, "run", "--instance", inst, "--penalty", penalty,
+        "--out", str(tmp_path / "out"),
+    )
+    assert code == 0, err
+    assert "opt_exact yes" in text
 
 
 _BEYOND_RANGE = {  # metric past the embedding's float range, limit named

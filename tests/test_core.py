@@ -1,6 +1,9 @@
 import importlib
 import json
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -144,3 +147,27 @@ def test_every_public_name_resolves():
     for module in modules:
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def _fresh_import(module):
+    """The modules a fresh interpreter holds after `import <module>`."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", f"import sys, {module}; print(*sorted(sys.modules))"],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    return set(out.stdout.split())
+
+
+def test_package_import_loads_no_layer():
+    loaded = _fresh_import("delaymatch")
+    assert "delaymatch" in loaded
+    assert [m for m in loaded if m.startswith("delaymatch.")] == []
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    loaded = _fresh_import("delaymatch.cli")
+    assert "delaymatch.altpoisson" in loaded
+    assert "scipy.stats" not in loaded

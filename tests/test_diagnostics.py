@@ -26,10 +26,11 @@ from delaymatch.stiltwalker import (
     EngineEvent,
     EngineTrace,
     TimerMode,
-    recompute_state,
     run,
     stream_words,
 )
+
+from oracles import recompute_state
 
 
 def two_leaf_tree(w=2.0):

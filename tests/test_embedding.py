@@ -28,6 +28,8 @@ from delaymatch.experiment import trial_rng
 from delaymatch.instances import gen_random
 from delaymatch.metric import MetricSpace, from_coords, stats
 
+from oracles import point_distance
+
 
 def oracle_leaf_distance(parent, weight, x, y):
     """Independent lca-weight computation from raw parent pointers."""
@@ -72,7 +74,7 @@ def test_frt_invariants_and_domination():
                         assert h.weight[v] >= 2 * h.weight[c] - 1e-12
         for i, a in enumerate(space.points):
             for b in space.points[i + 1:]:
-                assert h.point_distance(a, b) >= space.distance(a, b) - 1e-9
+                assert point_distance(h, a, b) >= space.distance(a, b) - 1e-9
 
 
 def test_frt_rejects_single_point():
@@ -103,7 +105,7 @@ def test_two_point_tree_weight_window():
     space = from_coords([(0.0,), (7.0,)])
     for seed in range(20):
         t = sample_hsbt(space, np.random.default_rng(seed))
-        d = t.point_distance("p0", "p1")
+        d = point_distance(t, "p0", "p1")
         assert 7.0 - 1e-9 <= d <= 8 * 7.0 + 1e-9
 
 
@@ -133,7 +135,7 @@ def test_tree_metric_matches_oracle():
 
 def pair_loop_distances(tree, points):
     """Reference leaf-distance matrix: one point_distance LCA walk per pair."""
-    return np.array([[tree.point_distance(a, b) for b in points] for a in points])
+    return np.array([[point_distance(tree, a, b) for b in points] for a in points])
 
 
 @pytest.mark.parametrize("n", [2, 9, 64])
@@ -479,8 +481,8 @@ def sandwich_scan(space, h, t):
     """The pair-loop sandwich check: its message for the first bad pair."""
     for i, a in enumerate(space.points):
         for b in space.points[i + 1:]:
-            dh = h.point_distance(a, b)
-            dt = t.point_distance(a, b)
+            dh = point_distance(h, a, b)
+            dt = point_distance(t, a, b)
             if not (dh * (1 - 1e-12) <= dt <= 2 * dh * (1 + 1e-12)):
                 return f"binarized distance {dt} for ({a},{b}) outside [{dh}, {2 * dh}]"
     return None
@@ -491,7 +493,7 @@ def domination_scan(space, t):
     tol = 1e-12 * float(space.dist.max())
     for i, a in enumerate(space.points):
         for b in space.points[i + 1:]:
-            if t.point_distance(a, b) + tol < space.dist[i, space.index[b]]:
+            if point_distance(t, a, b) + tol < space.dist[i, space.index[b]]:
                 return f"tree distance for ({a},{b}) below metric distance"
     return None
 
@@ -570,9 +572,9 @@ def test_build_hsbt_renumbers_depth_first_input():
     t = build_hsbt(parent, weight, leaf_points, alpha=2.0)
     assert [t.depth[v] for v in range(len(t))] == sorted(t.depth)
     # distances survive the renumbering
-    assert t.point_distance("a", "b") == 2.0
-    assert t.point_distance("a", "c") == 4.0
-    assert t.point_distance("b", "c") == 4.0
+    assert point_distance(t, "a", "b") == 2.0
+    assert point_distance(t, "a", "c") == 4.0
+    assert point_distance(t, "b", "c") == 4.0
 
 
 def test_build_hsbt_validates_separation():
@@ -585,7 +587,7 @@ def test_build_hsbt_validates_separation():
         build_hsbt([-1, 0], [1.0, 0.0], {1: "a"}, alpha=2.0)
     # fine when well formed
     t = build_hsbt(parent, weight, {1: "a", 2: "b"}, alpha=2.0)
-    assert t.point_distance("a", "b") == 1.0
+    assert point_distance(t, "a", "b") == 1.0
 
 
 # a four-leaf tree numbered depth-first (inner vertices 1 and 4) and its
@@ -733,5 +735,5 @@ def test_random_spaces_embed_cleanly(points, seed):
     # constructor revalidates binarity and separation; recheck domination
     for i, a in enumerate(space.points):
         for b in space.points[i + 1:]:
-            assert t.point_distance(a, b) >= space.distance(a, b) - 1e-9
+            assert point_distance(t, a, b) >= space.distance(a, b) - 1e-9
     assert math.isclose(t.alpha, separation_alpha(space.n))

@@ -11,15 +11,15 @@ from delaymatch.penalty import (
     REGIME_DOUBLED,
     REGIME_PER_POINT,
     REGIME_TWO_COPIES,
-    build_doubled,
     classify_regime,
-    clear_fraction,
     hat_orig,
     hat_side,
     run_mpmdfp,
     verify_benchmark_inequality,
 )
 from delaymatch.stiltwalker import TimerMode
+
+from oracles import build_doubled, clear_fraction
 
 
 def single_point():

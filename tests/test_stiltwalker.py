@@ -16,10 +16,11 @@ from delaymatch.instances import gen_random
 from delaymatch.stiltwalker import (
     Engine,
     TimerMode,
-    recompute_state,
     run,
     stream_words,
 )
+
+from oracles import recompute_state
 
 
 def two_leaf_tree(w=2.0):
