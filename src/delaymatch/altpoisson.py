@@ -55,7 +55,7 @@ import functools
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -309,15 +309,7 @@ class AppReport:
     dominance_margin: float          # smallest adjusted p-value minus the alpha
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "lam": self.lam,
-            "identity_rel_error": self.identity_rel_error,
-            "first_digest_rel_error": self.first_digest_rel_error,
-            "count_bound_violations": self.count_bound_violations,
-            "dominance_ok": self.dominance_ok,
-            "dominance_margin": self.dominance_margin,
-        }
+        return asdict(self)
 
 
 def count_dominance(

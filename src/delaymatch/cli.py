@@ -33,6 +33,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -48,7 +49,7 @@ from .instances import (
     gen_random,
     gen_two_point,
 )
-from .metric import MetricSpace, from_coords, stats, validate as validate_metric
+from .metric import MetricSpace, from_coords, stats
 from .offline import optimal_mpmd
 from .stiltwalker import TimerMode, run
 
@@ -85,7 +86,7 @@ def load_bundle(path: str):
         if "dist" in obj:
             dist = np.asarray(obj["dist"], dtype=float)
             pts = obj.get("points") or [f"p{i}" for i in range(len(dist))]
-            space = validate_metric(pts, dist)
+            space = MetricSpace(pts, dist)
         elif "coords" in obj:
             space = from_coords(obj["coords"], obj.get("points"))
         else:
@@ -220,6 +221,9 @@ def _cmd_verify_identities(args) -> int:
         raise UserError(f"trials must be >= 1, got {args.trials}")
     space, requests = load_bundle(args.instance)
     requests = _require_requests(requests)
+    # each field's worst value over the trials, in print order
+    pick = {"residual_space": max, "residual_time": max,
+            "time_bound_margin": min, "space_bound_margin": min}
     worst: dict[str, float] = {}
     for trial in range(args.trials):
         rng = np.random.default_rng(np.random.SeedSequence((args.seed, trial)))
@@ -231,17 +235,10 @@ def _cmd_verify_identities(args) -> int:
         ledger = track_potentials(tree, out.trace, offline.schedule)
         rep = verify_cost_identities(tree, ledger, online_cost, offline.cost)
         d = rep.to_dict()
-        for key in ("residual_space", "residual_time"):
-            worst[key] = max(worst.get(key, 0.0), d[key])
-        for key in ("time_bound_margin", "space_bound_margin"):
-            worst[key] = min(worst.get(key, float("inf")), d[key])
+        for key, better in pick.items():
+            worst[key] = better(worst.get(key, d[key]), d[key])
     print(f"trials {args.trials}")
-    for key in (
-        "residual_space",
-        "residual_time",
-        "time_bound_margin",
-        "space_bound_margin",
-    ):
+    for key in pick:
         print(f"worst_{key} {worst[key]!r}")
     print("ok")
     return 0
@@ -271,17 +268,7 @@ def _cmd_gen(args) -> int:
             "jitter": inst.jitter,
             "end_actives": list(inst.end_actives),
             "applications": [
-                {
-                    "vertex": a.vertex,
-                    "depth": a.depth,
-                    "start_effective": a.start_effective,
-                    "expiry": a.expiry,
-                    "mid_time": a.mid_time,
-                    "post_time": a.post_time,
-                    "sites": list(a.sites),
-                    "expiry_feet": list(a.expiry_feet),
-                    "cancel_sites": list(a.cancel_sites),
-                }
+                {k: v for k, v in asdict(a).items() if k != "handoff"}
                 for a in inst.applications
             ],
         }

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -287,15 +287,7 @@ class IdentityReport:
     provable_constant: float
 
     def to_dict(self) -> dict:
-        return {
-            "residual_space": self.residual_space,
-            "residual_time": self.residual_time,
-            "time_bound_margin": self.time_bound_margin,
-            "space_bound_margin": self.space_bound_margin,
-            "space_bound_margin_provable": self.space_bound_margin_provable,
-            "gate_constant": self.gate_constant,
-            "provable_constant": self.provable_constant,
-        }
+        return asdict(self)
 
 
 def _rel(x: float, y: float) -> float:

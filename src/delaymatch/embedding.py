@@ -18,8 +18,7 @@ Two stages:
    as one levels x n table, sorts the points by it once, and reads the tree
    off the sorted order in O(n) Python steps: O(n^2 * levels) array work and
    O(n * levels + n^2) memory.  A metric whose diameter or aspect ratio
-   would drive a weight past the float range is rejected as `OutOfDomain`
-   by `embeddable_stats`, which batches also call before any other work.
+   would drive a weight past the float range is rejected as `OutOfDomain`.
 
 2. `binarize` turns that tree into a full binary tree while keeping leaf
    ancestry.  Mapped vertices carry twice their original weight; auxiliary
@@ -66,13 +65,12 @@ from .errors import (
     InvariantViolation,
     OutOfDomain,
 )
-from .metric import MetricSpace, MetricStats, stats
+from .metric import MetricSpace, stats
 
 __all__ = [
     "Hst",
     "Hsbt",
     "separation_alpha",
-    "embeddable_stats",
     "frt_embed",
     "binarize",
     "sample_hsbt",
@@ -325,25 +323,12 @@ _MAX_DIAMETER = sys.float_info.max / 64
 _MAX_ASPECT = sys.float_info.max / 16
 
 
-def embeddable_stats(space: MetricSpace) -> MetricStats:
-    """`stats(space)`, once the space is checked to embed: at least two
-    points, and a diameter and aspect ratio whose tree weights stay finite
-    (else `OutOfDomain`)."""
-    if space.n < 2:
-        raise OutOfDomain("embedding needs at least two points")
-    st = stats(space)
-    for what, value, limit in (("diameter", st.d_max, _MAX_DIAMETER),
-                               ("aspect ratio", st.aspect_ratio, _MAX_ASPECT)):
-        if value > limit:
-            raise OutOfDomain(f"{what} {value:.6g} exceeds {limit:.6g}, the "
-                              "largest whose embedded tree weights stay finite")
-    return st
-
-
 def frt_embed(space: MetricSpace, rng: np.random.Generator) -> Hst:
     """Sample a dominating tree for `space` (weights in original units).
 
-    Distances are scaled so the closest pair is 1 apart.  At level lev the
+    The space needs at least two points, and a diameter and aspect ratio
+    whose tree weights stay finite (else `OutOfDomain`).  Distances are
+    scaled so the closest pair is 1 apart.  At level lev the
     balls have radius beta * 2^(lev-1), and a point's owner is the first
     permutation rank whose ball covers it; `owner[lev, j]` holds it for
     every level 0 .. top-1 at once, one n x n comparison per level.  At
@@ -359,7 +344,15 @@ def frt_embed(space: MetricSpace, rng: np.random.Generator) -> Hst:
     Python steps, and O(n * levels) memory for the table besides the n x n
     scaled distances and one n x n temporary.
     """
-    scale = embeddable_stats(space).d_min
+    if space.n < 2:
+        raise OutOfDomain("embedding needs at least two points")
+    st = stats(space)
+    for what, value, limit in (("diameter", st.d_max, _MAX_DIAMETER),
+                               ("aspect ratio", st.aspect_ratio, _MAX_ASPECT)):
+        if value > limit:
+            raise OutOfDomain(f"{what} {value:.6g} exceeds {limit:.6g}, the "
+                              "largest whose embedded tree weights stay finite")
+    scale = st.d_min
     dist = space.dist / scale
     delta = float(dist.max())
 

@@ -10,9 +10,12 @@ seed key (master_seed, i), so two batches with equal configuration produce
 identical records byte for byte.  Wall-clock time never enters a report;
 callers that want timing print it to stderr themselves.
 
-The offline reference cost is the exact oracle whenever the instance fits
-its size cap, otherwise the best of the cheap upper bounds (greedy pairing,
-and with a penalty also clearing everything), flagged via `opt_exact`.
+A batch runs every trial first, then solves the offline reference once,
+then builds the records: trial 0's embedding rejects a metric out of the
+embedding's range before the offline solve does any work.  The reference
+cost is the exact oracle whenever the instance fits its size cap, otherwise
+the best of the cheap upper bounds (greedy pairing, and with a penalty also
+clearing everything), flagged via `opt_exact`.
 """
 
 from __future__ import annotations
@@ -20,14 +23,14 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import IO, Sequence
 
 import numpy as np
 
 from .core import Request, Schedule, total_cost
-from .embedding import Hsbt, embeddable_stats, sample_hsbt, undominated_pair
-from .errors import ConfigInvalid, InvariantViolation
+from .embedding import Hsbt, sample_hsbt, undominated_pair
+from .errors import ConfigInvalid, InvariantViolation, OddRequestSet
 from .metric import MetricSpace
 from .offline import (
     MAX_EXACT,
@@ -37,7 +40,7 @@ from .offline import (
     optimal_mpmd,
     optimal_mpmdfp,
 )
-from .penalty import REGIME_PER_POINT, classify_regime, run_mpmdfp
+from .penalty import run_mpmdfp
 from .stiltwalker import Engine, TimerMode, stream_words
 
 __all__ = [
@@ -53,17 +56,6 @@ __all__ = [
     "run_experiment",
     "check_flush_budget",
 ]
-
-CSV_COLUMNS = (
-    "trial",
-    "seed",
-    "space",
-    "time",
-    "penalty",
-    "total",
-    "opt_total",
-    "ratio",
-)
 
 
 def trial_seed(master_seed: int, trial: int) -> int:
@@ -89,17 +81,8 @@ class TrialRecord:
     ratio: float
     c_end: float | None = None   # flush connection cost; engine runs only
 
-    def csv_row(self) -> list[str]:
-        return [
-            str(self.trial),
-            str(self.seed),
-            repr(self.space),
-            repr(self.time),
-            repr(self.penalty),
-            repr(self.total),
-            repr(self.opt_total),
-            repr(self.ratio),
-        ]
+
+CSV_COLUMNS = tuple(f.name for f in fields(TrialRecord) if f.name != "c_end")
 
 
 @dataclass(frozen=True)
@@ -126,16 +109,12 @@ class ExperimentConfig:
                     "a fixed tree applies to the matching-only variant; the "
                     "penalty reduction builds its own doubled tree"
                 )
+        elif len(self.requests) % 2 != 0:
+            raise OddRequestSet(
+                f"{len(self.requests)} requests; matching needs an even count"
+            )
         if self.fixed_tree is not None:
             _check_fixed_tree(self.fixed_tree, self.space)
-        elif (
-            self.penalty is None
-            or classify_regime(self.space, self.penalty) != REGIME_PER_POINT
-        ):
-            # trials embed the space, or its doubled metric, whose diameter
-            # and aspect ratio are no smaller: reject a space out of the
-            # embedding's range before the offline baseline is solved
-            embeddable_stats(self.space)
         return self
 
 
@@ -195,31 +174,13 @@ class ExperimentReport:
     config: ExperimentConfig
     records: tuple[TrialRecord, ...]
     opt: OfflineSolution
+    ratio_mean: float    # the three of `batch_summary`
+    ratio_ci95: float
+    residual: float
 
     @property
     def opt_total(self) -> float:
         return self.opt.cost.total
-
-    def _summary(self) -> tuple[float, float, float]:
-        return batch_summary(
-            [r.ratio for r in self.records],
-            [r.total for r in self.records],
-            self.opt_total,
-        )
-
-    @property
-    def ratio_mean(self) -> float:
-        return self._summary()[0]
-
-    @property
-    def ratio_ci95(self) -> float:
-        """Half-width of the normal-approximation 95% interval for the mean."""
-        return self._summary()[1]
-
-    @property
-    def residual(self) -> float:
-        """Additive slack: mean online total minus ratio_mean x offline total."""
-        return self._summary()[2]
 
     @property
     def c_end_values(self) -> list[float]:
@@ -229,7 +190,7 @@ class ExperimentReport:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(CSV_COLUMNS)
         for r in self.records:
-            w.writerow(r.csv_row())
+            w.writerow([repr(getattr(r, column)) for column in CSV_COLUMNS])
 
     def to_dict(self) -> dict:
         cfg = self.config
@@ -271,17 +232,14 @@ class ExperimentReport:
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run the batch; deterministic given the configuration."""
     cfg = config.validated()
-    opt = offline_baseline(cfg.space, cfg.requests, cfg.penalty)
-    opt_total = opt.cost.total
-
-    records = []
     seeds = [trial_seed(cfg.master_seed, trial) for trial in range(cfg.trials)]
     # every tree of the batch is a full binary tree over the same points;
     # deterministic timers never draw, so their engines get no words
     words = itertools.repeat(None)
     if cfg.mode is TimerMode.EXPONENTIAL:
         words = stream_words(seeds, range(2 * cfg.space.n - 1))
-    for trial, seed in enumerate(seeds):
+    runs = []  # (cost, c_end) per trial
+    for trial in range(cfg.trials):
         c_end = None
         if cfg.penalty is None:
             tree = cfg.fixed_tree
@@ -301,6 +259,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 flush=cfg.flush,
             )
             cost = out.cost
+        runs.append((cost, c_end))
+
+    opt = offline_baseline(cfg.space, cfg.requests, cfg.penalty)
+    opt_total = opt.cost.total
+    records = []
+    for trial, (seed, (cost, c_end)) in enumerate(zip(seeds, runs)):
         if opt.optimal and cost.total < opt_total * (1 - 1e-9) - 1e-12:
             raise InvariantViolation(
                 f"trial {trial} total {cost.total} undercuts the exact "
@@ -323,7 +287,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 c_end=c_end,
             )
         )
-    return ExperimentReport(config=cfg, records=tuple(records), opt=opt)
+    summary = batch_summary(
+        [r.ratio for r in records], [r.total for r in records], opt_total
+    )
+    return ExperimentReport(cfg, tuple(records), opt, *summary)
 
 
 # ---------------------------------------------------------------------------

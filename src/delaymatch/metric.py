@@ -30,7 +30,6 @@ _TRIANGLE_BLOCK = 1 << 16
 __all__ = [
     "MetricSpace",
     "MetricStats",
-    "validate",
     "from_coords",
     "stats",
 ]
@@ -115,11 +114,6 @@ class MetricSpace:
 
     def __repr__(self) -> str:
         return f"MetricSpace(n={self.n})"
-
-
-def validate(points: Sequence[str], dist) -> MetricSpace:
-    """Build a MetricSpace, raising a named error on the first violation."""
-    return MetricSpace(points, np.asarray(dist, dtype=float))
 
 
 def from_coords(coords, points: Sequence[str] | None = None) -> MetricSpace:

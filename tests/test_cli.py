@@ -8,7 +8,12 @@ import pytest
 from delaymatch import embedding, offline
 from delaymatch.cli import _build_parser, load_bundle, main, save_bundle
 from delaymatch.embedding import Hsbt
-from delaymatch.penalty import REGIME_PER_POINT, REGIME_TWO_COPIES, classify_regime
+from delaymatch.penalty import (
+    REGIME_DOUBLED,
+    REGIME_PER_POINT,
+    REGIME_TWO_COPIES,
+    classify_regime,
+)
 
 
 def run_cli(capsys, *argv):
@@ -139,13 +144,16 @@ def test_verify_identities_command(tmp_path, capsys):
     assert float(worst.split()[1]) <= 1e-9
 
 
+_THREE_SEGMENT_ROWS = [
+    {"start": 0.0, "end": 1.0, "color": 1},
+    {"start": 1.0, "end": 2.0, "color": 2},
+    {"start": 2.0, "end": 3.0, "color": 1},
+]
+
+
 def test_verify_app_command(tmp_path, capsys):
     coloring = tmp_path / "coloring.json"
-    coloring.write_text(json.dumps([
-        {"start": 0.0, "end": 1.0, "color": 1},
-        {"start": 1.0, "end": 2.0, "color": 2},
-        {"start": 2.0, "end": 3.0, "color": 1},
-    ]))
+    coloring.write_text(json.dumps(_THREE_SEGMENT_ROWS))
     code, text, _ = run_cli(
         capsys, "verify-app", "--coloring", str(coloring),
         "--lambda", "1.5", "--trials", "2000",
@@ -153,6 +161,72 @@ def test_verify_app_command(tmp_path, capsys):
     assert code == 0
     assert "count_bound_violations 0" in text
     assert "dominance_ok True" in text
+
+
+_VERIFY_APP_STDOUT = """\
+trials 2000
+lam 1.5
+identity_rel_error 0.00016056594654016723
+first_digest_rel_error 0.010549494178181542
+count_bound_violations 0
+dominance_ok True
+dominance_margin 0.999999
+"""
+
+_GAMMA_8_JSON = """\
+{
+ "n": 8,
+ "epsilon": 0.0004166666666666667,
+ "jitter": 3.2552083333333335e-06,
+ "end_actives": [
+  "p0",
+  "p2",
+  "p4",
+  "p7"
+ ],
+ "applications": [
+  {
+   "vertex": 0,
+   "depth": 0,
+   "start_effective": 0.0,
+   "expiry": 1.7777777777777777,
+   "mid_time": 1.777361111111111,
+   "post_time": 1.7781944444444444,
+   "sites": [
+    "p0",
+    "p1",
+    "p2",
+    "p4",
+    "p6",
+    "p7"
+   ],
+   "expiry_feet": [
+    "p2",
+    "p4"
+   ],
+   "cancel_sites": [
+    "p1",
+    "p6"
+   ]
+  }
+ ]
+}
+"""
+
+
+def test_verify_app_stdout_and_gamma_json_are_byte_exact(tmp_path, capsys):
+    # the run/embed/verify-identities goldens cover neither serializer
+    coloring = tmp_path / "coloring.json"
+    coloring.write_text(json.dumps(_THREE_SEGMENT_ROWS))
+    code, text, _ = run_cli(
+        capsys, "verify-app", "--coloring", str(coloring),
+        "--lambda", "1.5", "--trials", "2000", "--seed", "0",
+    )
+    assert code == 0
+    assert text == _VERIFY_APP_STDOUT
+    out = tmp_path / "gamma"
+    assert run_cli(capsys, "gen", "gamma", "--n", "8", "--out", str(out))[0] == 0
+    assert (out / "gamma.json").read_text() == _GAMMA_8_JSON
 
 
 _COLORING_ROWS = [
@@ -453,6 +527,34 @@ def test_out_of_range_metric_is_rejected_before_the_offline_solve(
     assert code == 1
     assert err.startswith("error: diameter 1e+308 exceeds")
     assert solved == []
+
+
+def test_doubled_metric_out_of_range_is_rejected_before_the_offline_solve(
+    tmp_path, capsys, monkeypatch
+):
+    # the base metric fits the range; its doubled metric, sides 2e306 + p,
+    # does not, and trial 0 embeds the doubled metric
+    solved = []
+    monkeypatch.setattr(offline, "_solve", lambda *args: solved.append(args))
+    times = [float(k) for k in range(6)]
+    inst = _write_bundle(tmp_path / "inst.json", _triangle(2e306, 2e306), times)
+    assert classify_regime(load_bundle(inst)[0], 2e306) == REGIME_DOUBLED
+    code, out, err = run_cli(capsys, "run", "--instance", inst, "--penalty", "2e306")
+    assert code == 1
+    assert err.startswith("error: diameter 4e+306 exceeds 2.8089e+306")
+    assert out == "" and solved == []
+
+
+def test_odd_request_count_is_rejected_before_any_tree_is_sampled(
+    tmp_path, capsys, monkeypatch
+):
+    embedded = []
+    monkeypatch.setattr(embedding, "frt_embed", lambda *args: embedded.append(args))
+    inst = _write_bundle(tmp_path / "inst.json", _triangle(1.0, 1.0), [0.0, 1.0, 2.0])
+    code, out, err = run_cli(capsys, "run", "--instance", inst)
+    assert code == 1
+    assert err == "error: 3 requests; matching needs an even count\n"
+    assert out == "" and embedded == []
 
 
 @pytest.mark.parametrize("dist, penalty", [

@@ -17,7 +17,7 @@ from delaymatch.errors import (
     TriangleViolation,
 )
 from delaymatch.cli import load_bundle, save_bundle
-from delaymatch.metric import MetricSpace, from_coords, stats, validate
+from delaymatch.metric import MetricSpace, from_coords, stats
 
 
 def square_metric():
@@ -233,8 +233,3 @@ def test_load_instance_bad_json(tmp_path):
     path.write_text("{nope")
     with pytest.raises(InstanceLoadError):
         load_bundle(str(path))
-
-
-def test_validate_wrapper():
-    names, d = square_metric()
-    assert validate(names, d).n == 4
