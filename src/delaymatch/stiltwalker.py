@@ -13,11 +13,17 @@ Timers.  Every internal vertex v owns a budget B_v, drawn when v first
 becomes effective and redrawn after every match across v: exponential with
 mean w(v) in randomized mode, exactly w(v) in deterministic mode.  The
 budget is consumed at unit rate only while v is effective and is frozen, not
-redrawn, when v stops being effective.  When it hits zero the two supporting
-requests of v are matched across v, paying the tree distance w(v); parities
-of v and all its ancestors are unchanged by such a match (one active leaves
-each child side), so other effective vertices and their feet are
-undisturbed.
+redrawn, when v stops being effective.  The engine keeps it as an absolute
+deadline: when v becomes effective at time t it sets `deadline[v] = t +
+budget[v]`, and when v stops being effective at time t' it stores what is
+left, `budget[v] = deadline[v] - t'`.  So `budget[v]` is v's remaining budget
+while v is not effective and the budget it had on becoming effective while
+it is.  Nothing touches either between those two instants, so v's timer
+reads no time but the ones at which v itself enters or leaves the effective
+set.  At the deadline the two supporting requests of v are matched across v,
+paying the tree distance w(v); parities of v and all its ancestors are
+unchanged by such a match (one active leaves each child side), so other
+effective vertices and their feet are undisturbed.
 
 End of input.  With `flush=True` the engine stops at the last arrival time
 t_end and matches across every effective vertex at once (by increasing
@@ -30,12 +36,16 @@ State upkeep.  An arrival flips parity along one leaf-to-root path and a
 match along the two feet-to-vertex paths below the matched vertex, so only
 the vertices on those paths can change parity and only their parents can
 gain or lose effectiveness.  `Engine._flip_path` updates the parity list and
-the effective set along such a path and nowhere else, making an event cost
-O(height + |effective set|).  The event trace is the engine's one record:
-the schedule is read off it, and neither it nor the engine keeps state
-snapshots or potential ledgers.  The analysis in `diagnostics` rebuilds the
-state before every event, and the ledgers tau and sigma, from the trace
-alone, with the parity replay it shares with the offline schedule.
+the effective set along such a path and nowhere else.  Each vertex that
+becomes effective pushes (deadline, vertex) onto a heap, and the next timer
+is the heap's smallest entry whose vertex is still effective with that
+deadline; other entries are stale and dropped when they reach the top.  An
+event thus costs O(height + log heap), with no pass over the effective set.
+The event trace is the engine's one record: the schedule is read off it, and
+neither it nor the engine keeps state snapshots or potential ledgers.  The
+analysis in `diagnostics` rebuilds the state before every event, and the
+ledgers tau and sigma, from the trace alone, with the parity replay it
+shares with the offline schedule.
 
 Determinism.  Each internal vertex draws from its own named RNG stream keyed
 by (seed, vertex id), so runs are bit-for-bit reproducible and the timers
@@ -53,8 +63,8 @@ Streams are independent and each yields its values in the same order
 whenever they are drawn, so drawing first budgets at engine start would
 move no bit.
 Simultaneous events are ordered: arrivals first (by request id), then vertex
-timers by (depth, vertex id); vertex ids are depth-sorted, so plain id order
-implements that rule.
+timers by (depth, vertex id); vertex ids are depth-sorted, so the heap's
+(deadline, vertex) order implements that rule.
 """
 
 from __future__ import annotations
@@ -62,6 +72,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -237,6 +248,11 @@ class Engine:
         self._streams: dict[int, list] = {}
         n_v = len(tree)
         self.budget: list[float | None] = [None] * n_v  # None until first effective
+        self.deadline = [0.0] * n_v  # read only while the vertex is effective
+        self._timers: list[tuple[float, int]] = []  # heap of (deadline, vertex)
+        self._sibling = [-1] * n_v
+        for c1, c2 in filter(None, tree.children):
+            self._sibling[c1], self._sibling[c2] = c2, c1
         self.parity = [0] * n_v
         self.active_at: dict[int, int] = {}  # leaf -> request id
         self.effective: set[int] = set()
@@ -266,27 +282,32 @@ class Engine:
     def _flip_path(self, leaf: int, top: int = -1) -> None:
         """Flip parity from `leaf` up to, not including, `top` (-1: the root too).
 
-        Every flipped vertex changes one child of its parent, so exactly those
-        parents (`top` among them) are re-tested for effectiveness; a vertex
-        that becomes effective for the first time draws its first budget.
-        `top` must be -1 or an ancestor of `leaf`.
+        A flip of v toggles the effectiveness of its parent u exactly when
+        v's sibling is odd, so only then is u touched: entering, u draws its
+        first budget if it has none and pushes its deadline; leaving, u keeps
+        what is left of its budget.  `top` must be -1 or an ancestor of `leaf`.
         """
-        parent, children = self.tree.parent, self.tree.children
-        parity, effective, budget = self.parity, self.effective, self.budget
+        parent, sibling, parity = self.tree.parent, self._sibling, self.parity
+        effective, budget, deadline = self.effective, self.budget, self.deadline
         v = leaf
         while v != top:
-            if v < 0:
-                raise InvariantViolation(f"vertex {top} is not above leaf {leaf}")
             parity[v] ^= 1
-            v = parent[v]
-            if v >= 0:
-                c1, c2 = children[v]
-                if parity[c1] and parity[c2]:
-                    effective.add(v)
-                    if budget[v] is None:
-                        budget[v] = self._draw(v)
+            u = parent[v]
+            if u < 0:
+                if top >= 0:
+                    raise InvariantViolation(f"vertex {top} is not above leaf {leaf}")
+                return
+            if parity[sibling[v]]:
+                if parity[v]:
+                    if budget[u] is None:
+                        budget[u] = self._draw(u)
+                    deadline[u] = self.now + budget[u]
+                    heappush(self._timers, (deadline[u], u))
+                    effective.add(u)
                 else:
-                    effective.discard(v)
+                    budget[u] = deadline[u] - self.now
+                    effective.discard(u)
+            v = u
 
     def _foot(self, v: int) -> int:
         children, parity = self.tree.children, self.parity
@@ -303,14 +324,23 @@ class Engine:
 
     def _advance(self, t: float) -> None:
         t = float(t)
-        dt = t - self.now
-        if dt < 0:
+        if t < self.now:
             raise InvariantViolation("time went backwards")
-        if dt:
-            budget = self.budget
-            for v in self.effective:
-                budget[v] -= dt
         self.now = t
+
+    def _next_timer(self) -> tuple[float, int] | None:
+        """The earliest (deadline, vertex) over the effective set.
+
+        Heap entries go stale when their vertex leaves the effective set or
+        re-enters it with a new deadline; stale tops are dropped here.
+        """
+        timers, effective, deadline = self._timers, self.effective, self.deadline
+        while timers:
+            d, v = timers[0]
+            if v in effective and deadline[v] == d:
+                return d, v
+            heappop(timers)
+        return None
 
     def _record(self, kind: str, vertex, requests) -> EngineEvent:
         ev = EngineEvent(self.now, kind, vertex, requests)
@@ -353,30 +383,22 @@ class Engine:
         effective-vertex expiry; at equal times the arrival wins, and tied
         timers fire shallowest-lowest-id first.
         """
-        next_arrival = (
-            self.requests[self.arrival_index].t
-            if self.arrival_index < len(self.requests)
-            else None
-        )
-        fire_v, fire_t = None, None
-        now, budget = self.now, self.budget
-        for v in self.effective:  # lowest id == (depth, index) order on ties
-            cand = now + budget[v]
-            if fire_t is None or cand < fire_t or (cand == fire_t and v < fire_v):
-                fire_v, fire_t = v, cand
-        if next_arrival is not None and (fire_t is None or next_arrival <= fire_t):
-            self._advance(next_arrival)
+        timer = self._next_timer()
+        if self.arrival_index < len(self.requests):
             req = self.requests[self.arrival_index]
-            self.arrival_index += 1
-            return self._handle_arrival(req)
-        if fire_t is None:
+            if timer is None or req.t <= timer[0]:
+                self._advance(req.t)
+                self.arrival_index += 1
+                return self._handle_arrival(req)
+        if timer is None:
             if self.active_at:
                 raise InvariantViolation(
                     "stuck: active requests but no effective vertex"
                 )
             return None
-        self._advance(fire_t)
-        return self.match_across(fire_v)
+        heappop(self._timers)
+        self._advance(timer[0])
+        return self.match_across(timer[1])
 
     def flush_now(self) -> None:
         """Match across every effective vertex at the current instant.
