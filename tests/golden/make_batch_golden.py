@@ -16,9 +16,12 @@ Every case stores its full input (metric, requests, instance bundle, argv);
 floats are plain JSON numbers, which round-trip exactly.
 `tests/test_golden.py` replays each case and demands exact equality.
 
-The file was written once from the pair-scanning greedy and pair-looping
-distance checks, before they were vectorised.  A mismatch means the batch
-path changed its output; do not rerun this script to absorb it.
+The file was written from the pair-scanning greedy and pair-looping
+distance checks, before they were vectorised, and rewritten once when the
+engine's timers became absolute deadlines: three `run` cases' event-time
+figures moved by at most 7 ulp and two `residual`s became 0.0.  A mismatch
+means the batch path changed its output; do not rerun this script to absorb
+it.
 """
 
 from __future__ import annotations

@@ -9,9 +9,11 @@ entropy key of every vertex stream) and the engine's schedule, trace and
 `sigma` ledgers that `diagnostics` computes from the trace.
 `tests/test_golden.py` replays each case and demands exact equality.
 
-The file was written once from the engine before its path-local rewrite.
-A mismatch means the engine changed its output; do not rerun this script
-to absorb it.
+The file was written from the engine before its path-local rewrite and
+rewritten once when timers became absolute deadlines: four cases' event,
+pairing and `tau` times moved by at most 8 ulp, and no pairing id, event
+kind or vertex changed.  A mismatch means the engine changed its output; do
+not rerun this script to absorb it.
 """
 
 from __future__ import annotations
