@@ -119,7 +119,7 @@ def save_bundle(space: MetricSpace, requests, path: str) -> None:
         obj["requests"] = [
             {"point": r.point, "t": r.t} for r in sorted(requests, key=lambda r: r.id)
         ]
-    _write_atomic(path, json.dumps(obj, indent=1) + "\n")
+    _write_atomic(path, json.dumps(obj) + "\n")
 
 
 def _out_dir(args) -> str | None:

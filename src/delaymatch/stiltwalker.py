@@ -13,14 +13,12 @@ Timers.  Every internal vertex v owns a budget B_v, drawn when v first
 becomes effective and redrawn after every match across v: exponential with
 mean w(v) in randomized mode, exactly w(v) in deterministic mode.  The
 budget is consumed at unit rate only while v is effective and is frozen, not
-redrawn, when v stops being effective.  The engine keeps it as an absolute
-deadline: when v becomes effective at time t it sets `deadline[v] = t +
-budget[v]`, and when v stops being effective at time t' it stores what is
-left, `budget[v] = deadline[v] - t'`.  So `budget[v]` is v's remaining budget
-while v is not effective and the budget it had on becoming effective while
-it is.  Nothing touches either between those two instants, so v's timer
-reads no time but the ones at which v itself enters or leaves the effective
-set.  At the deadline the two supporting requests of v are matched across v,
+redrawn, when v stops being effective.  The engine keeps it as a deadline:
+v entering the effective set at t sets `deadline[v] = t + budget[v]`, and v
+leaving it at t' keeps `budget[v] = deadline[v] - t'`.  So `budget[v]` is
+what is left while v is not effective and what v entered with while it is,
+and v's timer reads no times but those at which v itself enters or leaves.
+At the deadline the two supporting requests of v are matched across v,
 paying the tree distance w(v); parities of v and all its ancestors are
 unchanged by such a match (one active leaves each child side), so other
 effective vertices and their feet are undisturbed.
@@ -36,16 +34,15 @@ State upkeep.  An arrival flips parity along one leaf-to-root path and a
 match along the two feet-to-vertex paths below the matched vertex, so only
 the vertices on those paths can change parity and only their parents can
 gain or lose effectiveness.  `Engine._flip_path` updates the parity list and
-the effective set along such a path and nowhere else.  Each vertex that
-becomes effective pushes (deadline, vertex) onto a heap, and the next timer
-is the heap's smallest entry whose vertex is still effective with that
-deadline; other entries are stale and dropped when they reach the top.  An
-event thus costs O(height + log heap), with no pass over the effective set.
-The event trace is the engine's one record: the schedule is read off it, and
-neither it nor the engine keeps state snapshots or potential ledgers.  The
-analysis in `diagnostics` rebuilds the state before every event, and the
-ledgers tau and sigma, from the trace alone, with the parity replay it
-shares with the offline schedule.
+the effective set along such a path and nowhere else.  A vertex entering
+the effective set pushes (deadline, vertex) onto a heap; the next timer is
+the smallest entry whose vertex is still effective with that deadline, and
+stale entries are dropped as they reach the top.  An event thus costs
+O(height + log heap).  The event trace is the engine's one record: the
+schedule is read off it, and neither it nor the engine keeps state snapshots
+or potential ledgers.  The analysis in `diagnostics` rebuilds the state
+before every event, and the ledgers tau and sigma, from the trace alone,
+with the parity replay it shares with the offline schedule.
 
 Determinism.  Each internal vertex draws from its own named RNG stream keyed
 by (seed, vertex id), so runs are bit-for-bit reproducible and the timers
@@ -329,11 +326,8 @@ class Engine:
         self.now = t
 
     def _next_timer(self) -> tuple[float, int] | None:
-        """The earliest (deadline, vertex) over the effective set.
-
-        Heap entries go stale when their vertex leaves the effective set or
-        re-enters it with a new deadline; stale tops are dropped here.
-        """
+        """The earliest (deadline, vertex) of an effective vertex, or None;
+        drops stale tops (left the effective set, or re-entered it since)."""
         timers, effective, deadline = self._timers, self.effective, self.deadline
         while timers:
             d, v = timers[0]

@@ -400,3 +400,90 @@ def test_trace_jsonl_dump(tmp_path):
     result.trace.to_jsonl(str(path))
     lines = path.read_text().strip().splitlines()
     assert len(lines) == len(result.trace.events)
+
+
+def _subtree(tree, x):
+    out, stack = set(), [x]
+    while stack:
+        v = stack.pop()
+        out.add(v)
+        stack.extend(tree.children[v])
+    return out
+
+
+@pytest.mark.parametrize("flush", [True, False])
+def test_reseeding_a_subtree_moves_no_event_outside_it(flush):
+    # timers read only the instants at which their own vertex enters or
+    # leaves the effective set, and reseeding a subtree moves none of those
+    # outside it; the events there keep their times to the last bit
+    subtrees = 0
+    for i in range(6):
+        rng = np.random.default_rng(100 + i)
+        space, reqs = gen_random("square", 64, 512, 10.0, rng)
+        tree = sample_hsbt(space, rng)
+        words = next(stream_words([i], range(len(tree))))
+        other = next(stream_words([1000 + i], range(len(tree))))
+        base = Engine(tree, reqs, words=words).run(flush=flush).trace.events
+        for x in tree.internal_vertices()[1::3]:
+            inside = sorted(_subtree(tree, x))
+            rows = words.copy()
+            rows[inside] = other[inside]
+            events = Engine(tree, reqs, words=rows).run(flush=flush).trace.events
+
+            def outside(evs):
+                return [
+                    (e.t, e.kind, e.vertex)
+                    for e in evs
+                    if e.kind in ("match", "flush") and e.vertex not in inside
+                ]
+
+            assert outside(events) == outside(base), (i, x)
+            subtrees += 1
+    assert subtrees == 126
+
+
+@pytest.mark.parametrize("mode", list(TimerMode))
+@pytest.mark.parametrize("seed", range(3))
+def test_next_timer_is_the_earliest_effective_deadline(seed, mode):
+    rng = np.random.default_rng(200 + seed)
+    space, reqs = gen_random("square", 24, 96, 2.0, rng)
+    tree = sample_hsbt(space, rng)
+    engine = Engine(tree, reqs, mode, next(stream_words([seed], range(len(tree)))))
+    steps = 0
+    while engine.advance_to_next_event() is not None:
+        live = [(engine.deadline[v], v) for v in engine.effective]
+        assert engine._next_timer() == (min(live) if live else None)
+        steps += 1
+    assert steps > len(reqs)
+
+
+def test_reentered_vertex_fires_at_its_frozen_remainder():
+    # deterministic timers: a vertex that leaves the effective set at t1 with
+    # deadline d and is effective again at t2 fires at exactly t2 + (d - t1)
+    rng = np.random.default_rng(5)
+    space, reqs = gen_random("square", 16, 160, 4.0, rng)
+    tree = sample_hsbt(space, rng)
+    engine = Engine(tree, reqs, TimerMode.DETERMINISTIC)
+    due: dict[int, float] = {}  # effective vertex -> when it must fire
+    rest: dict[int, float] = {}  # vertex out of the effective set -> its budget
+    paused: set[int] = set()  # left the effective set since its last draw
+    resumed_fires = 0
+    while True:
+        before = set(engine.effective)
+        ev = engine.advance_to_next_event()
+        if ev is None:
+            break
+        left = before - engine.effective
+        if ev.kind == "match":
+            assert ev.t == due.pop(ev.vertex)
+            resumed_fires += ev.vertex in paused
+            paused.discard(ev.vertex)
+            rest[ev.vertex] = tree.weight[ev.vertex]  # drawn afresh
+            left.remove(ev.vertex)
+        for v in left:
+            rest[v] = due.pop(v) - ev.t
+            paused.add(v)
+        for v in engine.effective - before:
+            due[v] = ev.t + rest.get(v, tree.weight[v])
+    assert not engine.active_at and not due
+    assert resumed_fires > 0
