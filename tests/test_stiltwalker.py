@@ -402,13 +402,13 @@ def test_trace_jsonl_dump(tmp_path):
     assert len(lines) == len(result.trace.events)
 
 
-def _subtree(tree, x):
-    out, stack = set(), [x]
-    while stack:
-        v = stack.pop()
-        out.add(v)
-        stack.extend(tree.children[v])
-    return out
+def _matches_outside(events, subtree):
+    inside = set(subtree)
+    return [
+        (e.t, e.kind, e.vertex)
+        for e in events
+        if e.kind in ("match", "flush") and e.vertex not in inside
+    ]
 
 
 @pytest.mark.parametrize("flush", [True, False])
@@ -425,19 +425,12 @@ def test_reseeding_a_subtree_moves_no_event_outside_it(flush):
         other = next(stream_words([1000 + i], range(len(tree))))
         base = Engine(tree, reqs, words=words).run(flush=flush).trace.events
         for x in tree.internal_vertices()[1::3]:
-            inside = sorted(_subtree(tree, x))
+            inside = tree.subtree(x)
             rows = words.copy()
             rows[inside] = other[inside]
             events = Engine(tree, reqs, words=rows).run(flush=flush).trace.events
-
-            def outside(evs):
-                return [
-                    (e.t, e.kind, e.vertex)
-                    for e in evs
-                    if e.kind in ("match", "flush") and e.vertex not in inside
-                ]
-
-            assert outside(events) == outside(base), (i, x)
+            want = _matches_outside(base, inside)
+            assert _matches_outside(events, inside) == want, (i, x)
             subtrees += 1
     assert subtrees == 126
 
