@@ -10,7 +10,8 @@ on above the exact oracle's size cap:
   uniform instances, and on integer-coordinate, integer-time instances
   whose pair costs tie exactly (so the tie rule is pinned too);
 - "cli": `run` stdout, `report.json` and `trials.csv` for flush,
-  `--no-flush`, `--penalty` and deterministic batches, and `embed` stdout.
+  `--no-flush`, deterministic and `--penalty` batches (the penalty ones in
+  each of the three regimes, and without flush), and `embed` stdout.
 
 Every case stores its full input (metric, requests, instance bundle, argv);
 floats are plain JSON numbers, which round-trip exactly.
@@ -19,7 +20,9 @@ floats are plain JSON numbers, which round-trip exactly.
 The file was written from the pair-scanning greedy and pair-looping
 distance checks, before they were vectorised, and rewritten once when the
 engine's timers became absolute deadlines: three `run` cases' event-time
-figures moved by at most 7 ulp and two `residual`s became 0.0.  A mismatch
+figures moved by at most 7 ulp and two `residual`s became 0.0.  The
+per-point, two-copies and no-flush penalty cases were added later, from the
+code that still ran penalty trials in a loop of their own.  A mismatch
 means the batch path changed its output; do not rerun this script to absorb
 it.
 """
@@ -140,6 +143,16 @@ def cli_cases():
          ["run", "--trials", "3", "--seed", "6", "--no-flush"]),
         ("run-penalty-line-16", "line-16",
          ["run", "--trials", "4", "--seed", "7", "--penalty", "0.3"]),
+        # line-16 has d_min/2 = 0.0047 and 2 d_max = 1.97: one case per regime
+        ("run-penalty-two-copies-line-16", "line-16",
+         ["run", "--trials", "4", "--seed", "9", "--penalty", "3"]),
+        ("run-penalty-two-copies-det-line-16", "line-16",
+         ["run", "--trials", "3", "--seed", "10", "--penalty", "3",
+          "--mode", "deterministic"]),
+        ("run-penalty-per-point-line-16", "line-16",
+         ["run", "--trials", "3", "--seed", "11", "--penalty", "0.004"]),
+        ("run-penalty-noflush-line-16", "line-16",
+         ["run", "--trials", "4", "--seed", "12", "--penalty", "0.3", "--no-flush"]),
         ("run-det-uniform-12", "uniform-12",
          ["run", "--trials", "3", "--seed", "8", "--mode", "deterministic"]),
         ("embed-square-64", "square-64", ["embed", "--seed", "1"]),
