@@ -10,12 +10,14 @@ seed key (master_seed, i), so two batches with equal configuration produce
 identical records byte for byte.  Wall-clock time never enters a report;
 callers that want timing print it to stderr themselves.
 
-A batch runs every trial first, then solves the offline reference once,
-then builds the records: trial 0's embedding rejects a metric out of the
-embedding's range before the offline solve does any work.  The reference
-cost is the exact oracle whenever the instance fits its size cap, otherwise
-the best of the cheap upper bounds (greedy pairing, and with a penalty also
-clearing everything), flagged via `opt_exact`.
+A batch resolves a penalty's regime and doubled instance once
+(`penalty.PenaltyReduction`), runs every trial in one loop for both cost
+models, then solves the offline reference once, then builds the records:
+trial 0's embedding rejects a metric out of the embedding's range before the
+offline solve does any work.  The reference cost is the exact oracle
+whenever the instance fits its size cap, otherwise the best of the cheap
+upper bounds (greedy pairing, and with a penalty also clearing everything),
+flagged via `opt_exact`.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .offline import (
     optimal_mpmd,
     optimal_mpmdfp,
 )
-from .penalty import run_mpmdfp
+from .penalty import PenaltyReduction
 from .stiltwalker import Engine, TimerMode, stream_words
 
 __all__ = [
@@ -65,12 +67,16 @@ def trial_seed(master_seed: int, trial: int) -> int:
 
 
 def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
-    """Per-trial generator of the embedding, keyed (master seed, trial, 0)."""
+    """Per-trial generator of the tree, keyed (master seed, trial, 0); with
+    a penalty it first gives the trial's engine seed."""
     return np.random.default_rng(np.random.SeedSequence((master_seed, trial, 0)))
 
 
 @dataclass(frozen=True)
 class TrialRecord:
+    """One trial's costs.  `seed` is `trial_seed(master, trial)`; a penalty
+    trial's engine runs on `trial_rng(master, trial).integers(2**62)` instead."""
+
     trial: int
     seed: int
     space: float
@@ -233,33 +239,37 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run the batch; deterministic given the configuration."""
     cfg = config.validated()
     seeds = [trial_seed(cfg.master_seed, trial) for trial in range(cfg.trials)]
+    rngs = [trial_rng(cfg.master_seed, trial) for trial in range(cfg.trials)]
+    space, requests, engine_seeds, fp = cfg.space, cfg.requests, seeds, None
+    if cfg.penalty is not None:
+        fp = PenaltyReduction(cfg.space, cfg.requests, cfg.penalty)
+        if fp.fixed is None:
+            space, requests = fp.metric_hat, fp.requests_hat
+            # each trial's engine seed comes off its generator before its
+            # tree, in every mode, as in `run_mpmdfp`
+            engine_seeds = [int(rng.integers(2**62)) for rng in rngs]
     # every tree of the batch is a full binary tree over the same points;
     # deterministic timers never draw, so their engines get no words
     words = itertools.repeat(None)
-    if cfg.mode is TimerMode.EXPONENTIAL:
-        words = stream_words(seeds, range(2 * cfg.space.n - 1))
+    if cfg.mode is TimerMode.EXPONENTIAL and (fp is None or fp.fixed is None):
+        words = stream_words(engine_seeds, range(2 * space.n - 1))
     runs = []  # (cost, c_end) per trial
-    for trial in range(cfg.trials):
-        c_end = None
-        if cfg.penalty is None:
+    for rng, table in zip(rngs, words):
+        if fp is None:
             tree = cfg.fixed_tree
             if tree is None:
-                tree = sample_hsbt(cfg.space, trial_rng(cfg.master_seed, trial))
-            run = Engine(tree, cfg.requests, cfg.mode, next(words)).run(flush=cfg.flush)
-            cost = total_cost(cfg.space, cfg.requests, run.schedule)
-            if run.trace.flushed:
-                c_end = run.trace.c_end_space
+                tree = sample_hsbt(space, rng)
+        elif fp.fixed is not None:
+            runs.append((fp.fixed.cost, None))
+            continue
         else:
-            out = run_mpmdfp(
-                cfg.space,
-                cfg.requests,
-                cfg.penalty,
-                trial_rng(cfg.master_seed, trial),
-                mode=cfg.mode,
-                flush=cfg.flush,
-            )
-            cost = out.cost
-        runs.append((cost, c_end))
+            tree, table = fp.sample(rng, table)
+        run = Engine(tree, requests, cfg.mode, table).run(flush=cfg.flush)
+        if fp is None:
+            c_end = run.trace.c_end_space if run.trace.flushed else None
+            runs.append((total_cost(space, requests, run.schedule), c_end))
+        else:
+            runs.append((fp.project(run.schedule, tree).cost, None))
 
     opt = offline_baseline(cfg.space, cfg.requests, cfg.penalty)
     opt_total = opt.cost.total

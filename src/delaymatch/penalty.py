@@ -26,6 +26,10 @@ Three parameter regimes, split by the smallest distance d and diameter D:
 Every engine-backed run satisfies cost_fp <= cost of the doubled run exactly
 (asserted): pairings project at equal cost and a clear costs at most its
 cross-side edge.
+
+Only the tree and the timers differ between runs, so `PenaltyReduction`
+resolves the regime and the doubled instance once; a batch shares it, and
+`run_mpmdfp` makes one run of it.
 """
 
 from __future__ import annotations
@@ -40,13 +44,14 @@ from .embedding import Hsbt, build_hsbt, sample_hsbt
 from .errors import InvariantViolation, RegimeMismatch, TooLarge
 from .metric import MetricSpace, stats
 from .offline import optimal_mpmd, optimal_mpmdfp
-from .stiltwalker import Engine, TimerMode, run, stream_words
+from .stiltwalker import Engine, TimerMode, stream_words
 
 __all__ = [
     "REGIME_PER_POINT",
     "REGIME_DOUBLED",
     "REGIME_TWO_COPIES",
     "FpRun",
+    "PenaltyReduction",
     "classify_regime",
     "run_mpmdfp",
     "verify_benchmark_inequality",
@@ -89,8 +94,9 @@ def _hat_point(name: str, side: int) -> str:
 
 def _doubled_parts(
     space: MetricSpace, requests: tuple[Request, ...], p: float
-) -> tuple[MetricSpace, tuple[Request, ...]]:
-    """Doubled metric and twin requests, with no regime restriction."""
+) -> tuple[MetricSpace, tuple[Request, ...], tuple[int, ...]]:
+    """Doubled metric, twin requests and, per twin pair k, the original
+    request id (twins 2k, 2k + 1); no regime restriction."""
     names = [_hat_point(x, s) for x in space.points for s in (1, 2)]
     # twin a of point a >> 1 sits on side a & 1; the penalty term is 0.0 or p
     twins = np.arange(2 * space.n)
@@ -103,7 +109,7 @@ def _doubled_parts(
     for k, r in enumerate(ordered):
         hat.append(Request(id=2 * k, point=_hat_point(r.point, 1), t=r.t))
         hat.append(Request(id=2 * k + 1, point=_hat_point(r.point, 2), t=r.t))
-    return metric_hat, tuple(hat)
+    return metric_hat, tuple(hat), tuple(r.id for r in ordered)
 
 
 @dataclass(frozen=True)
@@ -123,9 +129,11 @@ class FpRun:
 
 def _translate(
     hat_pairings: tuple[tuple[int, int, float], ...],
+    to_orig: tuple[int, ...],
     twin_cross_only: bool,
-) -> tuple[list[tuple[int, int, float]], list[tuple[int, float]]]:
-    """Project doubled-run pairings back to pairings and clears."""
+) -> Schedule:
+    """Project doubled-run pairings back to pairings and clears of the
+    original requests (twin pair k is request to_orig[k])."""
     pairings: list[tuple[int, int, float]] = []
     clears: list[tuple[int, float]] = []
     side2_pairs: list[tuple[int, int, float]] = []
@@ -147,7 +155,10 @@ def _translate(
         raise InvariantViolation("side-2 matches do not mirror side-1 matches")
     pairings.sort(key=lambda e: (e[2], e[0]))
     clears.sort(key=lambda e: (e[1], e[0]))
-    return pairings, clears
+    return Schedule(
+        pairings=tuple((to_orig[a], to_orig[b], t) for a, b, t in pairings),
+        clears=tuple((to_orig[a], t) for a, t in clears),
+    )
 
 
 def _per_point_run(requests: tuple[Request, ...], p: float) -> Schedule:
@@ -209,6 +220,51 @@ def _two_copies_tree(
     return tree, mirror
 
 
+class PenaltyReduction:
+    """What every run of one penalty instance shares, resolved once: the
+    regime and `fixed`, the whole run where the regime draws nothing, or else
+    the doubled instance `metric_hat`, `requests_hat` that the engine serves
+    (twin pair k projects back to request `to_orig[k]`)."""
+
+    def __init__(self, space: MetricSpace, requests: tuple[Request, ...], p: float):
+        self.space, self.requests, self.p = space, requests, p
+        self.regime = classify_regime(space, p)
+        self.fixed: FpRun | None = None
+        if not requests or self.regime == REGIME_PER_POINT:
+            schedule = _per_point_run(requests, p)
+            cost = total_cost(space, requests, schedule, penalty_p=p)
+            self.fixed = FpRun(schedule, cost, self.regime)
+        else:
+            parts = _doubled_parts(space, requests, p)
+            self.metric_hat, self.requests_hat, self.to_orig = parts
+
+    def sample(
+        self, rng: np.random.Generator, words: np.ndarray | None
+    ) -> tuple[Hsbt, np.ndarray | None]:
+        """A run's tree, drawn from `rng`, and the rows of its seed's word
+        table (None for deterministic timers) that its engine reads."""
+        if self.regime == REGIME_DOUBLED:
+            return sample_hsbt(self.metric_hat, rng), words
+        tree, mirror = _two_copies_tree(self.space, self.p, rng)
+        if words is not None:
+            # mirrored vertices share the stream keyed by the lower of their ids
+            words = words[[min(v, mirror[v]) for v in range(len(tree))]]
+        return tree, words
+
+    def project(self, hat_schedule: Schedule, tree: Hsbt) -> FpRun:
+        """Project a doubled run back; asserts cost_fp <= its doubled cost."""
+        hat_cost = total_cost(self.metric_hat, self.requests_hat, hat_schedule)
+        schedule = _translate(
+            hat_schedule.pairings, self.to_orig, self.regime == REGIME_TWO_COPIES
+        )
+        cost = total_cost(self.space, self.requests, schedule, penalty_p=self.p)
+        if cost.total > hat_cost.total * (1 + 1e-9) + 1e-12:
+            raise InvariantViolation(
+                f"projected cost {cost.total} exceeds doubled-run cost {hat_cost.total}"
+            )
+        return FpRun(schedule, cost, self.regime, hat_cost, tree)
+
+
 def run_mpmdfp(
     space: MetricSpace,
     requests: tuple[Request, ...],
@@ -217,53 +273,22 @@ def run_mpmdfp(
     mode: TimerMode = TimerMode.EXPONENTIAL,
     flush: bool = True,
 ) -> FpRun:
-    """Serve every request by pairing or clearing, per the active regime.
+    """Serve every request by pairing or clearing, per the active regime:
+    one run of the instance's `PenaltyReduction`.
 
     Engine-backed regimes hard-assert the per-run reduction inequality
     cost_fp <= cost of the doubled run.
     """
-    regime = classify_regime(space, p)
-    if not requests:
-        zero = CostBreakdown(space=0.0, time=0.0, penalty=0.0)
-        return FpRun(schedule=Schedule(pairings=()), cost=zero, regime=regime)
-
-    if regime == REGIME_PER_POINT:
-        schedule = _per_point_run(requests, p)
-        cost = total_cost(space, requests, schedule, penalty_p=p)
-        return FpRun(schedule=schedule, cost=cost, regime=regime)
-
-    metric_hat, requests_hat = _doubled_parts(space, requests, p)
+    reduction = PenaltyReduction(space, requests, p)
+    if reduction.fixed is not None:
+        return reduction.fixed
     seed = int(rng.integers(2**62))  # in every mode: the tree is drawn after it
-    if regime == REGIME_DOUBLED:
-        tree = sample_hsbt(metric_hat, rng)
-        hat_run = run(tree, requests_hat, mode, seed, flush)
-        twin_cross_only = False
-    else:
-        tree, mirror = _two_copies_tree(space, p, rng)
-        words = None
-        if mode is TimerMode.EXPONENTIAL:
-            # mirrored vertices share the stream keyed by the lower of their ids
-            keys = [min(v, mirror[v]) for v in range(len(tree))]
-            words = next(stream_words([seed], keys))
-        hat_run = Engine(tree, requests_hat, mode, words).run(flush=flush)
-        twin_cross_only = True
-    hat_cost = total_cost(metric_hat, requests_hat, hat_run.schedule)
-
-    pairings, clears = _translate(hat_run.schedule.pairings, twin_cross_only)
-    ordered = sorted(requests, key=lambda r: (r.t, r.id))
-    to_orig = {k: r.id for k, r in enumerate(ordered)}
-    schedule = Schedule(
-        pairings=tuple((to_orig[a], to_orig[b], t) for a, b, t in pairings),
-        clears=tuple((to_orig[a], t) for a, t in clears),
-    )
-    cost = total_cost(space, requests, schedule, penalty_p=p)
-    if cost.total > hat_cost.total * (1 + 1e-9) + 1e-12:
-        raise InvariantViolation(
-            f"projected cost {cost.total} exceeds doubled-run cost {hat_cost.total}"
-        )
-    return FpRun(
-        schedule=schedule, cost=cost, regime=regime, hat_cost=hat_cost, tree=tree
-    )
+    words = None
+    if mode is TimerMode.EXPONENTIAL:
+        words = next(stream_words([seed], range(2 * reduction.metric_hat.n - 1)))
+    tree, words = reduction.sample(rng, words)
+    hat_run = Engine(tree, reduction.requests_hat, mode, words).run(flush=flush)
+    return reduction.project(hat_run.schedule, tree)
 
 
 def verify_benchmark_inequality(
@@ -274,7 +299,7 @@ def verify_benchmark_inequality(
         raise TooLarge(
             f"{len(requests)} requests exceeds benchmark cap {MAX_BENCHMARK}"
         )
-    metric_hat, requests_hat = _doubled_parts(space, requests, p)
+    metric_hat, requests_hat, _ = _doubled_parts(space, requests, p)
     opt_hat = optimal_mpmd(metric_hat, requests_hat)
     opt_fp = optimal_mpmdfp(space, requests, p)
     return opt_hat.cost.total <= 2.0 * opt_fp.cost.total * (1 + 1e-9) + 1e-12

@@ -104,7 +104,7 @@ def main() -> None:
         rng = np.random.default_rng(seed)
         space, requests = gen_random("square", 6, 12, 5.0, rng)
         p = 3.0 * stats(space).d_max  # the two-copies regime: p > 2 d_max
-        _, requests_hat = _doubled_parts(space, requests, p)
+        _, requests_hat, _ = _doubled_parts(space, requests, p)
         tree, mirror = _two_copies_tree(space, p, rng)
         keys = [[seed, min(v, mirror[v])] for v in range(len(tree))]
         cases.append(

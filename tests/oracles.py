@@ -89,7 +89,7 @@ def build_doubled(
         raise RegimeMismatch(
             f"p={p} outside [{st.d_min / 2}, {2 * st.d_max}]; regime is {regime}"
         )
-    metric_hat, requests_hat = _doubled_parts(space, requests, p)
+    metric_hat, requests_hat, _ = _doubled_parts(space, requests, p)
     st = stats(space)
     st_hat = stats(metric_hat)
     if st_hat.aspect_ratio > 6.0 * st.aspect_ratio * (1 + 1e-9):

@@ -5,7 +5,7 @@ import pytest
 
 from delaymatch.core import make_requests
 from delaymatch.embedding import build_hsbt, sample_hsbt, tree_metric
-from delaymatch import experiment
+from delaymatch import experiment, penalty, stiltwalker
 from delaymatch.errors import ConfigInvalid
 from delaymatch.experiment import (
     CSV_COLUMNS,
@@ -18,6 +18,7 @@ from delaymatch.experiment import (
 )
 from delaymatch.instances import gen_random
 from delaymatch.metric import MetricSpace, stats
+from delaymatch.penalty import REGIME_DOUBLED, REGIME_PER_POINT, REGIME_TWO_COPIES
 from delaymatch.stiltwalker import TimerMode
 
 
@@ -138,6 +139,49 @@ def test_penalty_experiment_records_clears():
         assert r.total >= report.opt_total * (1 - 1e-9) - 1e-12
         assert r.c_end is None
     assert report.to_dict()["c_end_mean"] is None
+
+
+def _count_calls(monkeypatch, module, name, counts):
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize(
+    "regime, scale",
+    [(REGIME_DOUBLED, 0.3), (REGIME_TWO_COPIES, 3.0), (REGIME_PER_POINT, None)],
+)
+def test_penalty_batch_resolves_its_instance_once(monkeypatch, regime, scale):
+    space, reqs = gen_random("line", 6, 8, 3.0, np.random.default_rng(12))
+    st = stats(space)
+    p = 0.4 * st.d_min if scale is None else scale * st.d_max
+    assert penalty.classify_regime(space, p) == regime
+    counts = {"MetricSpace": 0, "stream_words": 0, "_per_point_run": 0}
+    _count_calls(monkeypatch, penalty, "MetricSpace", counts)
+    _count_calls(monkeypatch, penalty, "_per_point_run", counts)
+    for module in (experiment, penalty, stiltwalker):
+        _count_calls(monkeypatch, module, "stream_words", counts)
+    cfg = ExperimentConfig(space, reqs, trials=6, master_seed=5, penalty=p)
+    assert len(run_experiment(cfg).records) == 6
+    if regime == REGIME_PER_POINT:
+        assert counts == {"MetricSpace": 0, "stream_words": 0, "_per_point_run": 1}
+    else:
+        # one doubled space and one table of words for the whole batch
+        assert counts == {"MetricSpace": 1, "stream_words": 1, "_per_point_run": 0}
+
+
+@pytest.mark.parametrize("penalty_p", [None, 0.5])
+def test_batch_without_requests(penalty_p):
+    space, _ = small_instance(13)
+    cfg = ExperimentConfig(space, (), trials=3, master_seed=1, penalty=penalty_p)
+    report = run_experiment(cfg).to_dict()
+    assert report["opt_total"] == 0.0
+    assert report["ratio_mean"] == 1.0
+    assert report["c_end_mean"] == (0.0 if penalty_p is None else None)
 
 
 def test_flushed_runs_record_c_end_under_ceiling():
