@@ -243,34 +243,37 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     space, requests, engine_seeds, fp = cfg.space, cfg.requests, seeds, None
     if cfg.penalty is not None:
         fp = PenaltyReduction(cfg.space, cfg.requests, cfg.penalty)
-        if fp.fixed is None:
-            space, requests = fp.metric_hat, fp.requests_hat
-            # each trial's engine seed comes off its generator before its
-            # tree, in every mode, as in `run_mpmdfp`
-            engine_seeds = [int(rng.integers(2**62)) for rng in rngs]
+        if fp.fixed is not None:  # the regime draws nothing: one run for all
+            return _report(cfg, seeds, [(fp.fixed.cost, None)] * cfg.trials)
+        space, requests = fp.metric_hat, fp.requests_hat
+        # each trial's engine seed comes off its generator before its tree,
+        # in every mode, as in `run_mpmdfp`
+        engine_seeds = [int(rng.integers(2**62)) for rng in rngs]
     # every tree of the batch is a full binary tree over the same points;
     # deterministic timers never draw, so their engines get no words
     words = itertools.repeat(None)
-    if cfg.mode is TimerMode.EXPONENTIAL and (fp is None or fp.fixed is None):
+    if cfg.mode is TimerMode.EXPONENTIAL:
         words = stream_words(engine_seeds, range(2 * space.n - 1))
-    runs = []  # (cost, c_end) per trial
+    runs = []
     for rng, table in zip(rngs, words):
-        if fp is None:
-            tree = cfg.fixed_tree
-            if tree is None:
-                tree = sample_hsbt(space, rng)
-        elif fp.fixed is not None:
-            runs.append((fp.fixed.cost, None))
-            continue
-        else:
+        if fp is not None:
             tree, table = fp.sample(rng, table)
+        elif cfg.fixed_tree is not None:
+            tree = cfg.fixed_tree
+        else:
+            tree = sample_hsbt(space, rng)
         run = Engine(tree, requests, cfg.mode, table).run(flush=cfg.flush)
-        if fp is None:
+        if fp is not None:
+            runs.append((fp.project(run.schedule, tree).cost, None))
+        else:
             c_end = run.trace.c_end_space if run.trace.flushed else None
             runs.append((total_cost(space, requests, run.schedule), c_end))
-        else:
-            runs.append((fp.project(run.schedule, tree).cost, None))
+    return _report(cfg, seeds, runs)
 
+
+def _report(cfg: ExperimentConfig, seeds: list[int], runs: list) -> ExperimentReport:
+    """Solve the offline reference once and build the records from the
+    trials' (cost, c_end) runs."""
     opt = offline_baseline(cfg.space, cfg.requests, cfg.penalty)
     opt_total = opt.cost.total
     records = []
