@@ -74,8 +74,8 @@ def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One trial's costs.  `seed` is `trial_seed(master, trial)`; a penalty
-    trial's engine runs on `trial_rng(master, trial).integers(2**62)` instead."""
+    """One trial's costs.  `seed` is `trial_seed(master, trial)`, or the
+    `trial_rng(master, trial).integers(2**62)` a penalty trial's engine ran on."""
 
     trial: int
     seed: int
@@ -268,7 +268,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         else:
             c_end = run.trace.c_end_space if run.trace.flushed else None
             runs.append((total_cost(space, requests, run.schedule), c_end))
-    return _report(cfg, seeds, runs)
+    return _report(cfg, engine_seeds, runs)
 
 
 def _report(cfg: ExperimentConfig, seeds: list[int], runs: list) -> ExperimentReport:

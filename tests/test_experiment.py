@@ -174,6 +174,14 @@ def test_penalty_batch_resolves_its_instance_once(monkeypatch, regime, scale):
         assert counts == {"MetricSpace": 1, "stream_words": 1, "_per_point_run": 0}
 
 
+def test_penalty_batch_records_its_engine_seeds():
+    space, reqs = gen_random("line", 6, 8, 3.0, np.random.default_rng(12))
+    assert penalty.classify_regime(space, 0.3) == REGIME_DOUBLED
+    cfg = ExperimentConfig(space, reqs, trials=3, master_seed=3, penalty=0.3)
+    seeds = [r.seed for r in run_experiment(cfg).records]
+    assert seeds == [int(trial_rng(3, i).integers(2**62)) for i in range(3)]
+
+
 @pytest.mark.parametrize("penalty_p", [None, 0.5])
 def test_batch_without_requests(penalty_p):
     space, _ = small_instance(13)
