@@ -22,7 +22,9 @@ distance checks, before they were vectorised, and rewritten once when the
 engine's timers became absolute deadlines: three `run` cases' event-time
 figures moved by at most 7 ulp and two `residual`s became 0.0.  The
 per-point, two-copies and no-flush penalty cases were added later, from the
-code that still ran penalty trials in a loop of their own.  A mismatch
+code that still ran penalty trials in a loop of their own.  The penalty
+cases' `trials.csv` `seed` column was rewritten once more, when it began to
+name the seed each trial's engine ran on; nothing else moved.  A mismatch
 means the batch path changed its output; do not rerun this script to absorb
 it.
 """

@@ -22,7 +22,9 @@ they round-trip exactly.  `tests/test_golden.py` replays each case and
 demands exact equality.
 
 The file was written once from the memoized recursive oracles, before they
-were replaced by the array-based DP.  A mismatch means an oracle changed
+were replaced by the array-based DP.  The `--penalty` batch's `trials.csv`
+`seed` column was rewritten once, when it began to name the seed each
+trial's engine ran on; nothing else moved.  A mismatch means an oracle changed
 its output; do not rerun this script to absorb it.
 """
 
