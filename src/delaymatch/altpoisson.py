@@ -20,15 +20,15 @@ Exact laws verified by the test-suite (and checkable via `verify_digestion`):
   with V the remaining color volume, so in particular for iteration 1;
 * digest identity:     E[sum_j G_j]  =  E[N] / lambda;
 * alternation count:   N <= K+1 surely (K = color discontinuity count), and
-  N is stochastically dominated by 1 + 2 Pois(lambda * min(V1, V2)); the
-  sampled check (`count_dominance`) is an exact binomial test per level
-  with a Bonferroni correction, so a correct run fails it with probability
-  at most DOMINANCE_ALPHA.  Its binomial and Poisson tails come from
-  `scipy.stats`, which `count_dominance` imports when first called: the
-  import takes about a second on a 2-vCPU host, several times the rest of
-  a `delaymatch run` process, and no other command needs it.
-  (`scipy.special`'s `pdtrc`/`bdtrc` import faster, but their values
-  differ from `scipy.stats`' in the last bits.)
+  N is stochastically dominated by 1 + 2 Pois(lambda * min(V1, V2)).
+
+The law of N is exact (`count_law`).  Iteration j, of color c, ends inside
+the color-c run where its threshold runs out, and iteration j+1 digests
+nothing before that run ends: a Markov chain on (next color, start), a start
+being t0 or a run end.  From a start, the iteration ends in its color's run
+r with probability e^{-lambda a} - e^{-lambda b}, a and b the color volumes
+from the start to r's two ends; the rest, e^{-lambda V}, runs off the
+window.  The sample only tests the simulator against that law.
 
 Sampling.  `Coloring` keeps each color's (start, end) runs, and one kernel,
 `_advance`, digests an iteration by walking only its color's runs.
@@ -66,7 +66,7 @@ __all__ = [
     "AppRealization",
     "AppReport",
     "closed_form_digest",
-    "count_dominance",
+    "count_law",
     "simulate_app",
     "simulate_rate_varying",
     "verify_digestion",
@@ -76,8 +76,8 @@ __all__ = [
 
 Color = int | None
 
-# family-wise false-alarm rate of one sampled dominance check
-DOMINANCE_ALPHA = 1e-6
+# false-alarm rate of one sampled check of the counts against the exact law
+LAW_ALPHA = 1e-6
 # thresholds drawn per generator call in verify_digestion
 DRAW_BLOCK = 4096
 
@@ -142,7 +142,7 @@ class Coloring:
 
 def closed_form_digest(remaining_volume: float, lam: float) -> float:
     """E[min(Exp(lambda), V)] = (1/lambda)(1 - e^(-lambda V))."""
-    return (1.0 - math.exp(-lam * remaining_volume)) / lam
+    return -math.expm1(-lam * remaining_volume) / lam
 
 
 @dataclass(frozen=True)
@@ -305,49 +305,49 @@ class AppReport:
     identity_rel_error: float        # | lam*mean(G) - mean(N) | / mean(N)
     first_digest_rel_error: float    # iteration-1 mean digest vs closed form
     count_bound_violations: int      # realizations with N > K+1
-    dominance_ok: bool               # N dominated by 1+2*Pois at DOMINANCE_ALPHA
-    dominance_margin: float          # smallest adjusted p-value minus the alpha
+    dominance_ok: bool               # the exact law of N is dominated by 1+2*Pois
+    dominance_margin: float          # smallest slack of that dominance
+    law_distance: float              # L1 distance of the sampled N from the law
+    law_ok: bool                     # that distance is below its LAW_ALPHA bound
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
-def count_dominance(
-    counts: np.ndarray, mu: float, discontinuities: int
-) -> tuple[bool, float]:
-    """Test sampled counts N against N <=_st 1 + 2 Pois(mu); (ok, margin).
-
-    At level L the law bounds P(N >= L) by q_L = P(Pois(mu) >= L // 2), so
-    the number of samples with N >= L is stochastically at most
-    Binomial(n, q_L) and its exact upper tail is a valid p-value.  The
-    levels tested are L = 2 .. K+2: levels 0 and 1 hold surely, and every
-    level above K+2 is empty while the separately checked cap N <= K+1
-    holds.  Bonferroni over these K+1 levels: the check fails when some
-    p_L <= DOMINANCE_ALPHA / (K+1), so a correct run fails it with
-    probability at most DOMINANCE_ALPHA.  The margin is the smallest
-    adjusted p-value, min_L min(1, (K+1) p_L), minus DOMINANCE_ALPHA; it is
-    positive iff the check passes.
-    """
-    from scipy import stats  # about 1 s to import; see the module docstring
-
-    counts = np.asarray(counts, dtype=int)
-    levels = np.arange(2, discontinuities + 3)
-    hist = np.bincount(counts, minlength=levels[-1] + 1)
-    observed = hist[::-1].cumsum()[::-1][levels]   # samples with N >= L
-    q = stats.poisson.sf(levels // 2 - 1, mu)
-    p = stats.binom.sf(observed - 1, len(counts), q)
-    margin = float(np.minimum(1.0, len(levels) * p).min()) - DOMINANCE_ALPHA
-    return margin > 0.0, margin
+@np.errstate(over="ignore")  # lambda * volume may pass the float range; e^-inf is 0
+def count_law(coloring: Coloring, lam: float) -> tuple[np.ndarray, float]:
+    """Exact (P(N = k) for k = 0 .. K+1, E[sum_j G_j]) at rate lambda; row n
+    of `mass` is the chain's law over its states after n iterations."""
+    _check_rate(lam)
+    vol = {1: 0.0, 2: 0.0}  # color volume from t0 to the end of the segment so far
+    runs, states = [], [(1, 0.0)]  # state r+1 is run r's end, with the other color
+    for s, e, c in coloring.segments:
+        if c is not None:
+            runs.append((c, vol[c], vol[c] + (e - s)))
+            vol[c] += e - s
+            states.append((3 - c, vol[3 - c]))
+    run_color, starts, ends = np.array(runs).reshape(-1, 3).T
+    color, u = np.array(states).T
+    # hop[i, r]: from state i, the iteration ends in run r; earlier runs have a = b = 0
+    a, b = np.maximum(starts - u[:, None], 0.0), np.maximum(ends - u[:, None], 0.0)
+    hop = np.exp(-lam * a) * -np.expm1(-lam * (b - a)) * (run_color == color[:, None])
+    rest = np.where(color == 1, vol[1], vol[2]) - u
+    mass = np.zeros((coloring.discontinuities + 2, len(states)))
+    mass[0, 0] = 1.0
+    for n in range(coloring.discontinuities + 1):
+        mass[n + 1, 1:] = (mass[n, :, None] * hop).sum(axis=0)
+    law = (mass * np.exp(-lam * rest)).sum(axis=1)
+    return law, float(mass.sum(axis=0) @ [closed_form_digest(v, lam) for v in rest])
 
 
 def verify_digestion(
     coloring: Coloring, lam: float, trials: int, rng: np.random.Generator
 ) -> AppReport:
-    """Monte-Carlo check of the digestion laws on one coloring.
+    """Exact and sampled checks of the digestion laws on one coloring.
 
-    Equal, field for field and bit for bit, to running `simulate_app` on
-    `rng` `trials` times, but the thresholds come from `rng` in blocks of
-    DRAW_BLOCK, so `rng` may be left up to one block further along.
+    Dominance and identity are checked on `count_law`.  The sampled fields
+    equal, bit for bit, `trials` runs of `simulate_app` on `rng`, but `rng`
+    may be left up to one block of DRAW_BLOCK draws further along.
     """
     _check_rate(lam)
     if trials < 1:
@@ -404,16 +404,31 @@ def verify_digestion(
     k = coloring.discontinuities
     violations = int((counts > k + 1).sum())
 
-    v2 = coloring.volume(2, coloring.t0, coloring.t1)
-    ok, margin = count_dominance(counts, lam * min(v1, v2), k)
+    law, digest = count_law(coloring, lam)
+    expected_n = law @ np.arange(k + 2)
+    if not math.isclose(lam * digest, expected_n, rel_tol=1e-9, abs_tol=1e-18):
+        raise InvariantViolation(f"lambda E[G] {lam * digest} != E[N] {expected_n}")
+    # P(N >= L) <= P(Pois(mu) >= L // 2) at L = 2 .. K+2
+    # e^-mu is 0 past mu = 746, and so is every pmf term; the cap keeps out 0 * inf
+    mu = min(lam * min(v1, coloring.volume(2, coloring.t0, coloring.t1)), 1e300)
+    pmf = np.cumprod([math.exp(-mu), *(mu / m for m in range(1, k // 2 + 1))])
+    tail = 1.0 - np.append(0.0, pmf.cumsum())  # P(Pois(mu) >= m)
+    at_least = np.append(law[::-1].cumsum()[::-1], 0.0)[2:]
+    margin = float((tail[np.arange(2, k + 3) // 2] - at_least).min())
+    # Bretagnolle-Huber-Carol: P(|hist - law|_1 >= eps) <= 2^(K+2) e^(-n eps^2 / 2)
+    hist = np.bincount(counts, minlength=k + 2) / trials
+    distance = float(np.abs(hist - np.pad(law, (0, len(hist) - k - 2))).sum())
+    eps = math.sqrt(2.0 * ((k + 2) * math.log(2.0) - math.log(LAW_ALPHA)) / trials)
     return AppReport(
         trials=trials,
         lam=lam,
         identity_rel_error=identity_err,
         first_digest_rel_error=first_err,
         count_bound_violations=violations,
-        dominance_ok=ok,
+        dominance_ok=margin >= -1e-12,
         dominance_margin=margin,
+        law_distance=distance,
+        law_ok=distance < eps,
     )
 
 

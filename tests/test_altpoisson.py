@@ -13,14 +13,14 @@ from delaymatch.altpoisson import (
     Coloring,
     _alternate,
     closed_form_digest,
-    count_dominance,
+    count_law,
     dump_coloring,
     load_coloring,
     simulate_app,
     simulate_rate_varying,
     verify_digestion,
 )
-from delaymatch.errors import ConfigInvalid, RateAboveCap
+from delaymatch.errors import ConfigInvalid, InvariantViolation, RateAboveCap
 
 
 class StubRng:
@@ -154,27 +154,78 @@ def test_digestion_report_smoke():
     assert rep.count_bound_violations == 0
     assert rep.identity_rel_error < 0.05
     assert rep.first_digest_rel_error < 0.05
-    assert rep.dominance_ok
+    assert rep.dominance_ok and rep.law_ok
     assert rep.to_dict()["trials"] == 4000
 
 
-def test_dominance_rule_on_synthetic_level_counts():
-    rng = np.random.default_rng(11)
-    mu, k = 0.8, 30
-    # counts drawn exactly at the bound 1 + 2 Pois(mu) pass
-    for _ in range(20):
-        ok, margin = count_dominance(1 + 2 * rng.poisson(mu, 10_000), mu, k)
-        assert ok and margin > 0
-    # a single deep realization is an ordinary draw: P(Pois(0.3) >= 5) is
-    # 1.6e-5, so one in 625 has p ~ 0.01, far above alpha / (K + 1)
-    assert count_dominance(np.array([1] * 624 + [11]), 0.3, k)[0]
-    # counts clearly above the bound fail
-    for above in (1 + 2 * rng.poisson(1.2 * mu, 10_000), np.full(10_000, 3)):
-        ok, margin = count_dominance(above, mu, k)
-        assert not ok and margin < 0
-    # with mu = 0 (one color absent) any count of 2 or more is a violation
-    assert count_dominance(np.ones(100, dtype=int), 0.0, k)[0]
-    assert not count_dominance(np.array([1] * 99 + [3]), 0.0, k)[0]
+@pytest.mark.parametrize("gap", [0.0, 0.4])
+def test_count_law_by_hand_on_two_runs(gap):
+    # color 1 on [0, a), optionally nothing, then color 2 for b
+    a, b, lam = 0.7, 1.3, 1.1
+    segs = [(0.0, a, 1), (a, a + gap, None), (a + gap, a + gap + b, 2)]
+    law, digest = count_law(Coloring([seg for seg in segs if seg[1] > seg[0]]), lam)
+    ea, eb = math.exp(-lam * a), math.exp(-lam * b)
+    want = [ea, (1 - ea) * eb, (1 - ea) * (1 - eb)]
+    assert law == pytest.approx(want + [0.0] * (len(law) - 3), rel=1e-12)  # N <= 2
+    # iteration 1 digests min(Z_1, a); iteration 2 starts only if it ends inside
+    want = closed_form_digest(a, lam) + (1 - ea) * closed_form_digest(b, lam)
+    assert digest == pytest.approx(want, rel=1e-12)
+
+
+def test_count_law_sums_to_one_meets_the_identity_and_the_dominance():
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        c = random_coloring(rng, max_segments=10)
+        lam = float(rng.uniform(0.2, 5.0))
+        law, digest = count_law(c, lam)
+        k = c.discontinuities
+        assert len(law) == k + 2 and law.min() >= 0.0
+        assert abs(law.sum() - 1.0) <= 1e-12
+        assert abs(lam * digest - law @ np.arange(k + 2)) <= 1e-12
+        mu = lam * min(c.volume(1, c.t0, c.t1), c.volume(2, c.t0, c.t1))
+        for level in range(2, k + 3):
+            pmf = [math.exp(-mu) * mu**i / math.factorial(i) for i in range(level // 2)]
+            assert float(law[level:].sum()) <= 1.0 - sum(pmf) + 1e-12
+
+
+@pytest.mark.parametrize("error, raises", [(1e-11, False), (1e-8, True)])
+def test_exact_identity_is_checked_to_1e_9(monkeypatch, error, raises):
+    exact = altpoisson.count_law
+
+    def off(coloring, lam):
+        law, digest = exact(coloring, lam)
+        return law, digest * (1 + error)
+
+    monkeypatch.setattr(altpoisson, "count_law", off)
+    coloring, lam = _named_colorings()["alternating-blocks"]
+    if raises:
+        with pytest.raises(InvariantViolation, match="E\\[N\\]"):
+            verify_digestion(coloring, lam, 10, np.random.default_rng(0))
+    else:
+        assert verify_digestion(coloring, lam, 10, np.random.default_rng(0)).law_ok
+
+
+@pytest.mark.parametrize("lam", [5e-324, 1e-310, 750.0, 1e308])
+def test_extreme_rates_pass_every_check_without_a_warning(lam):
+    # lambda * volume underflows or overflows the float range here
+    c = Coloring([(0, 2, 1), (2, 4, 2), (4, 6, 1), (6, 9, 2)])
+    rep = verify_digestion(c, lam, 20, np.random.default_rng(0))
+    assert rep.count_bound_violations == 0 and rep.dominance_ok and rep.law_ok
+
+
+def test_sampled_counts_fall_within_the_law_bound():
+    # the check `verify_digestion` makes, on `simulate_app` draws
+    rng = np.random.default_rng(8)
+    colorings = [*_named_colorings().values()]
+    colorings += [(random_coloring(rng, max_segments=8), 1.5) for _ in range(3)]
+    n = 4000
+    for coloring, lam in colorings:
+        law, _ = count_law(coloring, lam)
+        counts = [simulate_app(coloring, lam, rng).n_meaningful for _ in range(n)]
+        hist = np.bincount(counts, minlength=len(law)) / n
+        log_budget = len(law) * math.log(2) + math.log(1 / altpoisson.LAW_ALPHA)
+        eps = math.sqrt(2 * log_budget / n)
+        assert np.abs(hist - law).sum() < eps, coloring.segments
 
 
 def test_rate_varying_validates_profile():
@@ -295,16 +346,32 @@ def reference_verify_digestion(coloring, lam, trials, rng):
     k = coloring.discontinuities
     violations = int((counts > k + 1).sum())
 
-    v2 = coloring.volume(2, coloring.t0, coloring.t1)
-    ok, margin = count_dominance(counts, lam * min(v1, v2), k)
+    law, _ = count_law(coloring, lam)
+    mu = lam * min(v1, coloring.volume(2, coloring.t0, coloring.t1))
+    tail, below, pmf = [1.0], 0.0, math.exp(-mu)  # tail[m] = P(Pois(mu) >= m)
+    for m in range(1, k // 2 + 2):
+        below += pmf
+        tail.append(1.0 - below)
+        pmf *= mu / m
+    at_least = [0.0] * (k + 3)  # at_least[L] = P(N >= L), summed from the top
+    for level in range(k + 1, -1, -1):
+        at_least[level] = at_least[level + 1] + law[level]
+    margin = min(tail[level // 2] - at_least[level] for level in range(2, k + 3))
+    hist = np.bincount(counts, minlength=k + 2) / trials
+    law = np.append(law, np.zeros(len(hist) - len(law)))
+    distance = float(np.abs(hist - law).sum())
+    log_budget = (k + 2) * math.log(2) + math.log(1 / altpoisson.LAW_ALPHA)
+    eps = math.sqrt(2 * log_budget / trials)
     return AppReport(
         trials=trials,
         lam=lam,
         identity_rel_error=identity_err,
         first_digest_rel_error=first_err,
         count_bound_violations=violations,
-        dominance_ok=ok,
+        dominance_ok=margin >= -1e-12,
         dominance_margin=margin,
+        law_distance=distance,
+        law_ok=distance < eps,
     )
 
 

@@ -3,9 +3,10 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from delaymatch import embedding, offline
+from delaymatch import altpoisson, embedding, offline
 from delaymatch.cli import _build_parser, load_bundle, main, save_bundle
 from delaymatch.embedding import Hsbt
 from delaymatch.penalty import (
@@ -161,6 +162,26 @@ def test_verify_app_command(tmp_path, capsys):
     assert code == 0
     assert "count_bound_violations 0" in text
     assert "dominance_ok True" in text
+
+
+def test_verify_app_exits_2_when_the_sample_strays_from_the_law(
+    tmp_path, capsys, monkeypatch
+):
+    exact = altpoisson.count_law
+
+    def shifted(coloring, lam):  # one switch more than the process makes
+        law = np.roll(exact(coloring, lam)[0], 1)
+        return law, float(law @ np.arange(len(law))) / lam
+
+    monkeypatch.setattr(altpoisson, "count_law", shifted)
+    coloring = tmp_path / "coloring.json"
+    coloring.write_text(json.dumps(_THREE_SEGMENT_ROWS))
+    code, text, err = run_cli(
+        capsys, "verify-app", "--coloring", str(coloring), "--trials", "2000"
+    )
+    assert code == 2
+    assert "law_ok False" in text
+    assert err.startswith("invariant violation: ")
 
 
 _VERIFY_APP_STDOUT = """\

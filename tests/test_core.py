@@ -149,25 +149,55 @@ def test_every_public_name_resolves():
             assert hasattr(module, name), f"{module.__name__}.{name}"
 
 
-def _fresh_import(module):
-    """The modules a fresh interpreter holds after `import <module>`."""
+def _fresh_modules(code, *args):
+    """The modules a fresh interpreter holds after running `code`."""
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = f"import sys\n{code}\nprint(*sorted(sys.modules))"
     out = subprocess.run(
-        [sys.executable, "-c", f"import sys, {module}; print(*sorted(sys.modules))"],
+        [sys.executable, "-c", script, *args],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     return set(out.stdout.split())
 
 
 def test_package_import_loads_no_layer():
-    loaded = _fresh_import("delaymatch")
+    loaded = _fresh_modules("import delaymatch")
     assert "delaymatch" in loaded
     assert [m for m in loaded if m.startswith("delaymatch.")] == []
 
 
-def test_cli_import_leaves_scipy_stats_out():
-    loaded = _fresh_import("delaymatch.cli")
-    assert "delaymatch.altpoisson" in loaded
+# every subcommand through `cli.main`, in one interpreter, in the directory
+# named by argv[1]; each must exit 0
+_EVERY_COMMAND = """
+import contextlib, io, json, os
+from delaymatch import cli
+os.chdir(sys.argv[1])
+rows = [{"start": 0, "end": 1, "color": 1}, {"start": 1, "end": 2, "color": 2}]
+with open("coloring.json", "w") as fh:
+    json.dump(rows, fh)
+for argv in [
+    "gen random --points 4 --requests 6 --out inst",
+    "gen two-point --out two",
+    "gen gamma --n 8 --out gamma",
+    "validate --instance inst/instance.json",
+    "embed --instance inst/instance.json --out inst",
+    "run --instance inst/instance.json --trials 2 --out out",
+    "run --instance inst/instance.json --trials 2 --fixed-tree inst/tree.json",
+    "run --instance inst/instance.json --trials 2 --penalty 0.3",
+    "report --csv out/trials.csv",
+    "verify-identities --instance inst/instance.json",
+    "verify-app --coloring coloring.json --trials 100",
+]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv.split())
+    assert code == 0, (argv, err.getvalue())
+"""
+
+
+def test_no_command_loads_scipy_stats(tmp_path):
+    loaded = _fresh_modules(_EVERY_COMMAND, str(tmp_path))
+    assert {"delaymatch.cli", "delaymatch.altpoisson"} <= loaded
     assert "scipy.stats" not in loaded
