@@ -191,7 +191,9 @@ identity_rel_error 0.00016056594654016723
 first_digest_rel_error 0.010549494178181542
 count_bound_violations 0
 dominance_ok True
-dominance_margin 0.999999
+dominance_margin 0.17334309178056584
+law_distance 0.017330039901888375
+law_ok True
 """
 
 _GAMMA_8_JSON = """\
