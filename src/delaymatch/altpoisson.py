@@ -31,17 +31,23 @@ from the start to r's two ends; the rest, e^{-lambda V}, runs off the
 window.  The sample only tests the simulator against that law.
 
 Sampling.  `Coloring` keeps each color's (start, end) runs, and one kernel,
-`_advance`, digests an iteration by walking only its color's runs.
+`_advance`, digests an iteration by walking only its color's runs;
 `simulate_app` draws one threshold per iteration and returns the whole
-realization.  `verify_digestion` runs the same kernel in one flat loop over
-its trials, keeps only each realization's total, first digest and count,
-and draws thresholds DRAW_BLOCK at a time.  numpy's block draws equal its
-scalar draws bit for bit, so the report equals that of a per-trial loop of
-`simulate_app`, at about 1.5 us per realization instead of 7 (the benchmark's
-four colorings, one core of a 2-vCPU host).  The price is the generator
-contract: `verify_digestion` may leave its generator up to one block further
-along than that loop would, so give it a generator whose later draws nothing
-else relies on.
+realization.  `verify_digestion` walks the chain that `count_law` solves:
+per call it lays out, for each state, the runs an iteration from there
+walks, each with the digest before it (`_row`, `_advance`'s float operations
+in its order), so a draw costs one pass over a short row, and an iteration
+that ends in run r moves to state r+1.  One rule keeps this exact: an end
+that rounds below its run's start (the room left of a threshold can be -1
+ulp after a run it passed) lies before that run, so the next row is built
+from that very time.  It keeps only each realization's total, first digest
+and count, and draws thresholds DRAW_BLOCK at a time.  numpy's block draws
+equal its scalar draws bit for bit, so the report equals that of a
+per-trial loop of `simulate_app`, at about 0.8 us per realization instead
+of 7 (the benchmark's four colorings, one core of a 2-vCPU host).  The
+price is the generator contract: `verify_digestion` may leave its generator
+up to one block further along than that loop would, so give it a generator
+whose later draws nothing else relies on.
 
 The rate-varying form replaces the unit-rate exponential clock by an
 inhomogeneous one with piecewise-constant rate profile bounded by a cap;
@@ -56,6 +62,7 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -340,52 +347,74 @@ def count_law(coloring: Coloring, lam: float) -> tuple[np.ndarray, float]:
     return law, float(mass.sum(axis=0) @ [closed_form_digest(v, lam) for v in rest])
 
 
+def _row(
+    runs: list[tuple[float, float, int]], u: float, color: int
+) -> tuple[tuple[tuple[float, float, float, int], ...], float]:
+    """The walk of a `color` iteration from time u, as `_advance` makes it.
+
+    One (e - s, digest before the run, s, run index) per run of `color` that
+    ends after u, s clamped to u, then the digest of an iteration that
+    outruns them all; `_advance`'s float operations in its order.
+    """
+    row, digested = [], 0.0
+    for r, (s, e, c) in enumerate(runs):
+        if c == color and e > u:
+            s = max(s, u)
+            row.append((e - s, digested, s, r))
+            digested += e - s
+    return tuple(row), digested
+
+
 def verify_digestion(
     coloring: Coloring, lam: float, trials: int, rng: np.random.Generator
 ) -> AppReport:
     """Exact and sampled checks of the digestion laws on one coloring.
 
-    Dominance and identity are checked on `count_law`.  The sampled fields
-    equal, bit for bit, `trials` runs of `simulate_app` on `rng`, but `rng`
-    may be left up to one block of DRAW_BLOCK draws further along.
+    Dominance and identity are checked on `count_law`.  The sample walks a
+    table of `_row`s, one per chain state, built for this call; an end that
+    rounds below its run's start gets its next row built from that time.
+    The sampled fields equal, bit for bit, `trials` runs of `simulate_app` on
+    `rng`, but `rng` may be left up to one block of DRAW_BLOCK draws further
+    along.
     """
     _check_rate(lam)
     if trials < 1:
         raise ConfigInvalid(f"trials must be at least 1, got {trials}")
-    runs1, runs2 = coloring.runs[1], coloring.runs[2]
-    t0, t1 = coloring.t0, coloring.t1
-    scale = 1.0 / lam
-    draws: list[float] = []
-    pos = 0
+    runs = [seg for seg in coloring.segments if seg[2] is not None]
+    # row i is the walk from chain state i, numbered as in count_law
+    table = [_row(runs, coloring.t0, 1), *(_row(runs, e, 3 - c) for _, e, c in runs)]
+    t1 = coloring.t1
+    # thresholds DRAW_BLOCK at a time, a block drawn when the last one runs out
+    blocks = iter(lambda: rng.exponential(1.0 / lam, DRAW_BLOCK).tolist(), None)
+    draw = chain.from_iterable(blocks).__next__
     totals = np.empty(trials)
     firsts = np.empty(trials)
     counts = np.empty(trials, dtype=int)
     for i in range(trials):
-        t = t0
+        row, rest = table[0]
         total = 0.0
-        first = None
-        n_odd = n_even = 0
-        odd = True
-        while t < t1:
-            if pos == len(draws):
-                draws = rng.exponential(scale, DRAW_BLOCK).tolist()
-                pos = 0
-            t, digested = _advance(runs1 if odd else runs2, t, draws[pos], t1)
-            pos += 1
-            total += digested
-            if first is None:
-                first = digested
-            if t < t1:
-                if odd:
-                    n_odd += 1
-                else:
-                    n_even += 1
-            odd = not odd
-        if not (n_even <= n_odd <= n_even + 1):
-            raise InvariantViolation("odd/even alternation counts out of balance")
+        n = 0
+        z = first = draw()
+        while True:
+            for w, digested, s, r in row:
+                room = z - digested
+                if w > room:
+                    break
+            else:
+                total += rest  # outran its color's last run: ends at t1
+                break
+            total += z
+            t = s + room
+            if t >= t1:
+                break
+            n += 1
+            # an end rounded below s lies before run r: walk on from t itself
+            row, rest = table[r + 1] if t >= s else _row(runs, t, 3 - runs[r][2])
+            z = draw()
         totals[i] = total
-        firsts[i] = first
-        counts[i] = n_odd + n_even
+        # n > 0: iteration 1 ended in a run, digesting its threshold; else it is all
+        firsts[i] = first if n else total
+        counts[i] = n
 
     mean_n = float(counts.mean())
     mean_g = float(totals.mean())

@@ -29,8 +29,10 @@ class StubRng:
     def __init__(self, values):
         self.values = list(values)
 
-    def exponential(self, scale=1.0):
-        return self.values.pop(0)
+    def exponential(self, scale=1.0, size=None):
+        if size is None:
+            return self.values.pop(0)
+        return np.array([self.values.pop(0) for _ in range(size)])
 
 
 def random_coloring(rng, max_segments=6, gamma=4.0):
@@ -420,6 +422,47 @@ def test_verify_digestion_matches_reference_on_random_colorings():
         got = verify_digestion(coloring, lam, trials, np.random.default_rng(k))
         want = reference_verify_digestion(coloring, lam, trials, np.random.default_rng(k))
         assert got == want, (k, coloring.segments, lam)
+
+
+def _rounded_end_cases():
+    """(coloring, thresholds) whose iteration ends round onto a grid point or
+    off it; each asserts that its rounding happens."""
+    # A, B and C are color 1 and D, color 2, ends where C starts.  With u the
+    # float spacing on [0.25, 0.5), |A| + |B| = 0.4375 + 1.5u is a tie that
+    # rounds up, so z one step below the digest before C still passes B
+    # (z - |A| rounds up to |B|) and meets C with room -u: the iteration ends
+    # at 0.46875 - u, inside D, and the next one digests D's last u first
+    u = 2.0**-54
+    a = 0.0625 + 1.5 * u
+    below = Coloring([
+        (-a, 0.0, 1), (0.0, 0.0625, None), (0.0625, 0.4375, 1),
+        (0.4375, 0.46875, 2), (0.46875, 0.5, 1),
+    ])
+    (s_a, e_a), (s_b, e_b), (s_c, _) = below.runs[1]
+    z = math.nextafter((e_a - s_a) + (e_b - s_b), 0.0)
+    assert altpoisson._advance(below.runs[1], below.t0, z, below.t1)[0] < s_c
+    # 1 + (1 - 2^-53) rounds to 2.0, the end of the color-1 run [1, 2)
+    short = math.nextafter(1.0, 0.0)
+    on_run_end = Coloring([(0.0, 1.0, 2), (1.0, 2.0, 1), (2.0, 3.0, 2)])
+    on_t1 = Coloring([(0.0, 1.0, 2), (1.0, 2.0, 1)])
+    for coloring in (on_run_end, on_t1):
+        assert altpoisson._advance(coloring.runs[1], 0.0, short, coloring.t1)[0] == 2.0
+    return {
+        "end-below-its-run": (below, [z, 10.0]),  # then outruns the window
+        "end-on-its-run-end": (on_run_end, [short, 0.5, 10.0]),
+        "end-on-t1": (on_t1, [short]),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_rounded_end_cases()))
+def test_verify_digestion_matches_reference_on_rounded_ends(case):
+    coloring, draws = _rounded_end_cases()[case]
+    got_rng, want_rng = StubRng(draws), StubRng(draws)
+    with mock.patch.object(altpoisson, "DRAW_BLOCK", 1):
+        got = verify_digestion(coloring, 1.0, 1, got_rng)
+    want = reference_verify_digestion(coloring, 1.0, 1, want_rng)
+    assert got == want
+    assert got_rng.values == want_rng.values == []
 
 
 @st.composite
