@@ -37,8 +37,10 @@ gain or lose effectiveness.  `Engine._flip_path` updates the parity list and
 the effective set along such a path and nowhere else.  A vertex entering
 the effective set pushes (deadline, vertex) onto a heap; the next timer is
 the smallest entry whose vertex is still effective with that deadline, and
-stale entries are dropped as they reach the top.  An event thus costs
-O(height + log heap).  The event trace is the engine's one record: the
+stale entries are dropped as they reach the top.  A push that leaves the heap
+longer than twice the effective set plus 16 rebuilds it from that set, so it
+stays within a constant factor of it at amortised O(1) per push.  An event
+thus costs O(height + log heap).  The event trace is the engine's one record: the
 schedule is read off it, and neither it nor the engine keeps state snapshots
 or potential ledgers.  The analysis in `diagnostics` rebuilds the state
 before every event, and the ledgers tau and sigma, from the trace alone,
@@ -69,7 +71,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -299,8 +301,12 @@ class Engine:
                     if budget[u] is None:
                         budget[u] = self._draw(u)
                     deadline[u] = self.now + budget[u]
-                    heappush(self._timers, (deadline[u], u))
                     effective.add(u)
+                    heappush(self._timers, (deadline[u], u))
+                    if len(self._timers) > 2 * len(effective) + 16:
+                        # mostly stale entries: keep one per effective vertex
+                        self._timers = [(deadline[w], w) for w in effective]
+                        heapify(self._timers)
                 else:
                     budget[u] = deadline[u] - self.now
                     effective.discard(u)

@@ -450,6 +450,21 @@ def test_next_timer_is_the_earliest_effective_deadline(seed, mode):
     assert steps > len(reqs)
 
 
+def test_timer_heap_stays_within_twice_the_effective_set():
+    # without the flush, vertices leave the effective set long before their
+    # deadlines; their stale entries are dropped when the heap outgrows the set
+    rng = np.random.default_rng(7)
+    space, reqs = gen_random("line", 64, 4096, 1.0, rng)
+    tree = sample_hsbt(space, rng)
+    engine = Engine(tree, reqs, words=next(stream_words([0], range(len(tree)))))
+    peak_heap = peak_effective = 0
+    while engine.advance_to_next_event() is not None:
+        peak_heap = max(peak_heap, len(engine._timers))
+        peak_effective = max(peak_effective, len(engine.effective))
+    assert not engine.active_at
+    assert peak_heap <= 2 * peak_effective + 16, (peak_heap, peak_effective)
+
+
 def test_reentered_vertex_fires_at_its_frozen_remainder():
     # deterministic timers: a vertex that leaves the effective set at t1 with
     # deadline d and is effective again at t2 fires at exactly t2 + (d - t1)
