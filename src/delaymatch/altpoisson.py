@@ -380,6 +380,8 @@ def verify_digestion(
     _check_rate(lam)
     if trials < 1:
         raise ConfigInvalid(f"trials must be at least 1, got {trials}")
+    # solved first, so that its O(K^2) arrays are gone before the table's rows come
+    law, digest = count_law(coloring, lam)
     runs = [seg for seg in coloring.segments if seg[2] is not None]
     # row i is the walk from chain state i, numbered as in count_law
     table = [_row(runs, coloring.t0, 1), *(_row(runs, e, 3 - c) for _, e, c in runs)]
@@ -433,7 +435,6 @@ def verify_digestion(
     k = coloring.discontinuities
     violations = int((counts > k + 1).sum())
 
-    law, digest = count_law(coloring, lam)
     expected_n = law @ np.arange(k + 2)
     if not math.isclose(lam * digest, expected_n, rel_tol=1e-9, abs_tol=1e-18):
         raise InvariantViolation(f"lambda E[G] {lam * digest} != E[N] {expected_n}")
