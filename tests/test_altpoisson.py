@@ -454,7 +454,7 @@ def _rounded_end_cases():
     }
 
 
-@pytest.mark.parametrize("case", sorted(_rounded_end_cases()))
+@pytest.mark.parametrize("case", ["end-below-its-run", "end-on-its-run-end", "end-on-t1"])
 def test_verify_digestion_matches_reference_on_rounded_ends(case):
     coloring, draws = _rounded_end_cases()[case]
     got_rng, want_rng = StubRng(draws), StubRng(draws)
