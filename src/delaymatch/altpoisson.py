@@ -156,9 +156,7 @@ def closed_form_digest(remaining_volume: float, lam: float) -> float:
 class AppRealization:
     boundaries: tuple[float, ...]   # T_1 .. T_J (last one may sit at the window end)
     digests: tuple[float, ...]      # G_1 .. G_J
-    n_meaningful: int               # N
-    n_odd: int                      # meaningful odd iterations  (color 1)
-    n_even: int                     # meaningful even iterations (color 2)
+    n_meaningful: int               # N: every T_j but the last is before t1
 
     @property
     def total_digest(self) -> float:
@@ -182,17 +180,10 @@ def _alternate(coloring: Coloring, draw_threshold, advance) -> AppRealization:
         t, digested = advance(t, color, z)
         boundaries.append(t)
         digests.append(digested)
-    n = sum(1 for b in boundaries if b < coloring.t1)
-    n_odd = sum(1 for k, b in enumerate(boundaries) if b < coloring.t1 and k % 2 == 0)
-    n_even = n - n_odd
-    if not (n_even <= n_odd <= n_even + 1):
-        raise InvariantViolation("odd/even alternation counts out of balance")
     return AppRealization(
         boundaries=tuple(boundaries),
         digests=tuple(digests),
-        n_meaningful=n,
-        n_odd=n_odd,
-        n_even=n_even,
+        n_meaningful=len(boundaries) - 1,
     )
 
 
@@ -341,8 +332,10 @@ def count_law(coloring: Coloring, lam: float) -> tuple[np.ndarray, float]:
     rest = np.where(color == 1, vol[1], vol[2]) - u
     mass = np.zeros((coloring.discontinuities + 2, len(states)))
     mass[0, 0] = 1.0
+    # the chain only moves forward: after n iterations it sits at state n or
+    # later, and state i ends only in runs r >= i (earlier ones have hop +0.0)
     for n in range(coloring.discontinuities + 1):
-        mass[n + 1, 1:] = (mass[n, :, None] * hop).sum(axis=0)
+        mass[n + 1, n + 1:] = (mass[n, n:, None] * hop[n:, n:]).sum(axis=0)
     law = (mass * np.exp(-lam * rest)).sum(axis=1)
     return law, float(mass.sum(axis=0) @ [closed_form_digest(v, lam) for v in rest])
 

@@ -42,7 +42,7 @@ from .core import make_requests, total_cost
 from .diagnostics import track_potentials, verify_cost_identities
 from .embedding import Hsbt, sample_hsbt, tree_metric
 from .errors import InstanceLoadError, InvariantViolation, UserError
-from .experiment import ExperimentConfig, batch_summary, run_experiment
+from .experiment import ExperimentConfig, batch_summary, run_experiment, trial_rng
 from .instances import (
     GammaConfig,
     gen_adversarial_gamma,
@@ -102,7 +102,7 @@ def load_bundle(path: str):
             arrivals = [(row["point"], float(row["t"])) for row in rows]
         except (TypeError, KeyError, ValueError) as exc:
             raise InstanceLoadError(f"bad request row: {exc}") from exc
-        requests = make_requests(space, arrivals, require_even=False)
+        requests = make_requests(space, arrivals)
     return space, requests
 
 
@@ -221,7 +221,7 @@ def _cmd_verify_identities(args) -> int:
             "time_bound_margin": min, "space_bound_margin": min}
     worst: dict[str, float] = {}
     for trial in range(args.trials):
-        rng = np.random.default_rng(np.random.SeedSequence((args.seed, trial)))
+        rng = trial_rng(args.seed, trial)
         tree = sample_hsbt(space, rng)
         out = run(tree, requests, TimerMode(args.mode), int(rng.integers(2**62)))
         space_t = tree_metric(tree)

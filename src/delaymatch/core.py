@@ -20,7 +20,6 @@ from .errors import (
     DoubleService,
     InstanceLoadError,
     MatchBeforeArrival,
-    OddRequestSet,
     OutOfDomain,
     UncoveredRequest,
     UnknownLocation,
@@ -66,9 +65,9 @@ class CostBreakdown:
 def make_requests(
     space: MetricSpace,
     arrivals: Sequence[tuple[str, float]],
-    require_even: bool = True,
 ) -> tuple[Request, ...]:
-    """Validate and freeze a request sequence (sorted by arrival)."""
+    """Validate and freeze a request sequence (sorted by arrival), of any
+    count: whatever pairs every request checks the parity itself."""
     reqs = []
     for i, (point, t) in enumerate(arrivals):
         if not isinstance(point, str) or point not in space.index:
@@ -83,8 +82,6 @@ def make_requests(
     for a, b in zip(times, times[1:]):
         if a == b:
             raise InstanceLoadError(f"coincident arrival times t={a}; jitter the input")
-    if require_even and len(reqs) % 2 != 0:
-        raise OddRequestSet(f"{len(reqs)} requests; matching needs an even count")
     return tuple(sorted(reqs, key=lambda r: (r.t, r.id)))
 
 

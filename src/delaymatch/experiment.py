@@ -6,9 +6,11 @@ online run `trials` times.  Each trial draws a fresh embedded tree by default
 a fixed tree can be supplied instead to isolate timer randomness.
 
 Reproducibility contract: every random draw of trial i descends from the
-seed key (master_seed, i), so two batches with equal configuration produce
-identical records byte for byte.  Wall-clock time never enters a report;
-callers that want timing print it to stderr themselves.
+seed key (master_seed, i), which seeds the tree generator (`trial_rng`) and
+whose first state word is a plain trial's engine seed (`trial_seed`), so two
+batches with equal configuration produce identical records byte for byte.
+Wall-clock time never enters a report; callers that want timing print it to
+stderr themselves.
 
 A batch resolves a penalty's regime and doubled instance once
 (`penalty.PenaltyReduction`), runs every trial in one loop for both cost
@@ -61,15 +63,18 @@ __all__ = [
 
 
 def trial_seed(master_seed: int, trial: int) -> int:
-    """Per-trial engine seed, derived by counter from the master seed."""
+    """A plain trial's engine seed: the first 64-bit state word of the key
+    (master seed, trial), shifted right by one."""
     ss = np.random.SeedSequence((master_seed, trial))
     return int(ss.generate_state(1, np.uint64)[0] >> 1)
 
 
 def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
-    """Per-trial generator of the tree, keyed (master seed, trial, 0); with
-    a penalty it first gives the trial's engine seed."""
-    return np.random.default_rng(np.random.SeedSequence((master_seed, trial, 0)))
+    """Per-trial generator of the tree, keyed (master seed, trial) as
+    `trial_seed` is, which for trials below 2^32 is the same sequence as the
+    key (master seed, trial, 0) of earlier releases (numpy zero-pads keys);
+    with a penalty it first gives the trial's engine seed."""
+    return np.random.default_rng(np.random.SeedSequence((master_seed, trial)))
 
 
 @dataclass(frozen=True)

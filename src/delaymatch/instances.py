@@ -54,7 +54,6 @@ __all__ = [
 class GammaConfig:
     n: int                        # leaf count, power of two, >= 8
     epsilon: float | None = None  # burst gap; default 1/(100 n lg n)
-    jitter: float | None = None   # intra-burst spacing; default epsilon/(16 n)
     max_depth: int | None = None  # deepest vertex level attacked
 
     def resolved(self) -> tuple[int, float, float, int]:
@@ -65,9 +64,7 @@ class GammaConfig:
         eps = self.epsilon if self.epsilon is not None else 1.0 / (100 * n * lg)
         if not (0 < eps < 1.0 / n):
             raise ConfigInvalid(f"epsilon must sit in (0, 1/n), got {eps}")
-        eta = self.jitter if self.jitter is not None else eps / (16 * n)
-        if not (0 < eta <= eps / (8 * n)):
-            raise ConfigInvalid(f"jitter must sit in (0, epsilon/8n], got {eta}")
+        eta = eps / (16 * n)  # intra-burst spacing
         limit = lg - 3
         depth = limit if self.max_depth is None else min(self.max_depth, limit)
         if depth < 0:
@@ -258,9 +255,9 @@ def gen_random(
     request_count: int,
     horizon: float,
     rng: np.random.Generator,
-    require_even: bool = True,
 ) -> tuple[MetricSpace, tuple[Request, ...]]:
-    """Random instance: `kind` is "line", "square" or "uniform"."""
+    """Random instance of any request count: `kind` is "line", "square"
+    or "uniform"."""
     if n_points < 2:
         raise OutOfDomain("need at least two points")
     if not 0.0 <= horizon < math.inf:
@@ -287,7 +284,7 @@ def gen_random(
     times = _distinct_times(rng.uniform(0.0, horizon, request_count))
     where = rng.integers(0, n_points, request_count)
     arrivals = [(names[int(w)], t) for w, t in zip(where, times)]
-    return space, make_requests(space, arrivals, require_even=require_even)
+    return space, make_requests(space, arrivals)
 
 
 def gen_two_point(

@@ -114,17 +114,13 @@ def _doubled_parts(
 
 @dataclass(frozen=True)
 class FpRun:
-    """Outcome of a penalty-variant run (unpacks as (schedule, cost))."""
+    """Outcome of a penalty-variant run."""
 
     schedule: Schedule
     cost: CostBreakdown
     regime: str
     hat_cost: CostBreakdown | None = None
     tree: Hsbt | None = field(default=None, repr=False)
-
-    def __iter__(self):
-        yield self.schedule
-        yield self.cost
 
 
 def _translate(

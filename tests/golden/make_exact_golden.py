@@ -72,7 +72,7 @@ def _expected(sol):
 def _random(kind: str, count: int, seed: int):
     rng = np.random.default_rng(seed)
     n_points = int(rng.integers(3, 9))
-    return gen_random(kind, n_points, count, 4.0, rng, require_even=False)
+    return gen_random(kind, n_points, count, 4.0, rng)
 
 
 def _ties(kind: str, count: int, seed: int):

@@ -113,7 +113,6 @@ def test_threshold_reached_inside_segment():
     assert r.boundaries[0] == 0.4
     assert r.digests[0] == 0.4
     assert r.n_meaningful == 1
-    assert r.n_odd == 1 and r.n_even == 0
 
 
 def test_boundary_extends_through_flat_stretch():
@@ -138,7 +137,6 @@ def test_alternation_swaps_colors():
     assert r.boundaries == (0.25, 1.5, 2.0)
     assert r.digests == (0.25, 0.5, 0.0)
     assert r.n_meaningful == 2
-    assert r.n_odd == 1 and r.n_even == 1
 
 
 def test_meaningful_count_bounded_by_discontinuities():
@@ -147,7 +145,9 @@ def test_meaningful_count_bounded_by_discontinuities():
         c = random_coloring(rng)
         r = simulate_app(c, lam=float(rng.uniform(0.2, 5.0)), rng=rng)
         assert r.n_meaningful <= c.discontinuities + 1
-        assert r.n_even <= r.n_odd <= r.n_even + 1
+        # the meaningful iterations are a prefix: only the last reaches t1
+        assert r.n_meaningful == sum(b < c.t1 for b in r.boundaries)
+        assert r.boundaries[-1] >= c.t1
 
 
 def test_digestion_report_smoke():
@@ -188,6 +188,40 @@ def test_count_law_sums_to_one_meets_the_identity_and_the_dominance():
         for level in range(2, k + 3):
             pmf = [math.exp(-mu) * mu**i / math.factorial(i) for i in range(level // 2)]
             assert float(law[level:].sum()) <= 1.0 - sum(pmf) + 1e-12
+
+
+@np.errstate(over="ignore")
+def reference_count_law(coloring, lam):
+    """`count_law` with each mass step over every state and run."""
+    vol = {1: 0.0, 2: 0.0}
+    runs, states = [], [(1, 0.0)]
+    for s, e, c in coloring.segments:
+        if c is not None:
+            runs.append((c, vol[c], vol[c] + (e - s)))
+            vol[c] += e - s
+            states.append((3 - c, vol[3 - c]))
+    run_color, starts, ends = np.array(runs).reshape(-1, 3).T
+    color, u = np.array(states).T
+    a, b = np.maximum(starts - u[:, None], 0.0), np.maximum(ends - u[:, None], 0.0)
+    hop = np.exp(-lam * a) * -np.expm1(-lam * (b - a)) * (run_color == color[:, None])
+    rest = np.where(color == 1, vol[1], vol[2]) - u
+    mass = np.zeros((coloring.discontinuities + 2, len(states)))
+    mass[0, 0] = 1.0
+    for n in range(coloring.discontinuities + 1):
+        mass[n + 1, 1:] = (mass[n, :, None] * hop).sum(axis=0)
+    law = (mass * np.exp(-lam * rest)).sum(axis=1)
+    return law, float(mass.sum(axis=0) @ [closed_form_digest(v, lam) for v in rest])
+
+
+@pytest.mark.parametrize("lam", [0.3, 1.7, 1e308, 5e-324])
+def test_count_law_matches_the_full_matrix_step_bit_for_bit(lam):
+    rng = np.random.default_rng(47)
+    colorings = [random_coloring(rng, max_segments=m) for m in (2, 6, 40) * 100]
+    colorings.append(Coloring([(k, k + 1, 1 + k % 2) for k in range(120)]))
+    for c in colorings:
+        law, digest = count_law(c, lam)
+        want_law, want_digest = reference_count_law(c, lam)
+        assert np.array_equal(law, want_law) and digest == want_digest, c.segments
 
 
 @pytest.mark.parametrize("error, raises", [(1e-11, False), (1e-8, True)])
@@ -274,9 +308,7 @@ def test_coloring_round_trip(tmp_path):
 
 def test_total_digest_adds_left_to_right():
     # sum() compensates from Python 3.12 on and would give 1.0 here
-    r = AppRealization(
-        boundaries=(), digests=(0.1,) * 10, n_meaningful=0, n_odd=0, n_even=0
-    )
+    r = AppRealization(boundaries=(), digests=(0.1,) * 10, n_meaningful=0)
     assert r.total_digest == 0.9999999999999999
 
 

@@ -580,6 +580,20 @@ def test_odd_request_count_is_rejected_before_any_tree_is_sampled(
     assert out == "" and embedded == []
 
 
+def test_odd_random_bundle_is_written_and_served_with_a_penalty(tmp_path, capsys):
+    out = str(tmp_path / "inst")
+    code, _, _ = run_cli(capsys, "gen", "random", "--kind", "line", "--points", "6",
+                         "--requests", "7", "--out", out)
+    assert code == 0
+    inst = f"{out}/instance.json"
+    assert len(json.loads(Path(inst).read_text())["requests"]) == 7
+    code, _, err = run_cli(capsys, "run", "--instance", inst, "--penalty", "0.2")
+    assert code == 0, err
+    code, text, err = run_cli(capsys, "run", "--instance", inst)
+    assert code == 1 and text == ""
+    assert err == "error: 7 requests; matching needs an even count\n"
+
+
 @pytest.mark.parametrize("dist, penalty", [
     (_triangle(1e308, 1e308), "1.0"),
     (_triangle(1e-300, 1e10), "1e-301"),

@@ -19,7 +19,6 @@ from delaymatch.errors import (
     DoubleService,
     InstanceLoadError,
     MatchBeforeArrival,
-    OddRequestSet,
     OutOfDomain,
     UncoveredRequest,
     UnknownLocation,
@@ -50,10 +49,9 @@ def test_make_requests_rejects_coincident_times(line):
         make_requests(line, [("a", 1.0), ("b", 1.0)])
 
 
-def test_make_requests_rejects_odd_count(line):
-    with pytest.raises(OddRequestSet):
-        make_requests(line, [("a", 0.0), ("b", 1.0), ("a", 2.0)])
-    reqs = make_requests(line, [("a", 0.0), ("b", 1.0), ("a", 2.0)], require_even=False)
+def test_make_requests_accepts_odd_count(line):
+    # parity is checked where pairing needs it (engine, offline, batch config)
+    reqs = make_requests(line, [("a", 0.0), ("b", 1.0), ("a", 2.0)])
     assert len(reqs) == 3
 
 

@@ -37,6 +37,16 @@ def test_trial_seed_is_deterministic_and_spread():
     assert a != trial_rng(1, 3).random()
 
 
+def test_trial_keys_are_one_seed_sequence():
+    for master, trial in [(0, 0), (7, 3), (2**32 + 5, 2**32 - 1)]:
+        rng = trial_rng(master, trial)
+        words = rng.bit_generator.seed_seq.generate_state(1, np.uint64)
+        assert trial_seed(master, trial) == int(words[0] >> 1)
+        # the key (master, trial, 0) draws the same below 2^32 trials
+        padded = np.random.default_rng(np.random.SeedSequence((master, trial, 0)))
+        assert (rng.integers(2**62, size=4) == padded.integers(2**62, size=4)).all()
+
+
 def test_config_validation():
     space, reqs = small_instance()
     with pytest.raises(ConfigInvalid):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from delaymatch.core import total_cost
-from delaymatch.errors import ConfigInvalid, OddRequestSet, OutOfDomain
+from delaymatch.errors import ConfigInvalid, OutOfDomain
 from delaymatch.instances import (
     GammaConfig,
     gen_adversarial_gamma,
@@ -20,8 +20,6 @@ def test_gamma_config_validation():
         GammaConfig(n=12).resolved()
     with pytest.raises(ConfigInvalid):
         GammaConfig(n=8, epsilon=0.2).resolved()  # must stay below 1/n
-    with pytest.raises(ConfigInvalid):
-        GammaConfig(n=8, jitter=1.0).resolved()
     n, eps, eta, depth = GammaConfig(n=16).resolved()
     assert (n, depth) == (16, 1)
     assert 0 < eta <= eps / (8 * n) < eps < 1 / n
@@ -150,9 +148,7 @@ def test_gen_random_kinds():
 
 def test_gen_random_validation():
     rng = np.random.default_rng(1)
-    with pytest.raises(OddRequestSet):
-        gen_random("line", 4, 7, horizon=1.0, rng=rng)
-    space, reqs = gen_random("line", 4, 7, horizon=1.0, rng=rng, require_even=False)
+    space, reqs = gen_random("line", 4, 7, horizon=1.0, rng=rng)
     assert len(reqs) == 7
     with pytest.raises(OutOfDomain):
         gen_random("line", 1, 4, horizon=1.0, rng=rng)

@@ -176,12 +176,12 @@ def test_run_mpmdfp_deterministic_under_fixed_rng():
     assert a.cost == b.cost
 
 
-def test_fp_run_unpacks_as_pair():
+def test_fp_run_reads_by_fields():
     space = single_point()
     reqs = make_requests(space, [("o", 0.0), ("o", 0.5)])
-    schedule, cost = run_mpmdfp(space, reqs, 2.0, np.random.default_rng(0))
-    assert schedule.pairings == ((0, 1, 0.5),)
-    assert cost.total == pytest.approx(0.5)
+    out = run_mpmdfp(space, reqs, 2.0, np.random.default_rng(0))
+    assert out.schedule.pairings == ((0, 1, 0.5),)
+    assert out.cost.total == pytest.approx(0.5)
 
 
 def test_benchmark_inequality_small_corpus():

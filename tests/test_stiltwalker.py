@@ -371,7 +371,7 @@ def test_engine_rejects_bad_inputs():
     tree = two_leaf_tree()
     space = tree_metric(tree)
     with pytest.raises(OddRequestSet):
-        Engine(tree, make_requests(space, [("a", 0.0)], require_even=False))
+        Engine(tree, make_requests(space, [("a", 0.0)]))
     bigger = gen_random("line", 4, 4, horizon=1.0, rng=np.random.default_rng(0))
     with pytest.raises(UnknownLocation):
         Engine(tree, bigger[1])
