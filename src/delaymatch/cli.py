@@ -85,10 +85,10 @@ def load_bundle(path: str):
     try:
         if "dist" in obj:
             dist = np.asarray(obj["dist"], dtype=float)
-            pts = obj.get("points") or [f"p{i}" for i in range(len(dist))]
+            pts = [f"p{i}" for i in range(len(dist))] if names is None else names
             space = MetricSpace(pts, dist)
         elif "coords" in obj:
-            space = from_coords(obj["coords"], obj.get("points"))
+            space = from_coords(obj["coords"], names)
         else:
             raise InstanceLoadError("instance needs either 'dist' or 'coords'")
     except (TypeError, ValueError) as exc:

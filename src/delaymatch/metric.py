@@ -4,7 +4,11 @@ Every downstream component assumes a genuine metric (finite entries,
 symmetry, zero diagonal, positive off-diagonal entries, triangle inequality),
 so the constructor here is strict and names the offending triple on failure.
 The triangle check uses an absolute tolerance of 1e-9 * d_max to absorb
-float noise in computed coordinate inputs.
+float noise in computed coordinate inputs.  It runs as a min-plus product,
+d[i,j] - min_k (d[i,k] + d[k,j]) <= tol, over blocks of rows i and only the
+columns j from each block's first row on: half the n^3 triples in two array
+passes, with the same decision, bit for bit, as testing every triple on its
+own (see `MetricSpace._check`).
 """
 
 from __future__ import annotations
@@ -63,51 +67,67 @@ class MetricSpace:
             )
         if n == 0:
             raise DegenerateSpace("empty point set")
-        bad = ~np.isfinite(d)
-        if np.any(bad):
-            i, j = (int(k) for k in np.argwhere(bad)[0])
+        if not np.isfinite(d).all():
+            i, j = (int(k) for k in np.argwhere(~np.isfinite(d))[0])
             raise InstanceLoadError(
                 f"non-finite distance d({self.points[i]},{self.points[j]})={d[i, j]}"
             )
-        if np.any(np.diag(d) != 0.0):
-            i = int(np.flatnonzero(np.diag(d))[0])
+        if d.diagonal().any():
+            i = int(np.flatnonzero(d.diagonal())[0])
             raise NegativeDistance(f"nonzero self-distance at point {self.points[i]}")
-        asym = np.argwhere(d != d.T)
-        if asym.size:
-            i, j = (int(k) for k in asym[0])
+        if (d != d.T).any():
+            i, j = (int(k) for k in np.argwhere(d != d.T)[0])
             raise AsymmetricDistance(
                 f"d({self.points[i]},{self.points[j]})={d[i, j]} != "
                 f"d({self.points[j]},{self.points[i]})={d[j, i]}"
             )
-        off = ~np.eye(n, dtype=bool)
-        bad = (d <= 0) & off
-        if np.any(bad):
+        # the diagonal is zero, so d <= 0 holds more than n times only off it
+        if np.count_nonzero(d <= 0) > n:
+            bad = (d <= 0) & ~np.eye(n, dtype=bool)
             i, j = (int(k) for k in np.argwhere(bad)[0])
             raise NegativeDistance(
                 f"non-positive distance d({self.points[i]},{self.points[j]})={d[i, j]}"
             )
         tol = TRIANGLE_RTOL * float(d.max(initial=0.0))
-        # all (i,k,j): d[i,j] <= d[i,k] + d[k,j] + tol, scanned in blocks of
-        # rows i in increasing order, so the first hit is the first in (i,k,j)
-        # order and each temporary holds at most max(n^2, _TRIANGLE_BLOCK)
+        # all (i,k,j): d[i,j] <= d[i,k] + d[k,j] + tol, tested as the min-plus
+        # product d[i,j] - min_k (d[i,k] + d[j,k]) <= tol with k the contiguous
+        # axis (d is exactly symmetric here, so d[j,k] is d[k,j]).  Rounding is
+        # monotone, so the float d[i,j] - min_k s equals max_k (d[i,j] - s):
+        # each triple is decided exactly as by its own subtraction.  Blocks of
+        # rows i go in increasing order over columns j >= lo only: float +
+        # commutes, so a hit (i,k,j) with j < lo is the hit (j,k,i) of an
+        # earlier block, and the first failing block is the first to hold a
+        # hit in (i,k,j) order; only it is rescanned with the per-triple test
+        # to name that hit.  The scan's temporaries hold at most
+        # max(n, _TRIANGLE_BLOCK) entries, the rescan's max(n^2, _TRIANGLE_BLOCK).
         rows = max(1, _TRIANGLE_BLOCK // (n * n))
-        slack = np.empty((min(rows, n), n, n))  # d[i,j] - (d[i,k] + d[k,j])
-        over = np.empty(slack.shape, dtype=bool)
+        cols = max(1, _TRIANGLE_BLOCK // (rows * n))
+        sums = np.empty((min(rows, n), min(cols, n), n))  # [i, j, k]: d[i,k] + d[j,k]
+        mins = np.empty(sums.shape[:2])
         with np.errstate(over="ignore"):  # a sum past the float range is no violation
             for lo in range(0, n, rows):
                 block = d[lo:lo + rows]
-                s, o = slack[: len(block)], over[: len(block)]
-                np.add(block[:, :, None], d[None, :, :], out=s)
-                np.subtract(block[:, None, :], s, out=s)
-                if not np.greater(s, tol, out=o).any():
-                    continue
-                i, k, j = (int(x) for x in np.argwhere(o)[0])
-                i += lo
-                raise TriangleViolation(
-                    f"d({self.points[i]},{self.points[j]})={d[i, j]} > "
-                    f"d({self.points[i]},{self.points[k]})+d({self.points[k]},{self.points[j]})"
-                    f"={d[i, k] + d[k, j]}"
-                )
+                for c in range(lo, n, cols):
+                    right = d[c:c + cols]
+                    s = sums[: len(block), : len(right)]
+                    np.add(block[:, None, :], right, out=s)
+                    m = mins[: len(block), : len(right)]
+                    np.minimum.reduce(s, axis=2, out=m)
+                    if np.subtract(block[:, c:c + cols], m, out=m).max() > tol:
+                        self._raise_first_violation(block, lo, tol)
+
+    def _raise_first_violation(self, block: np.ndarray, lo: int, tol: float) -> None:
+        """Raise on the first (i,k,j) hit among the rows block = d[lo:lo+len(block)]."""
+        d = self.dist
+        slack = np.add(block[:, :, None], d[None, :, :])
+        np.subtract(block[:, None, :], slack, out=slack)  # d[i,j] - (d[i,k] + d[k,j])
+        i, k, j = (int(x) for x in np.argwhere(slack > tol)[0])
+        i += lo
+        raise TriangleViolation(
+            f"d({self.points[i]},{self.points[j]})={d[i, j]} > "
+            f"d({self.points[i]},{self.points[k]})+d({self.points[k]},{self.points[j]})"
+            f"={d[i, k] + d[k, j]}"
+        )
 
     def distance(self, a: str, b: str) -> float:
         return float(self.dist[self.index[a], self.index[b]])
@@ -119,6 +139,8 @@ class MetricSpace:
 def from_coords(coords, points: Sequence[str] | None = None) -> MetricSpace:
     """Euclidean metric materialized from a coordinate array (n x dim)."""
     c = np.asarray(coords, dtype=float)
+    if c.ndim not in (1, 2):
+        raise InstanceLoadError(f"coordinate array of shape {c.shape} is not n x dim")
     if c.ndim == 1:
         c = c[:, None]
     # an overflow leaves a non-finite distance, which MetricSpace rejects

@@ -330,6 +330,11 @@ _BAD_BUNDLES = {  # overrides of the valid bundle (None drops a key), message
     "ragged-dist": ({"dist": [[0.0, 1.0], [1.0]]}, "malformed metric"),
     "scalar-dist": ({"points": None, "dist": 5}, "malformed metric"),
     "string-coords": ({"dist": None, "coords": "abc"}, "malformed metric"),
+    "scalar-coords": ({"dist": None, "coords": 5}, "coordinate array of shape ()"),
+    "nested-coords": (
+        {"dist": None, "coords": [[[0.0], [1.0]]]}, "coordinate array of shape (1, 2, 1)"
+    ),
+    "empty-names": ({"points": []}, "does not match 0 points"),
     "list-names": ({"points": [["p0"], ["p1"]]}, "'points' must be"),
     "infinite-dist": (
         {"dist": [[0.0, float("inf")], [float("inf"), 0.0]]},

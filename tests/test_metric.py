@@ -69,20 +69,33 @@ def test_triangle_violation_names_points():
 
 
 def triangle_scan(names, d):
-    """The whole-cube triangle check: its message for the first bad (i, k, j)."""
-    slack = d[:, None, :] - (d[:, :, None] + d[None, :, :])
-    hits = np.argwhere(slack > 1e-9 * d.max())
-    if not len(hits):
-        return None
-    i, k, j = hits[0]
-    return (
-        f"d({names[i]},{names[j]})={d[i, j]} > "
-        f"d({names[i]},{names[k]})+d({names[k]},{names[j]})={d[i, k] + d[k, j]}"
-    )
+    """The plain triangle check: its message for the first bad (i, k, j).
+
+    It walks the whole cube of triples, one row i at a time so that n = 300
+    needs n^2 entries per temporary rather than n^3.
+    """
+    tol = 1e-9 * d.max()
+    for i in range(len(d)):
+        with np.errstate(over="ignore"):  # an overflowing sum bounds any distance
+            slack = d[i][None, :] - (d[i][:, None] + d)  # [k, j]
+        hits = np.argwhere(slack > tol)
+        if len(hits):
+            k, j = hits[0]
+            return (
+                f"d({names[i]},{names[j]})={d[i, j]} > "
+                f"d({names[i]},{names[k]})+d({names[k]},{names[j]})={d[i, k] + d[k, j]}"
+            )
+    return None
 
 
 @pytest.mark.parametrize(
-    "n, planted", [(5, [(1, 3)]), (40, [(30, 2), (35, 33)]), (100, [(70, 71), (64, 99)])]
+    "n, planted",
+    [
+        (5, [(1, 3)]),
+        (40, [(30, 2), (35, 33)]),
+        (100, [(70, 71), (64, 99)]),
+        (300, [(250, 12), (299, 298)]),
+    ],
 )
 def test_triangle_violation_names_first_triple(n, planted):
     rng = np.random.default_rng(n)
@@ -92,6 +105,54 @@ def test_triangle_violation_names_first_triple(n, planted):
         d[i, j] = d[j, i] = 3.0 * d.max()
     want = triangle_scan(names, d)
     assert want is not None
+    with pytest.raises(TriangleViolation) as err:
+        MetricSpace(names, d)
+    assert str(err.value) == want
+
+
+def line_metric(n, huge=False):
+    """n points on a line, where every triangle through a middle point is tight.
+
+    The points are integers from 0 to 10^9, so every sum is exact and the
+    tolerance is 1; with `huge` they are floats from 0 to 1.5e308, so the
+    longer sums overflow.
+    """
+    rng = np.random.default_rng(n)
+    if huge:
+        x = np.concatenate([[0.0, 1.5e308], rng.uniform(0.0, 1.5e308, size=n - 2)])
+    else:
+        x = np.concatenate([[0.0, 1e9], rng.choice(10**9 - 1, size=n - 2, replace=False) + 1.0])
+    x.sort()
+    return np.abs(np.subtract.outer(x, x))
+
+
+@pytest.mark.parametrize("n", [5, 12, 40, 100, 300])
+@pytest.mark.parametrize("case", [
+    "metric", "mirror", "slack-at-tol", "slack-above-tol", "overflow", "overflow-violation",
+])
+def test_triangle_scan_matches_the_plain_scan(n, case):
+    # one block of rows at n <= 40, six rows per block at 100, one at 300
+    d = line_metric(n, huge=case.startswith("overflow"))
+    far, near = n - 2, 1  # a pair whose rows lie in different blocks at n >= 100
+    if case == "mirror":  # the first hit is (near, k, far); (far, k, near) mirrors it
+        d[far, near] = d[near, far] = d[far, near] + 2.0
+    elif case == "slack-at-tol":
+        assert 1e-9 * d.max() == 1.0
+        d[far, near] = d[near, far] = d[far, near] + 1.0
+    elif case == "slack-above-tol":
+        d[far, near] = d[near, far] = np.nextafter(d[far, near] + 1.0, np.inf)
+    elif case.startswith("overflow"):
+        with np.errstate(over="ignore"):
+            assert d.max() + d.max() == np.inf
+        if case == "overflow-violation":
+            mid = n // 2
+            d[mid, near] = d[near, mid] = 1.5 * d[mid, near]
+    names = [f"q{i}" for i in range(n)]
+    want = triangle_scan(names, d)
+    assert (want is None) == (case in ("metric", "slack-at-tol", "overflow"))
+    if want is None:
+        MetricSpace(names, d)
+        return
     with pytest.raises(TriangleViolation) as err:
         MetricSpace(names, d)
     assert str(err.value) == want
