@@ -31,7 +31,6 @@ __all__ = [
     "Schedule",
     "CostBreakdown",
     "make_requests",
-    "pair_cost",
     "total_cost",
 ]
 
@@ -85,53 +84,55 @@ def make_requests(
     return tuple(sorted(reqs, key=lambda r: (r.t, r.id)))
 
 
-def pair_cost(
-    space: MetricSpace, r1: Request, r2: Request, t: float
-) -> tuple[float, float]:
-    """(space, time) cost of serving r1, r2 together at time t."""
-    if t < r1.t or t < r2.t:
-        raise MatchBeforeArrival(
-            f"match of ({r1.id},{r2.id}) at t={t} precedes an arrival"
-        )
-    d = space.distance(r1.point, r2.point)
-    return d, float(t - r1.t) + float(t - r2.t)
-
-
 def total_cost(
     space: MetricSpace,
     requests: Sequence[Request],
     schedule: Schedule,
     penalty_p: float | None = None,
 ) -> CostBreakdown:
-    """Cost of a schedule; every request must be served exactly once."""
-    by_id = {r.id: r for r in requests}
-    seen: set[int] = set()
+    """Cost of a schedule; every request must be served exactly once.
 
-    def claim(rid: int) -> Request:
-        if rid not in by_id:
-            raise UncoveredRequest(f"schedule references unknown request {rid}")
-        if rid in seen:
-            raise DoubleService(f"request {rid} served twice")
-        seen.add(rid)
-        return by_id[rid]
-
+    A pair served at t costs d(p1, p2) in space and (t - t1) + (t - t2) in
+    time; a clear at t costs p and t - t1.  A total past the float range is
+    rejected as `OutOfDomain`.
+    """
+    unserved = {r.id: r for r in requests}
+    dist, index = space.dist.item, space.index
     space_cost = 0.0
     time_cost = 0.0
     penalty_cost = 0.0
     for id1, id2, t in schedule.pairings:
-        r1, r2 = claim(id1), claim(id2)
-        d, w = pair_cost(space, r1, r2, t)
-        space_cost += d
-        time_cost += w
+        r1 = unserved.pop(id1, None)
+        if r1 is None:
+            raise _unserved_error(id1, requests)
+        r2 = unserved.pop(id2, None)
+        if r2 is None:
+            raise _unserved_error(id2, requests)
+        if t < r1.t or t < r2.t:
+            raise MatchBeforeArrival(
+                f"match of ({r1.id},{r2.id}) at t={t} precedes an arrival"
+            )
+        space_cost += dist(index[r1.point], index[r2.point])
+        time_cost += float(t - r1.t) + float(t - r2.t)
     for rid, t in schedule.clears:
         if penalty_p is None:
             raise OutOfDomain("schedule contains clears but no penalty was given")
-        r = claim(rid)
+        r = unserved.pop(rid, None)
+        if r is None:
+            raise _unserved_error(rid, requests)
         if t < r.t:
             raise MatchBeforeArrival(f"clear of {rid} at t={t} precedes its arrival")
         penalty_cost += penalty_p
         time_cost += float(t - r.t)
-    missing = set(by_id) - seen
-    if missing:
-        raise UncoveredRequest(f"requests never served: {sorted(missing)}")
-    return CostBreakdown(space=space_cost, time=time_cost, penalty=penalty_cost)
+    if unserved:
+        raise UncoveredRequest(f"requests never served: {sorted(unserved)}")
+    cost = CostBreakdown(space=space_cost, time=time_cost, penalty=penalty_cost)
+    if not math.isfinite(cost.total):
+        raise OutOfDomain(f"the schedule's cost {cost.total} exceeds the float range")
+    return cost
+
+
+def _unserved_error(rid: int, requests: Sequence[Request]) -> Exception:
+    if any(r.id == rid for r in requests):
+        return DoubleService(f"request {rid} served twice")
+    return UncoveredRequest(f"schedule references unknown request {rid}")

@@ -303,18 +303,25 @@ def verify_cost_identities(
     """Check the two exact identities and the two offline lower bounds.
 
     Costs must be measured in the tree metric.  Raises IdentityViolation
-    naming the first failing check; returns the residual report otherwise.
+    naming the first failing check, or OutOfDomain when a ledger sum passes
+    the float range; returns the residual report otherwise.
     """
-    res_a = _rel(online_cost.space, ledger.c_end + float(ledger.sigma.sum()))
-    res_b = _rel(online_cost.time, ledger.zeta + 2.0 * float(ledger.tau.sum()))
+    with np.errstate(over="ignore"):  # a sum past the float range is rejected below
+        space_ledger = ledger.c_end + float(ledger.sigma.sum())
+        time_ledger = ledger.zeta + 2.0 * float(ledger.tau.sum())
+        star_time = ledger.zeta + float(ledger.tau_star.sum())
+        star_sum = float(ledger.sigma_star.sum())
+    if not all(map(math.isfinite, (space_ledger, time_ledger, star_time, star_sum))):
+        raise OutOfDomain("the cost ledgers of this run exceed the float range")
+    res_a = _rel(online_cost.space, space_ledger)
+    res_b = _rel(online_cost.time, time_ledger)
 
     h = tree.height
-    rhs_c = (ledger.zeta + float(ledger.tau_star.sum())) / (h + 1)
+    rhs_c = star_time / (h + 1)
     margin_c = offline_cost.time - rhs_c
 
     gate = (tree.alpha - 1.0) / tree.alpha
     provable = (tree.alpha - 1.0) / (tree.alpha + 1.0)
-    star_sum = float(ledger.sigma_star.sum())
     margin_d = offline_cost.space - gate * star_sum
     margin_d_provable = offline_cost.space - provable * star_sum
 

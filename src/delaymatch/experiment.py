@@ -34,7 +34,7 @@ import numpy as np
 
 from .core import Request, Schedule, total_cost
 from .embedding import Hsbt, sample_hsbt, undominated_pair
-from .errors import ConfigInvalid, InvariantViolation, OddRequestSet
+from .errors import ConfigInvalid, InvariantViolation, OddRequestSet, OutOfDomain
 from .metric import MetricSpace
 from .offline import (
     MAX_EXACT,
@@ -171,13 +171,18 @@ def batch_summary(
 
     ratio_ci95 is the half-width of the normal-approximation 95% interval
     for the mean ratio (0 for a single trial); residual is the additive
-    slack, mean online total minus ratio_mean x offline total.
+    slack, mean online total minus ratio_mean x offline total.  A summary
+    past the float range is rejected as `OutOfDomain`.
     """
-    mean = float(np.mean(ratios))
-    ci = 0.0
-    if len(ratios) > 1:
-        ci = 1.96 * float(np.std(ratios, ddof=1)) / math.sqrt(len(ratios))
-    return mean, ci, float(np.mean(totals)) - mean * opt_total
+    with np.errstate(over="ignore"):  # a sum past the float range is rejected below
+        mean = float(np.mean(ratios))
+        ci = 0.0
+        if len(ratios) > 1:
+            ci = 1.96 * float(np.std(ratios, ddof=1)) / math.sqrt(len(ratios))
+        residual = float(np.mean(totals)) - mean * opt_total
+    if not all(map(math.isfinite, (mean, ci, residual))):
+        raise OutOfDomain("the batch summary exceeds the float range")
+    return mean, ci, residual
 
 
 @dataclass

@@ -160,7 +160,8 @@ def greedy_mpmd(space: MetricSpace, requests: Sequence[Request]) -> OfflineSolut
     """Repeatedly pair the two unserved requests with the smallest d + |dt|.
 
     Ties go to the first pair (i, j), i < j, in request-id order.  All pair
-    costs are computed once and sorted once by (cost, i, j); one pass then
+    costs are computed once, listed in (i, j) order, and sorted once by cost
+    alone with a stable sort, which keeps that order among ties; one pass then
     takes each pair whose two requests are both still unserved.  The first
     such pair is always the least of the remaining ones, so this is the
     round-by-round rescan's schedule in O(n^2 log n) time and O(n^2) memory.
@@ -171,7 +172,7 @@ def greedy_mpmd(space: MetricSpace, requests: Sequence[Request]) -> OfflineSolut
         raise OddRequestSet("greedy matching needs an even request count")
     first, second = np.triu_indices(n, 1)
     edge = _pair_costs(space, reqs)[first, second]
-    order = np.lexsort((second, first, edge))
+    order = np.argsort(edge, kind="stable")
     free = [True] * n
     pairs = []
     for i, j in zip(first[order].tolist(), second[order].tolist()):

@@ -33,18 +33,23 @@ past t_end with the same timers until no active request remains.
 State upkeep.  An arrival flips parity along one leaf-to-root path and a
 match along the two feet-to-vertex paths below the matched vertex, so only
 the vertices on those paths can change parity and only their parents can
-gain or lose effectiveness.  `Engine._flip_path` updates the parity list and
-the effective set along such a path and nowhere else.  A vertex entering
-the effective set pushes (deadline, vertex) onto a heap; the next timer is
-the smallest entry whose vertex is still effective with that deadline, and
-stale entries are dropped as they reach the top.  A push that leaves the heap
-longer than twice the effective set plus 16 rebuilds it from that set, so it
-stays within a constant factor of it at amortised O(1) per push.  An event
-thus costs O(height + log heap).  The event trace is the engine's one record: the
-schedule is read off it, and neither it nor the engine keeps state snapshots
-or potential ledgers.  The analysis in `diagnostics` rebuilds the state
-before every event, and the ledgers tau and sigma, from the trace alone,
-with the parity replay it shares with the offline schedule.
+gain or lose effectiveness.  One loop, the generator `Engine._events`, runs
+every event: arrivals, same-leaf arrivals, timer matches and the flush's
+matches.  One block in it flips those paths, updating the parity list and
+the effective set along them and nowhere else.  The stepwise methods reach
+it by sending it a command each (`run` sends one for the whole run), and it
+hands back the time and the arrival index with each event.  A vertex
+entering the effective set pushes (deadline, vertex) onto a heap; the next
+timer is the smallest entry whose vertex is still effective with that
+deadline, and stale entries are dropped as they reach the top.  A push that
+leaves the heap longer than twice the effective set plus 16 rebuilds it in
+place from that set, so it stays within a constant factor of it at
+amortised O(1) per push.  An event thus costs O(height + log heap).  The
+event trace is the engine's one record: the schedule is read off it, and
+neither it nor the engine keeps state snapshots or potential ledgers.  The
+analysis in `diagnostics` rebuilds the state before every event, and the
+ledgers tau and sigma, from the trace alone, with the parity replay it
+shares with the offline schedule.
 
 Determinism.  Each internal vertex draws from its own named RNG stream keyed
 by (seed, vertex id), so runs are bit-for-bit reproducible and the timers
@@ -72,7 +77,7 @@ import enum
 import json
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Generator, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -99,6 +104,7 @@ __all__ = [
 
 _M32 = 0xFFFFFFFF
 _BLOCK = 8  # values drawn when a stream opens; its later blocks double
+_new = tuple.__new__  # builds an EngineEvent without its Python-level __new__
 
 
 # numpy's SeedSequence hash (pool size 4): the running multipliers
@@ -184,6 +190,27 @@ class _Words(ISeedSequence):
         return self.words
 
 
+def _stream_draws(
+    words: np.ndarray, weight: Sequence[float], streams: dict[int, list]
+) -> Callable[[int], float]:
+    """The draw of an exponential engine: vertex v's next budget is the next
+    value of its stream, opened from row v of `words` with a block of
+    values; a stream that uses its block up redraws a prefix twice as long."""
+
+    def draw(v: int) -> float:
+        stream = streams.get(v)
+        if stream is None:
+            stream = streams[v] = [[], 0]
+        values, used = stream
+        if used == len(values):
+            rng = np.random.Generator(np.random.PCG64(_Words(words[v])))
+            values = stream[0] = rng.exponential(weight[v], 2 * used or _BLOCK).tolist()
+        stream[1] = used + 1
+        return values[used]
+
+    return draw
+
+
 class TimerMode(enum.Enum):
     EXPONENTIAL = "exponential"
     DETERMINISTIC = "deterministic"
@@ -221,7 +248,8 @@ class EngineRun:
 
 
 class Engine:
-    """Stepwise form of the matching process; `run()` drives it to the end."""
+    """Stepwise form of the matching process; `run()` drives it to the end.
+    Both step the one event loop, `_events`."""
 
     def __init__(
         self,
@@ -235,17 +263,23 @@ class Engine:
         self.requests = sorted(requests, key=lambda r: (r.t, r.id))
         if len(self.requests) % 2 != 0:
             raise OddRequestSet("engine needs an even number of requests")
+        self._arrivals: list[tuple[float, int, int]] = []  # (t, request id, leaf)
         for r in self.requests:
             if r.point not in tree.point_leaf:
                 raise UnknownLocation(f"request {r.id} at {r.point!r} not a tree leaf")
-        self.leaf_of = {r.id: tree.point_leaf[r.point] for r in self.requests}
-        # row v of `words` holds the seed words of vertex v's stream
-        if mode is TimerMode.EXPONENTIAL and words is None:
-            raise ConfigInvalid("exponential timers need a seed-word table")
-        self._words = words
+            self._arrivals.append((float(r.t), r.id, tree.point_leaf[r.point]))
         # vertex -> [values of its stream drawn so far, how many are used]
         self._streams: dict[int, list] = {}
         n_v = len(tree)
+        if mode is TimerMode.DETERMINISTIC:
+            self._draw = tree.weight.__getitem__
+        elif words is None:
+            raise ConfigInvalid("exponential timers need a seed-word table")
+        elif np.ndim(words) != 2 or len(words) < n_v or np.shape(words)[1] != 4:
+            shape = np.shape(words)
+            raise ConfigInvalid(f"seed-word table {shape} needs {n_v} rows of 4 words")
+        else:  # row v of `words` holds the seed words of vertex v's stream
+            self._draw = _stream_draws(words, tree.weight, self._streams)
         self.budget: list[float | None] = [None] * n_v  # None until first effective
         self.deadline = [0.0] * n_v  # read only while the vertex is effective
         self._timers: list[tuple[float, int]] = []  # heap of (deadline, vertex)
@@ -259,120 +293,118 @@ class Engine:
         self.arrival_index = 0
         self.trace = EngineTrace()
         self.trace.t_end = self.requests[-1].t if self.requests else 0.0
+        self._loop = self._events()
+        next(self._loop)
 
-    def _draw(self, v: int) -> float:
-        w = self.tree.weight[v]
-        if self.mode is TimerMode.DETERMINISTIC:
-            return w
-        stream = self._streams.setdefault(v, [[], 0])
-        values, used = stream
-        if used == len(values):
-            values = stream[0] = self._prefix(v, w, 2 * used or _BLOCK)
-        stream[1] = used + 1
-        return values[used]
+    def _events(self) -> Generator[tuple, tuple, None]:
+        """The engine's one event loop; see "State upkeep" in the module doc.
 
-    def _prefix(self, v: int, scale: float, k: int) -> list[float]:
-        """The first k values of vertex v's stream."""
-        bits = np.random.PCG64(_Words(self._words[v]))
-        return np.random.Generator(bits).exponential(scale, k).tolist()
-
-    # -- state maintenance ----------------------------------------------------
-
-    def _flip_path(self, leaf: int, top: int = -1) -> None:
-        """Flip parity from `leaf` up to, not including, `top` (-1: the root too).
-
-        A flip of v toggles the effectiveness of its parent u exactly when
-        v's sibling is odd, so only then is u touched: entering, u draws its
-        first budget if it has none and pushes its deadline; leaving, u keeps
-        what is left of its budget.  `top` must be -1 or an ancestor of `leaf`.
+        Sent (until, queue, kind): with vertices queued, it matches across
+        each at the current instant, popping the queue from its end, as
+        events of that kind; else it runs arrivals and timer matches until
+        `until` requests have arrived, one event at least.  It then yields
+        (the last event, or None when no event remains; now; arrival index).
         """
-        parent, sibling, parity = self.tree.parent, self._sibling, self.parity
-        effective, budget, deadline = self.effective, self.budget, self.deadline
-        v = leaf
-        while v != top:
-            parity[v] ^= 1
-            u = parent[v]
-            if u < 0:
-                if top >= 0:
-                    raise InvariantViolation(f"vertex {top} is not above leaf {leaf}")
-                return
-            if parity[sibling[v]]:
-                if parity[v]:
-                    if budget[u] is None:
-                        budget[u] = self._draw(u)
-                    deadline[u] = self.now + budget[u]
-                    effective.add(u)
-                    heappush(self._timers, (deadline[u], u))
-                    if len(self._timers) > 2 * len(effective) + 16:
-                        # mostly stale entries: keep one per effective vertex
-                        self._timers = [(deadline[w], w) for w in effective]
-                        heapify(self._timers)
+        tree, arrivals, draw = self.tree, self._arrivals, self._draw
+        parent, children, root = tree.parent, tree.children, tree.root
+        sibling, parity, effective = self._sibling, self.parity, self.effective
+        budget, deadline, timers = self.budget, self.deadline, self._timers
+        active_at, record = self.active_at, self.trace.events.append
+        del self  # the loop holds the engine's state but not the engine: no cycle
+        n, i, now = len(arrivals), 0, 0.0
+        until, queue, kind = yield
+        while True:
+            if queue:
+                v = queue.pop()
+            else:
+                while timers:  # drop stale tops: left the set, or re-entered since
+                    d, v = timers[0]
+                    if v in effective and deadline[v] == d:
+                        break
+                    heappop(timers)
                 else:
-                    budget[u] = deadline[u] - self.now
-                    effective.discard(u)
-            v = u
+                    d = None
+                if i < n and (d is None or arrivals[i][0] <= d):
+                    t, rid, leaf = arrivals[i]
+                    i, v, paths = i + 1, -1, ((leaf, root),)
+                    partner = active_at.pop(leaf, None)
+                    if partner is None:
+                        active_at[leaf] = rid
+                        event = _new(EngineEvent, (t, "arrival", leaf, (rid,)))
+                    else:  # zero-distance match: the standing active vanishes,
+                        # so the leaf's path flips exactly once
+                        event = _new(EngineEvent, (t, "same_leaf", leaf, (partner, rid)))
+                elif d is not None:
+                    heappop(timers)
+                    t, kind = d, "match"
+                else:
+                    if active_at:
+                        raise InvariantViolation(
+                            "stuck: active requests but no effective vertex"
+                        )
+                    until, queue, kind = yield None, now, i
+                    continue
+                if t < now:
+                    raise InvariantViolation("time went backwards")
+                now = t
+            if v >= 0:  # match the requests at the feet of v's two stilts
+                feet = []
+                for c in children[v]:
+                    while children[c]:
+                        c1, c2 = children[c]
+                        if parity[c1] == parity[c2]:
+                            raise InvariantViolation(
+                                "odd vertex without a unique odd child"
+                            )
+                        c = c1 if parity[c1] else c2
+                    feet.append(c)
+                f1, f2 = feet
+                pair = (active_at.pop(f1), active_at.pop(f2))
+                event = _new(EngineEvent, (now, kind, v, pair))
+                # above v the two flips cancel: parities there stay as they are
+                paths = ((f1, v), (f2, v))
+            # The one path flip.  A flip of x toggles the effectiveness of its
+            # parent u exactly when x's sibling is odd, so only then is u
+            # touched: entering, u draws its first budget if it has none and
+            # pushes its deadline; leaving, u keeps what is left of its budget.
+            for x, top in paths:
+                while x != top:
+                    parity[x] ^= 1
+                    u = parent[x]
+                    if parity[sibling[x]]:
+                        if parity[x]:
+                            b = budget[u]
+                            if b is None:
+                                b = budget[u] = draw(u)
+                            deadline[u] = due = now + b
+                            effective.add(u)
+                            heappush(timers, (due, u))
+                            if len(timers) > 2 * len(effective) + 16:
+                                # mostly stale entries: keep one per effective vertex
+                                timers[:] = [(deadline[w], w) for w in effective]
+                                heapify(timers)
+                        else:
+                            budget[u] = deadline[u] - now
+                            effective.discard(u)
+                    x = u
+            if v < 0:  # the path stopped below the root, which has no parent to toggle
+                parity[root] ^= 1
+            else:
+                budget[v] = draw(v)
+            record(event)
+            if queue or i < until:
+                continue
+            until, queue, kind = yield event, now, i
 
-    def _foot(self, v: int) -> int:
-        children, parity = self.tree.children, self.parity
-        while children[v]:
-            c1, c2 = children[v]
-            if parity[c1] == parity[c2]:
-                raise InvariantViolation("odd vertex without a unique odd child")
-            v = c1 if parity[c1] else c2
-        return v
+    def _step(self, until: int, queue: list[int] | tuple = (), kind: str = "match"):
+        event, self.now, self.arrival_index = self._loop.send((until, queue, kind))
+        return event
 
-    def _supporting(self, v: int) -> tuple[int, int]:
-        c1, c2 = self.tree.children[v]
-        return self._foot(c1), self._foot(c2)
-
-    def _advance(self, t: float) -> None:
-        t = float(t)
-        if t < self.now:
-            raise InvariantViolation("time went backwards")
-        self.now = t
-
-    def _next_timer(self) -> tuple[float, int] | None:
-        """The earliest (deadline, vertex) of an effective vertex, or None;
-        drops stale tops (left the effective set, or re-entered it since)."""
-        timers, effective, deadline = self._timers, self.effective, self.deadline
-        while timers:
-            d, v = timers[0]
-            if v in effective and deadline[v] == d:
-                return d, v
-            heappop(timers)
-        return None
-
-    def _record(self, kind: str, vertex, requests) -> EngineEvent:
-        ev = EngineEvent(self.now, kind, vertex, requests)
-        self.trace.events.append(ev)
-        return ev
-
-    # -- event handlers ---------------------------------------------------------
-
-    def _handle_arrival(self, req: Request) -> EngineEvent:
-        leaf = self.leaf_of[req.id]
-        partner = self.active_at.pop(leaf, None)
-        if partner is not None:
-            # zero-distance match; the standing active vanishes, so the
-            # leaf's path parity flips exactly once
-            self._flip_path(leaf)
-            return self._record("same_leaf", leaf, (partner, req.id))
-        self.active_at[leaf] = req.id
-        self._flip_path(leaf)
-        return self._record("arrival", leaf, (req.id,))
-
-    def match_across(self, v: int, kind: str = "match") -> EngineEvent:
+    def match_across(self, v: int) -> EngineEvent:
         """Match the two supporting requests of effective vertex v at `now`."""
         if v not in self.effective:
             raise NotEffective(f"vertex {v} is not effective at t={self.now}")
-        f1, f2 = self._supporting(v)
-        r1 = self.active_at.pop(f1)
-        r2 = self.active_at.pop(f2)
-        # above v the two flips cancel: parities there stay as they are
-        self._flip_path(f1, v)
-        self._flip_path(f2, v)
-        self.budget[v] = self._draw(v)
-        return self._record(kind, v, (r1, r2))
+        return self._step(0, [v])
 
     # -- stepping -----------------------------------------------------------------
 
@@ -383,22 +415,7 @@ class Engine:
         effective-vertex expiry; at equal times the arrival wins, and tied
         timers fire shallowest-lowest-id first.
         """
-        timer = self._next_timer()
-        if self.arrival_index < len(self.requests):
-            req = self.requests[self.arrival_index]
-            if timer is None or req.t <= timer[0]:
-                self._advance(req.t)
-                self.arrival_index += 1
-                return self._handle_arrival(req)
-        if timer is None:
-            if self.active_at:
-                raise InvariantViolation(
-                    "stuck: active requests but no effective vertex"
-                )
-            return None
-        heappop(self._timers)
-        self._advance(timer[0])
-        return self.match_across(timer[1])
+        return self._step(0)
 
     def flush_now(self) -> None:
         """Match across every effective vertex at the current instant.
@@ -408,11 +425,12 @@ class Engine:
         increasing depth clears every remaining active request.
         """
         self.trace.flushed = True
+        flushed = sorted(self.effective)
+        if flushed:
+            self._step(0, flushed[::-1], "flush")
         c_end = 0.0
-        for v in sorted(self.effective):
-            if v in self.effective:
-                self.match_across(v, kind="flush")
-                c_end += self.tree.weight[v]
+        for v in flushed:
+            c_end += self.tree.weight[v]
         if self.active_at:
             raise InvariantViolation("flush left active requests behind")
         n_pts = len(self.tree.leaf_point)
@@ -422,17 +440,13 @@ class Engine:
         self.trace.c_end_space = c_end
 
     def run(self, flush: bool = True) -> EngineRun:
-        while True:
-            if (
-                flush
-                and self.arrival_index == len(self.requests)
-                and not self.trace.flushed
-            ):
-                self.flush_now()
-                break
-            ev = self.advance_to_next_event()
-            if ev is None:
-                break
+        n = len(self._arrivals)
+        if flush and not self.trace.flushed:
+            if self.arrival_index < n:
+                self._step(n)  # up to the last arrival, which wins ties with timers
+            self.flush_now()
+        else:
+            self._step(n + 1)  # until no event remains
         # every event but an arrival pairs its two requests at its time
         pairings = tuple(
             (*e.requests, e.t) for e in self.trace.events if e.kind != "arrival"

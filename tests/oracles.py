@@ -4,6 +4,8 @@ Each recomputes from scratch something the library keeps incrementally or
 builds another way, so the tests can hold the library's result against it:
 
 * `recompute_state`         -- the engine's stilt state, from the active leaves
+* `ReferenceEngine`         -- the engine as a chain of methods, one per step
+                               of an event, against which its one loop runs
 * `build_doubled`           -- the penalty reduction's doubled instance, with
                                its regime and aspect-ratio checks
 * `clear_fraction`          -- Monte-Carlo share of requests `run_mpmdfp` clears
@@ -14,19 +16,35 @@ builds another way, so the tests can hold the library's result against it:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Sequence
 
 import numpy as np
 
-from delaymatch.core import Request
+from delaymatch.core import Request, Schedule
 from delaymatch.embedding import Hsbt
-from delaymatch.errors import InvariantViolation, RegimeMismatch
+from delaymatch.errors import (
+    ConfigInvalid,
+    InvariantViolation,
+    NotEffective,
+    OddRequestSet,
+    RegimeMismatch,
+    UnknownLocation,
+)
 from delaymatch.metric import MetricSpace, stats
 from delaymatch.penalty import (
     REGIME_DOUBLED,
     _doubled_parts,
     classify_regime,
     run_mpmdfp,
+)
+from delaymatch.stiltwalker import (
+    _BLOCK,
+    EngineEvent,
+    EngineRun,
+    EngineTrace,
+    TimerMode,
+    _Words,
 )
 
 
@@ -70,6 +88,228 @@ def recompute_state(tree: Hsbt, active_leaves: Sequence[int]) -> StiltState:
     return StiltState(
         odd=odd, heads=heads, stilts=stilts, effective=tuple(sorted(effective))
     )
+
+
+class ReferenceEngine:
+    """The engine as a chain of methods, one per step of an event: the
+    reference that `stiltwalker.Engine`'s one loop must match event for
+    event and, after every event, in its stepwise state."""
+
+    def __init__(
+        self,
+        tree: Hsbt,
+        requests: Sequence[Request],
+        mode: TimerMode = TimerMode.EXPONENTIAL,
+        words: np.ndarray | None = None,
+    ):
+        self.tree = tree
+        self.mode = mode
+        self.requests = sorted(requests, key=lambda r: (r.t, r.id))
+        if len(self.requests) % 2 != 0:
+            raise OddRequestSet("engine needs an even number of requests")
+        for r in self.requests:
+            if r.point not in tree.point_leaf:
+                raise UnknownLocation(f"request {r.id} at {r.point!r} not a tree leaf")
+        self.leaf_of = {r.id: tree.point_leaf[r.point] for r in self.requests}
+        # row v of `words` holds the seed words of vertex v's stream
+        if mode is TimerMode.EXPONENTIAL and words is None:
+            raise ConfigInvalid("exponential timers need a seed-word table")
+        self._words = words
+        # vertex -> [values of its stream drawn so far, how many are used]
+        self._streams: dict[int, list] = {}
+        n_v = len(tree)
+        self.budget: list[float | None] = [None] * n_v  # None until first effective
+        self.deadline = [0.0] * n_v  # read only while the vertex is effective
+        self._timers: list[tuple[float, int]] = []  # heap of (deadline, vertex)
+        self._sibling = [-1] * n_v
+        for c1, c2 in filter(None, tree.children):
+            self._sibling[c1], self._sibling[c2] = c2, c1
+        self.parity = [0] * n_v
+        self.active_at: dict[int, int] = {}  # leaf -> request id
+        self.effective: set[int] = set()
+        self.now = 0.0
+        self.arrival_index = 0
+        self.trace = EngineTrace()
+        self.trace.t_end = self.requests[-1].t if self.requests else 0.0
+
+    def _draw(self, v: int) -> float:
+        w = self.tree.weight[v]
+        if self.mode is TimerMode.DETERMINISTIC:
+            return w
+        stream = self._streams.setdefault(v, [[], 0])
+        values, used = stream
+        if used == len(values):
+            values = stream[0] = self._prefix(v, w, 2 * used or _BLOCK)
+        stream[1] = used + 1
+        return values[used]
+
+    def _prefix(self, v: int, scale: float, k: int) -> list[float]:
+        """The first k values of vertex v's stream."""
+        bits = np.random.PCG64(_Words(self._words[v]))
+        return np.random.Generator(bits).exponential(scale, k).tolist()
+
+    # -- state maintenance ----------------------------------------------------
+
+    def _flip_path(self, leaf: int, top: int = -1) -> None:
+        """Flip parity from `leaf` up to, not including, `top` (-1: the root too).
+
+        A flip of v toggles the effectiveness of its parent u exactly when
+        v's sibling is odd, so only then is u touched: entering, u draws its
+        first budget if it has none and pushes its deadline; leaving, u keeps
+        what is left of its budget.  `top` must be -1 or an ancestor of `leaf`.
+        """
+        parent, sibling, parity = self.tree.parent, self._sibling, self.parity
+        effective, budget, deadline = self.effective, self.budget, self.deadline
+        v = leaf
+        while v != top:
+            parity[v] ^= 1
+            u = parent[v]
+            if u < 0:
+                if top >= 0:
+                    raise InvariantViolation(f"vertex {top} is not above leaf {leaf}")
+                return
+            if parity[sibling[v]]:
+                if parity[v]:
+                    if budget[u] is None:
+                        budget[u] = self._draw(u)
+                    deadline[u] = self.now + budget[u]
+                    effective.add(u)
+                    heappush(self._timers, (deadline[u], u))
+                    if len(self._timers) > 2 * len(effective) + 16:
+                        # mostly stale entries: keep one per effective vertex
+                        self._timers = [(deadline[w], w) for w in effective]
+                        heapify(self._timers)
+                else:
+                    budget[u] = deadline[u] - self.now
+                    effective.discard(u)
+            v = u
+
+    def _foot(self, v: int) -> int:
+        children, parity = self.tree.children, self.parity
+        while children[v]:
+            c1, c2 = children[v]
+            if parity[c1] == parity[c2]:
+                raise InvariantViolation("odd vertex without a unique odd child")
+            v = c1 if parity[c1] else c2
+        return v
+
+    def _supporting(self, v: int) -> tuple[int, int]:
+        c1, c2 = self.tree.children[v]
+        return self._foot(c1), self._foot(c2)
+
+    def _advance(self, t: float) -> None:
+        t = float(t)
+        if t < self.now:
+            raise InvariantViolation("time went backwards")
+        self.now = t
+
+    def _next_timer(self) -> tuple[float, int] | None:
+        """The earliest (deadline, vertex) of an effective vertex, or None;
+        drops stale tops (left the effective set, or re-entered it since)."""
+        timers, effective, deadline = self._timers, self.effective, self.deadline
+        while timers:
+            d, v = timers[0]
+            if v in effective and deadline[v] == d:
+                return d, v
+            heappop(timers)
+        return None
+
+    def _record(self, kind: str, vertex, requests) -> EngineEvent:
+        ev = EngineEvent(self.now, kind, vertex, requests)
+        self.trace.events.append(ev)
+        return ev
+
+    # -- event handlers ---------------------------------------------------------
+
+    def _handle_arrival(self, req: Request) -> EngineEvent:
+        leaf = self.leaf_of[req.id]
+        partner = self.active_at.pop(leaf, None)
+        if partner is not None:
+            # zero-distance match; the standing active vanishes, so the
+            # leaf's path parity flips exactly once
+            self._flip_path(leaf)
+            return self._record("same_leaf", leaf, (partner, req.id))
+        self.active_at[leaf] = req.id
+        self._flip_path(leaf)
+        return self._record("arrival", leaf, (req.id,))
+
+    def match_across(self, v: int, kind: str = "match") -> EngineEvent:
+        """Match the two supporting requests of effective vertex v at `now`."""
+        if v not in self.effective:
+            raise NotEffective(f"vertex {v} is not effective at t={self.now}")
+        f1, f2 = self._supporting(v)
+        r1 = self.active_at.pop(f1)
+        r2 = self.active_at.pop(f2)
+        # above v the two flips cancel: parities there stay as they are
+        self._flip_path(f1, v)
+        self._flip_path(f2, v)
+        self.budget[v] = self._draw(v)
+        return self._record(kind, v, (r1, r2))
+
+    # -- stepping -----------------------------------------------------------------
+
+    def advance_to_next_event(self) -> EngineEvent | None:
+        """Advance to and process the next event; None when nothing remains.
+
+        The next event is the earlier of the next arrival and the earliest
+        effective-vertex expiry; at equal times the arrival wins, and tied
+        timers fire shallowest-lowest-id first.
+        """
+        timer = self._next_timer()
+        if self.arrival_index < len(self.requests):
+            req = self.requests[self.arrival_index]
+            if timer is None or req.t <= timer[0]:
+                self._advance(req.t)
+                self.arrival_index += 1
+                return self._handle_arrival(req)
+        if timer is None:
+            if self.active_at:
+                raise InvariantViolation(
+                    "stuck: active requests but no effective vertex"
+                )
+            return None
+        heappop(self._timers)
+        self._advance(timer[0])
+        return self.match_across(timer[1])
+
+    def flush_now(self) -> None:
+        """Match across every effective vertex at the current instant.
+
+        Supporting pairs of distinct effective vertices are disjoint and
+        matching across one leaves the others effective, so a single pass by
+        increasing depth clears every remaining active request.
+        """
+        self.trace.flushed = True
+        c_end = 0.0
+        for v in sorted(self.effective):
+            if v in self.effective:
+                self.match_across(v, kind="flush")
+                c_end += self.tree.weight[v]
+        if self.active_at:
+            raise InvariantViolation("flush left active requests behind")
+        n_pts = len(self.tree.leaf_point)
+        ceiling = (n_pts / 2.0) * self.tree.weight[self.tree.root]
+        if c_end > ceiling * (1 + 1e-12):
+            raise InvariantViolation(f"flush space {c_end} exceeds ceiling {ceiling}")
+        self.trace.c_end_space = c_end
+
+    def run(self, flush: bool = True) -> EngineRun:
+        while True:
+            if (
+                flush
+                and self.arrival_index == len(self.requests)
+                and not self.trace.flushed
+            ):
+                self.flush_now()
+                break
+            ev = self.advance_to_next_event()
+            if ev is None:
+                break
+        # every event but an arrival pairs its two requests at its time
+        pairings = tuple(
+            (*e.requests, e.t) for e in self.trace.events if e.kind != "arrival"
+        )
+        return EngineRun(schedule=Schedule(pairings=pairings), trace=self.trace)
 
 
 @dataclass(frozen=True)

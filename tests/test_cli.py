@@ -639,6 +639,27 @@ def test_metric_beyond_the_float_range_is_user_error(tmp_path, capsys, case, com
     assert out == "" and "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, message, finite", [
+    (["verify-identities"], "the cost ledgers of this run exceed", "ok\n"),
+    (["run", "--trials", "2"], "the batch summary exceeds", "residual 0.0\n"),
+], ids=["verify-identities", "run"])
+def test_arrival_times_near_the_float_maximum(
+    tmp_path, capsys, command, message, finite
+):
+    # valid times whose ledgers (verify-identities) or batch mean (run) pass
+    # the float range; at half the time every sum stays finite
+    dist = [[0.0, 1.0], [1.0, 0.0]]
+    late = _write_bundle(tmp_path / "late.json", dist, [0.0, 1e308])
+    code, out, err = run_cli(capsys, *command, "--instance", late)
+    assert code == 1 and out == ""
+    assert err == f"error: {message} the float range\n"
+    half = _write_bundle(tmp_path / "half.json", dist, [0.0, 5e307])
+    code, out, err = run_cli(capsys, *command, "--instance", half)
+    assert code == 0, err
+    assert finite in out and "Warning" not in err
+
+
 @pytest.mark.parametrize("near, far", [
     (embedding._MAX_DIAMETER, embedding._MAX_DIAMETER),
     (2.0**-960, embedding._MAX_ASPECT * 2.0**-960),

@@ -12,7 +12,6 @@ from delaymatch.core import (
     Request,
     Schedule,
     make_requests,
-    pair_cost,
     total_cost,
 )
 from delaymatch.errors import (
@@ -55,19 +54,10 @@ def test_make_requests_accepts_odd_count(line):
     assert len(reqs) == 3
 
 
-def test_pair_cost_hand_values(line):
-    r1 = Request(id=0, point="a", t=1.0)
-    r2 = Request(id=1, point="b", t=2.0)
-    d, w = pair_cost(line, r1, r2, t=3.0)
-    assert d == 5.0
-    assert w == (3.0 - 1.0) + (3.0 - 2.0)
-
-
-def test_pair_cost_rejects_early_match(line):
-    r1 = Request(id=0, point="a", t=1.0)
-    r2 = Request(id=1, point="b", t=2.0)
-    with pytest.raises(MatchBeforeArrival):
-        pair_cost(line, r1, r2, t=1.5)
+def test_total_cost_rejects_early_match(line):
+    reqs = make_requests(line, [("a", 1.0), ("b", 2.0)])
+    with pytest.raises(MatchBeforeArrival, match=r"match of \(0,1\) at t=1.5"):
+        total_cost(line, reqs, Schedule(pairings=((0, 1, 1.5),)))
 
 
 def test_total_cost_pairings_only(line):
@@ -109,6 +99,15 @@ def test_total_cost_uncovered_request(line):
         total_cost(line, reqs, Schedule(pairings=()))
     with pytest.raises(UncoveredRequest):
         total_cost(line, reqs, Schedule(pairings=((0, 7, 3.0),)))
+
+
+def test_total_cost_past_the_float_range_is_out_of_domain(line):
+    # each wait is finite, their sum is not
+    times = [("a", 0.0), ("b", 1.0), ("a", 1.7e308), ("b", 1.75e308)]
+    reqs = make_requests(line, times)
+    sched = Schedule(pairings=((0, 2, 1.7e308), (1, 3, 1.75e308)))
+    with pytest.raises(OutOfDomain, match="exceeds the float range"):
+        total_cost(line, reqs, sched)
 
 
 def test_total_cost_clear_before_arrival(line):

@@ -169,7 +169,24 @@ def greedy_scan(space, requests):
     return tuple(pairs)
 
 
-def _tie_heavy_instance(seed):
+def greedy_three_keys(space, requests):
+    """Reference greedy: every pair sorted by the three keys (cost, i, j)."""
+    reqs = sorted(requests, key=lambda r: r.id)
+    first, second = np.triu_indices(len(reqs), 1)
+    at = [space.index[r.point] for r in reqs]
+    t = np.array([r.t for r in reqs])
+    edge = space.dist[np.ix_(at, at)][first, second] + np.abs(t[first] - t[second])
+    free = [True] * len(reqs)
+    pairs = []
+    for k in np.lexsort((second, first, edge)):
+        i, j = int(first[k]), int(second[k])
+        if free[i] and free[j]:
+            free[i] = free[j] = False
+            pairs.append((reqs[i].id, reqs[j].id, max(reqs[i].t, reqs[j].t)))
+    return tuple(pairs)
+
+
+def _tie_heavy_instance(seed, max_pairs=16):
     """Integer line or grid points and integer times: many equal pair costs."""
     rng = np.random.default_rng(seed)
     if seed % 3 == 0:
@@ -180,7 +197,7 @@ def _tie_heavy_instance(seed):
     else:
         k = int(rng.integers(2, 7))
         space = MetricSpace([f"u{i}" for i in range(k)], np.ones((k, k)) - np.eye(k))
-    count = 2 * int(rng.integers(1, 16))
+    count = 2 * int(rng.integers(1, max_pairs))
     where = rng.integers(0, space.n, count)
     times = rng.integers(0, int(rng.integers(1, 4)), count)
     order = rng.permutation(count)  # ids need not follow arrival order
@@ -202,6 +219,16 @@ def test_greedy_matches_pair_rescan_on_random_instances(seed):
 def test_greedy_matches_pair_rescan_on_tied_costs(seed):
     space, reqs = _tie_heavy_instance(seed)
     assert greedy_mpmd(space, reqs).schedule.pairings == greedy_scan(space, reqs)
+
+
+def test_greedy_matches_the_three_key_sort_on_tied_costs():
+    # the greedy sorts by cost alone, stably over pairs listed in (i, j)
+    # order; the sort by (cost, i, j) is the reference
+    for seed in range(300):
+        space, reqs = _tie_heavy_instance(1000 + seed, max_pairs=60)
+        assert greedy_mpmd(space, reqs).schedule.pairings == greedy_three_keys(
+            space, reqs
+        ), seed
 
 
 def test_size_caps_enforced():

@@ -1,8 +1,11 @@
+import heapq
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from delaymatch import stiltwalker
 from delaymatch.core import make_requests, total_cost
 from delaymatch.diagnostics import _online_ledgers, _replay_trace
 from delaymatch.embedding import build_hsbt, sample_hsbt, tree_metric
@@ -20,7 +23,7 @@ from delaymatch.stiltwalker import (
     stream_words,
 )
 
-from oracles import recompute_state
+from oracles import ReferenceEngine, recompute_state
 
 
 def two_leaf_tree(w=2.0):
@@ -382,6 +385,21 @@ def test_engine_rejects_bad_inputs():
     Engine(tree, reqs, TimerMode.DETERMINISTIC).run()
 
 
+def test_engine_checks_its_seed_word_table():
+    # a short or narrow table is refused when the engine is built, not at
+    # the first stream it would open mid-run
+    tree = four_leaf_tree()
+    space = tree_metric(tree)
+    reqs = make_requests(space, [("a", 0.0), ("b", 1.0), ("c", 2.0), ("d", 3.0)])
+    table = next(stream_words([3], range(len(tree) + 2)))
+    for bad in (table[:3], table[: len(tree), :2], table[0]):
+        with pytest.raises(ConfigInvalid, match="seed-word table"):
+            Engine(tree, reqs, words=bad)
+    # spare rows are allowed: row v seeds vertex v
+    longer = Engine(tree, reqs, words=table).run().trace
+    assert longer == Engine(tree, reqs, words=table[: len(tree)]).run().trace
+
+
 def test_match_across_requires_effective_vertex():
     tree = two_leaf_tree()
     space = tree_metric(tree)
@@ -442,12 +460,20 @@ def test_next_timer_is_the_earliest_effective_deadline(seed, mode):
     space, reqs = gen_random("square", 24, 96, 2.0, rng)
     tree = sample_hsbt(space, rng)
     engine = Engine(tree, reqs, mode, next(stream_words([seed], range(len(tree)))))
-    steps = 0
-    while engine.advance_to_next_event() is not None:
+    steps = timers = 0
+    while True:
         live = [(engine.deadline[v], v) for v in engine.effective]
-        assert engine._next_timer() == (min(live) if live else None)
+        ev = engine.advance_to_next_event()
+        if ev is None:
+            assert not live
+            break
+        if ev.kind == "match":
+            assert (ev.t, ev.vertex) == min(live)
+            timers += 1
+        elif live:  # an arrival goes first, and wins a tie
+            assert ev.t <= min(live)[0]
         steps += 1
-    assert steps > len(reqs)
+    assert steps > len(reqs) and timers
 
 
 def test_timer_heap_stays_within_twice_the_effective_set():
@@ -495,3 +521,109 @@ def test_reentered_vertex_fires_at_its_frozen_remainder():
             due[v] = ev.t + rest.get(v, tree.weight[v])
     assert not engine.active_at and not due
     assert resumed_fires > 0
+
+
+def _assert_same_state(engine, ref):
+    """Everything the stepwise API exposes, after the same step of both."""
+    assert engine.parity == ref.parity
+    assert engine.effective == ref.effective
+    assert engine.budget == ref.budget
+    assert engine.deadline == ref.deadline
+    assert engine._timers == ref._timers
+    assert engine.active_at == ref.active_at
+    assert engine.arrival_index == ref.arrival_index
+    assert engine.now == ref.now
+    assert engine._streams == ref._streams
+
+
+def _assert_engine_matches_reference(tree, reqs, mode, words, flush, outside=0):
+    """Step the engine and the method-chain reference side by side, then run
+    both afresh: the same events and stepwise state, bit for bit.  Every
+    `outside`-th step (0: none) matches across an effective vertex from
+    outside, as a test can."""
+    engine = Engine(tree, reqs, mode, words)
+    ref = ReferenceEngine(tree, reqs, mode, words)
+    _assert_same_state(engine, ref)
+    step = 0
+    while not (flush and ref.arrival_index == len(ref.requests)):
+        step += 1
+        if outside and step % outside == 0 and ref.effective:
+            v = max(ref.effective)
+            ev, want = engine.match_across(v), ref.match_across(v)
+        else:
+            ev, want = engine.advance_to_next_event(), ref.advance_to_next_event()
+        assert repr(ev) == repr(want)
+        _assert_same_state(engine, ref)
+        if ev is None:
+            break
+    if flush:
+        engine.flush_now()
+        ref.flush_now()
+        _assert_same_state(engine, ref)
+    assert engine.trace == ref.trace and repr(engine.trace) == repr(ref.trace)
+    got = Engine(tree, reqs, mode, words).run(flush=flush)
+    want = ReferenceEngine(tree, reqs, mode, words).run(flush=flush)
+    assert repr(got.trace) == repr(want.trace)
+    assert got.schedule == want.schedule
+    return got.trace
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["line", "square", "uniform"]),
+    n_points=st.integers(2, 64),
+    pairs=st.integers(1, 60),
+    horizon=st.sampled_from([0.5, 5.0]),
+    instance_seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 2**64 - 1),
+    mode=st.sampled_from(list(TimerMode)),
+    flush=st.booleans(),
+    outside=st.sampled_from([0, 0, 3, 7]),
+)
+def test_engine_matches_the_method_chain_reference(
+    kind, n_points, pairs, horizon, instance_seed, seed, mode, flush, outside
+):
+    if kind == "uniform":
+        # above 16 points a uniform metric cannot be embedded yet: the
+        # binarizer defect that test_uniform_metric_with_17_points_runs pins
+        n_points = min(n_points, 16)
+    rng = np.random.default_rng(instance_seed)
+    space, reqs = gen_random(kind, n_points, 2 * pairs, horizon, rng)
+    tree = sample_hsbt(space, rng)
+    words = next(stream_words([seed], range(len(tree))))
+    _assert_engine_matches_reference(tree, reqs, mode, words, flush, outside)
+
+
+@pytest.mark.parametrize("mode", list(TimerMode))
+@pytest.mark.parametrize("flush", [True, False])
+def test_engine_matches_the_reference_on_same_leaf_arrivals_and_ties(mode, flush):
+    # two points and many requests: most arrivals meet a standing request
+    rng = np.random.default_rng(11)
+    space, reqs = gen_random("line", 2, 40, 5.0, rng)
+    tree = sample_hsbt(space, rng)
+    words = next(stream_words([4], range(len(tree))))
+    trace = _assert_engine_matches_reference(tree, reqs, mode, words, flush)
+    assert any(e.kind == "same_leaf" for e in trace.events)
+    # an arrival at the instant of a deadline goes first
+    tree = two_leaf_tree(1.0)
+    reqs = make_requests(
+        tree_metric(tree), [("a", 0.0), ("b", 0.25), ("a", 1.25), ("b", 1.5)]
+    )
+    words = next(stream_words([4], range(len(tree))))
+    _assert_engine_matches_reference(tree, reqs, TimerMode.DETERMINISTIC, words, flush)
+
+
+def test_engine_matches_the_reference_through_heap_rebuilds(monkeypatch):
+    rebuilds = []
+
+    def heapify(heap):
+        rebuilds.append(len(heap))
+        heapq.heapify(heap)
+
+    rng = np.random.default_rng(7)
+    space, reqs = gen_random("line", 64, 4096, 1.0, rng)
+    tree = sample_hsbt(space, rng)
+    words = next(stream_words([0], range(len(tree))))
+    monkeypatch.setattr(stiltwalker, "heapify", heapify)
+    _assert_engine_matches_reference(tree, reqs, TimerMode.EXPONENTIAL, words, False)
+    assert rebuilds
