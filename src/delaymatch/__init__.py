@@ -8,7 +8,7 @@ Layers, bottom up:
 * `offline`               -- exact optima and a greedy baseline
 * `altpoisson`            -- alternating exponential digestion of colorings
 * `penalty`               -- the fixed-penalty variant via a doubled metric
-* `diagnostics`           -- potential ledgers, cost identities, phases
+* `diagnostics`           -- potential ledgers, cost identities
 * `instances`             -- generators, including the adversarial cascade
 * `experiment`, `cli`     -- seeded batches, reports, command line
 

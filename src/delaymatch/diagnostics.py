@@ -1,10 +1,10 @@
-"""Potential ledgers, exact cost identities, and phase partitions.
+"""Potential ledgers and exact cost identities.
 
 Everything here is pure analysis over an engine trace, an offline schedule
 and the tree; nothing re-runs the engine, which keeps no ledgers, so tau_v
-and sigma_v below are computed only here.  The ledgers and the phase
-partition read both runs' states from one parity replay, `_replay`, fed
-with steps from the trace or from the offline schedule.  It keeps each
+and sigma_v below are computed only here.  The ledgers read both runs'
+states from one parity replay, `_replay`, fed with steps from the trace or
+from the offline schedule.  It keeps each
 vertex's count of odd children under path flips, so an event costs
 O(height) and a stretch between event times O(number of vertices with an
 odd child), not O(|V|).
@@ -47,27 +47,22 @@ the one the deposit structure actually guarantees.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .core import CostBreakdown, Request, Schedule
+from .core import CostBreakdown, Schedule
 from .embedding import Hsbt
-from .errors import IdentityViolation, InvariantViolation, OutOfDomain, TraceMismatch
-from .stiltwalker import Engine, EngineTrace, TimerMode, stream_words
+from .errors import IdentityViolation, OutOfDomain, TraceMismatch
+from .stiltwalker import EngineTrace
 
 __all__ = [
     "PotentialLedger",
     "IdentityReport",
-    "PhasePartition",
-    "SigmaTauReport",
     "track_potentials",
     "verify_cost_identities",
-    "partition_phases",
-    "monte_carlo_sigma_tau",
 ]
 
 
@@ -342,262 +337,4 @@ def verify_cost_identities(
         space_bound_margin_provable=margin_d_provable,
         gate_constant=gate,
         provable_constant=provable,
-    )
-
-
-# ---------------------------------------------------------------------------
-# phases and subphases
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PhasePartition:
-    vertex: int
-    phases: tuple[tuple[float, float], ...]
-    subphases: tuple[tuple[tuple[float, float], ...], ...]
-    subphase_bits: tuple[tuple[int, ...], ...]
-    phase_classes: tuple[int, ...]   # b of the phase's final subphase
-    t_late: float
-    discontinuities: int             # of the mismatch signal Y on [0, t_late)
-    early: tuple[int, ...]           # phases contained in [0, t_late)
-    late: tuple[int, ...]
-
-    @property
-    def class_0(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.phase_classes) if c == 0)
-
-    @property
-    def class_1(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.phase_classes) if c == 1)
-
-
-def _child_flips(replay: Iterable[_State], vertex: int) -> list[float]:
-    """Sorted times at which the XOR of `vertex`'s two child parities flips;
-    it is 0 before the first.  On each stretch between event times the XOR
-    is the vertex's number of odd children mod 2."""
-    flips: list[float] = []
-    y, prev_t = 0, 0.0
-    for t, _, _, odd_kids in replay:
-        if t > prev_t and (odd_kids.get(vertex, 0) & 1) != y:
-            y ^= 1
-            flips.append(prev_t)
-        prev_t = t
-    if y:
-        flips.append(prev_t)  # `_replay` ends with every vertex even
-    return flips
-
-
-def _xor_runs(
-    flips_a: list[float], flips_b: list[float], t_end: float
-) -> list[tuple[float, float, int]]:
-    """Maximal constant runs (start, end, y) on [0, t_end) of the XOR of two
-    0/1 signals that start at 0 and flip at the given sorted times."""
-    flips: list[float] = []
-    for t in heapq.merge(flips_a, flips_b):
-        if flips and flips[-1] == t:
-            flips.pop()  # both signals flip at t, so their XOR does not
-        else:
-            flips.append(t)
-    runs: list[tuple[float, float, int]] = []
-    start, y = 0.0, 0
-    for t in flips:
-        if t >= t_end:
-            break
-        if t > start:
-            runs.append((start, t, y))
-        start, y = t, y ^ 1
-    if t_end > start:
-        runs.append((start, t_end, y))
-    return runs
-
-
-def partition_phases(
-    tree: Hsbt, vertex: int, trace: EngineTrace, offline: Schedule
-) -> PhasePartition:
-    """Phase/subphase structure of one internal vertex against both runs.
-
-    Phase boundaries are online matches on top of `vertex` (across a proper
-    ancestor, removing a request from the vertex's subtree); subphase
-    boundaries add offline matches across or on top of it.  The per-subphase
-    bit b is the XOR of the four child parities (online and offline); its
-    constancy inside every subphase is asserted.
-    """
-    if tree.is_leaf(vertex):
-        raise OutOfDomain(f"vertex {vertex} is a leaf")
-    t_end = trace.t_end
-    arrivals = _trace_arrivals(trace)
-    in_subtree = set(tree.subtree(vertex))
-    ancestors = set(tree.ancestors(vertex))
-
-    # --- phase boundaries: online matches on top of the vertex
-    boundaries: list[float] = []
-    for e in trace.events:
-        if e.kind not in ("match", "flush") or e.vertex not in ancestors:
-            continue
-        if any(arrivals[r][1] in in_subtree for r in e.requests):
-            if 0.0 < e.t < t_end:
-                boundaries.append(e.t)
-    phase_cuts = [0.0] + sorted(set(boundaries)) + [t_end]
-    phases = [
-        (a, b) for a, b in zip(phase_cuts, phase_cuts[1:]) if b > a
-    ] or [(0.0, t_end)]
-
-    # --- subphase boundaries: offline matches across or on top of the vertex
-    steps = _offline_steps(tree, arrivals, offline)
-    sub_cut_times: list[float] = []
-    for t, match, _, _ in steps:
-        if match is None:
-            continue
-        la, lb, u = match
-        tops = (u == vertex) or (
-            u in ancestors and ((la in in_subtree) != (lb in in_subtree))
-        )
-        if tops and 0.0 < t < t_end:
-            sub_cut_times.append(t)
-
-    # --- the mismatch signal Y: online XOR offline child-parity XOR
-    y_pieces = _xor_runs(
-        _child_flips(_replay_trace(tree, trace), vertex),
-        _child_flips(_replay(tree, steps), vertex),
-        t_end,
-    )
-
-    # subphases and the runs of Y both tile [0, t_end) in order, so one pass
-    # reads every subphase's bit: the run holding its start must cover it
-    subphases: list[tuple[tuple[float, float], ...]] = []
-    bits: list[tuple[int, ...]] = []
-    classes: list[int] = []
-    k = 0
-    for a, b in phases:
-        cuts = [a] + sorted(t for t in set(sub_cut_times) if a < t < b) + [b]
-        spans = tuple((x, y) for x, y in zip(cuts, cuts[1:]) if y > x)
-        subphases.append(spans)
-        span_bits = []
-        for x, y in spans:
-            while y_pieces[k][1] <= x:
-                k += 1
-            if y_pieces[k][1] < y:
-                raise InvariantViolation(
-                    f"alternation bit changed inside subphase [{x},{y}) of {vertex}"
-                )
-            span_bits.append(y_pieces[k][2])
-        bits.append(tuple(span_bits))
-        classes.append(span_bits[-1] if span_bits else 0)
-
-    # --- t_late: earliest t with min(remaining Y-time, remaining not-Y) <= w
-    w = tree.weight[vertex]
-    suffix_y = 0.0
-    suffix_n = 0.0
-    suffixes: list[tuple[float, float, int, float, float]] = []
-    for a, b, y in reversed(y_pieces):
-        suffixes.append((a, b, y, suffix_y, suffix_n))  # integrals from b on
-        if y:
-            suffix_y += b - a
-        else:
-            suffix_n += b - a
-    t_late = t_end
-    for a, b, y, from_b_y, from_b_n in reversed(suffixes):
-        at_a_y = from_b_y + (b - a) * y
-        at_a_n = from_b_n + (b - a) * (1 - y)
-        if min(at_a_y, at_a_n) <= w:
-            t_late = a
-            break
-        # only the active-color suffix integral shrinks inside this piece
-        shrinking = at_a_y if y else at_a_n
-        if shrinking - (b - a) <= w:
-            t_late = a + (shrinking - w)
-            break
-
-    k = 0
-    for (a1, b1, y1), (a2, b2, y2) in zip(y_pieces, y_pieces[1:]):
-        if y1 != y2 and b1 < t_late:
-            k += 1
-
-    early = tuple(i for i, (a, b) in enumerate(phases) if b <= t_late)
-    late = tuple(i for i in range(len(phases)) if i not in early)
-    return PhasePartition(
-        vertex=vertex,
-        phases=tuple(phases),
-        subphases=tuple(subphases),
-        subphase_bits=tuple(bits),
-        phase_classes=tuple(classes),
-        t_late=t_late,
-        discontinuities=k,
-        early=early,
-        late=late,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Monte-Carlo stake-versus-time comparison
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SigmaTauReport:
-    trials: int
-    mean_tau: np.ndarray
-    mean_sigma: np.ndarray
-    violations: tuple[int, ...]   # vertices with mean sigma > mean tau + 3 SE
-    tau_ratio_max: float          # max_v mean tau / (tau* + sigma* + w)
-    tau_ratio_ok: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "mean_tau": self.mean_tau.tolist(),
-            "mean_sigma": self.mean_sigma.tolist(),
-            "violations": list(self.violations),
-            "tau_ratio_max": self.tau_ratio_max,
-            "tau_ratio_ok": self.tau_ratio_ok,
-        }
-
-
-def monte_carlo_sigma_tau(
-    tree: Hsbt,
-    requests: tuple[Request, ...],
-    trials: int,
-    rng: np.random.Generator,
-    flush: bool = True,
-    offline: Schedule | None = None,
-) -> SigmaTauReport:
-    """Check mean sigma_v <= mean tau_v + 3 SE per vertex over seeded runs.
-
-    The stake deposited at a vertex is budget actually consumed there, and
-    budgets burn only while the vertex is effective, so each vertex's mean
-    stake cannot exceed its mean effective time.  With an offline schedule
-    the report also carries the largest ratio of mean effective time to the
-    offline ledger total tau*_v + sigma*_v + w(v), gated at 10.
-    """
-    n_v = len(tree)
-    taus = np.zeros((trials, n_v))
-    sigmas = np.zeros((trials, n_v))
-    seeds = [int(rng.integers(2**62)) for _ in range(trials)]
-    for i, words in enumerate(stream_words(seeds, range(n_v))):
-        run = Engine(tree, requests, TimerMode.EXPONENTIAL, words).run(flush=flush)
-        taus[i], sigmas[i], _, _ = _online_ledgers(tree, run.trace)
-    mean_tau = taus.mean(axis=0)
-    mean_sigma = sigmas.mean(axis=0)
-    diff = sigmas - taus
-    se = diff.std(axis=0, ddof=1) / math.sqrt(trials) if trials > 1 else np.zeros(n_v)
-    violations = tuple(
-        int(v)
-        for v in range(n_v)
-        if mean_sigma[v] > mean_tau[v] + 3.0 * se[v] + 1e-12
-    )
-
-    ratio_max = 0.0
-    if offline is not None:
-        arrivals = {r.id: (r.t, tree.point_leaf[r.point]) for r in requests}
-        tau_star, sigma_star = _star_ledgers(tree, arrivals, offline)
-        for v in range(n_v):
-            if tree.is_leaf(v):
-                continue
-            denom = tau_star[v] + sigma_star[v] + tree.weight[v]
-            ratio_max = max(ratio_max, mean_tau[v] / denom)
-    return SigmaTauReport(
-        trials=trials,
-        mean_tau=mean_tau,
-        mean_sigma=mean_sigma,
-        violations=violations,
-        tau_ratio_max=ratio_max,
-        tau_ratio_ok=ratio_max <= 10.0,
     )

@@ -53,12 +53,10 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentReport",
     "batch_summary",
-    "FlushBudgetReport",
     "trial_seed",
     "trial_rng",
     "offline_baseline",
     "run_experiment",
-    "check_flush_budget",
 ]
 
 
@@ -314,60 +312,3 @@ def _report(cfg: ExperimentConfig, seeds: list[int], runs: list) -> ExperimentRe
         [r.ratio for r in records], [r.total for r in records], opt_total
     )
     return ExperimentReport(cfg, tuple(records), opt, *summary)
-
-
-# ---------------------------------------------------------------------------
-# no-flush budget check
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FlushBudgetReport:
-    """Post-horizon waiting of no-flush runs against the 2 sum w(v) budget.
-
-    After the last arrival no new stilts appear, so every vertex effective at
-    the horizon fires after at most one fresh exponential budget and the
-    extra waiting is at most twice the budget sum in expectation.  The check
-    runs paired: per seed, extra waiting minus twice the weight of that
-    run's horizon-effective set, tested at mean <= 3 standard errors.
-    """
-
-    trials: int
-    extra_mean: float
-    budget_mean: float
-    std_err: float
-    ok: bool
-
-
-def check_flush_budget(
-    tree: Hsbt,
-    requests: tuple[Request, ...],
-    trials: int = 1000,
-    master_seed: int = 0,
-) -> FlushBudgetReport:
-    if trials < 2:
-        raise ConfigInvalid("the budget check needs at least two trials")
-    extras = np.empty(trials)
-    budgets = np.empty(trials)
-    seeds = [trial_seed(master_seed, i) for i in range(trials)]
-    for i, words in enumerate(stream_words(seeds, range(len(tree)))):
-        engine = Engine(tree, requests, TimerMode.EXPONENTIAL, words)
-        # arrivals win ties with timers, so this stops just after the last one
-        while engine.arrival_index < len(engine.requests):
-            engine.advance_to_next_event()
-        effective = sorted(engine.effective)
-        run = engine.run(flush=False)
-        t_end = run.trace.t_end
-        extras[i] = sum(
-            2.0 * (t - t_end) for _, _, t in run.schedule.pairings if t > t_end
-        )
-        budgets[i] = 2.0 * sum(tree.weight[v] for v in effective)
-    diff = extras - budgets
-    se = float(diff.std(ddof=1)) / math.sqrt(trials)
-    ok = float(diff.mean()) <= 3.0 * se + 1e-12
-    return FlushBudgetReport(
-        trials=trials,
-        extra_mean=float(extras.mean()),
-        budget_mean=float(budgets.mean()),
-        std_err=se,
-        ok=ok,
-    )

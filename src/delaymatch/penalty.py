@@ -41,9 +41,8 @@ import numpy as np
 
 from .core import CostBreakdown, Request, Schedule, total_cost
 from .embedding import Hsbt, build_hsbt, sample_hsbt
-from .errors import InvariantViolation, RegimeMismatch, TooLarge
+from .errors import InvariantViolation, RegimeMismatch
 from .metric import MetricSpace, stats
-from .offline import optimal_mpmd, optimal_mpmdfp
 from .stiltwalker import Engine, TimerMode, stream_words
 
 __all__ = [
@@ -54,14 +53,11 @@ __all__ = [
     "PenaltyReduction",
     "classify_regime",
     "run_mpmdfp",
-    "verify_benchmark_inequality",
 ]
 
 REGIME_PER_POINT = "per_point"    # p below d/2
 REGIME_DOUBLED = "doubled"        # d/2 <= p <= 2D
 REGIME_TWO_COPIES = "two_copies"  # p above 2D
-
-MAX_BENCHMARK = 6
 
 
 def hat_side(rid: int) -> int:
@@ -285,18 +281,3 @@ def run_mpmdfp(
     tree, words = reduction.sample(rng, words)
     hat_run = Engine(tree, reduction.requests_hat, mode, words).run(flush=flush)
     return reduction.project(hat_run.schedule, tree)
-
-
-def verify_benchmark_inequality(
-    space: MetricSpace, requests: tuple[Request, ...], p: float
-) -> bool:
-    """Exact check: optimum of the doubled instance <= 2x the penalty optimum."""
-    if len(requests) > MAX_BENCHMARK:
-        raise TooLarge(
-            f"{len(requests)} requests exceeds benchmark cap {MAX_BENCHMARK}"
-        )
-    metric_hat, requests_hat, _ = _doubled_parts(space, requests, p)
-    opt_hat = optimal_mpmd(metric_hat, requests_hat)
-    opt_fp = optimal_mpmdfp(space, requests, p)
-    return opt_hat.cost.total <= 2.0 * opt_fp.cost.total * (1 + 1e-9) + 1e-12
-

@@ -11,10 +11,21 @@ builds another way, so the tests can hold the library's result against it:
 * `clear_fraction`          -- Monte-Carlo share of requests `run_mpmdfp` clears
 * `tree_distance`,
   `point_distance`          -- one LCA walk per pair of leaves or points
+
+and runs the paper's proof checks that no command runs:
+
+* `verify_benchmark_inequality` -- the doubled instance's optimum is at most
+                                   twice the penalty optimum, solved exactly
+* `monte_carlo_sigma_tau`   -- mean stake <= mean effective time per vertex
+                               (E sigma_v <= E tau_v) over seeded runs
+
+The no-flush budget check lives in `test_experiment.py` and the phase
+partition in `test_diagnostics.py`, the one module that calls each.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Sequence
@@ -22,6 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from delaymatch.core import Request, Schedule
+from delaymatch.diagnostics import _online_ledgers, _star_ledgers
 from delaymatch.embedding import Hsbt
 from delaymatch.errors import (
     ConfigInvalid,
@@ -29,9 +41,11 @@ from delaymatch.errors import (
     NotEffective,
     OddRequestSet,
     RegimeMismatch,
+    TooLarge,
     UnknownLocation,
 )
 from delaymatch.metric import MetricSpace, stats
+from delaymatch.offline import optimal_mpmd, optimal_mpmdfp
 from delaymatch.penalty import (
     REGIME_DOUBLED,
     _doubled_parts,
@@ -40,11 +54,13 @@ from delaymatch.penalty import (
 )
 from delaymatch.stiltwalker import (
     _BLOCK,
+    Engine,
     EngineEvent,
     EngineRun,
     EngineTrace,
     TimerMode,
     _Words,
+    stream_words,
 )
 
 
@@ -354,6 +370,85 @@ def clear_fraction(
         out = run_mpmdfp(space, requests, p, rng)
         cleared += len(out.schedule.clears)
     return cleared / (trials * len(requests))
+
+
+MAX_BENCHMARK = 6
+
+
+def verify_benchmark_inequality(
+    space: MetricSpace, requests: tuple[Request, ...], p: float
+) -> bool:
+    """Exact check: optimum of the doubled instance <= 2x the penalty optimum."""
+    if len(requests) > MAX_BENCHMARK:
+        raise TooLarge(
+            f"{len(requests)} requests exceeds benchmark cap {MAX_BENCHMARK}"
+        )
+    metric_hat, requests_hat, _ = _doubled_parts(space, requests, p)
+    opt_hat = optimal_mpmd(metric_hat, requests_hat)
+    opt_fp = optimal_mpmdfp(space, requests, p)
+    return opt_hat.cost.total <= 2.0 * opt_fp.cost.total * (1 + 1e-9) + 1e-12
+
+
+@dataclass(frozen=True)
+class SigmaTauReport:
+    trials: int
+    mean_tau: np.ndarray
+    mean_sigma: np.ndarray
+    violations: tuple[int, ...]   # vertices with mean sigma > mean tau + 3 SE
+    tau_ratio_max: float          # max_v mean tau / (tau* + sigma* + w)
+    tau_ratio_ok: bool
+
+
+def monte_carlo_sigma_tau(
+    tree: Hsbt,
+    requests: tuple[Request, ...],
+    trials: int,
+    rng: np.random.Generator,
+    flush: bool = True,
+    offline: Schedule | None = None,
+) -> SigmaTauReport:
+    """Check mean sigma_v <= mean tau_v + 3 SE per vertex over seeded runs.
+
+    The stake deposited at a vertex is budget actually consumed there, and
+    budgets burn only while the vertex is effective, so each vertex's mean
+    stake cannot exceed its mean effective time.  With an offline schedule
+    the report also carries the largest ratio of mean effective time to the
+    offline ledger total tau*_v + sigma*_v + w(v), gated at 10.
+    """
+    n_v = len(tree)
+    taus = np.zeros((trials, n_v))
+    sigmas = np.zeros((trials, n_v))
+    seeds = [int(rng.integers(2**62)) for _ in range(trials)]
+    for i, words in enumerate(stream_words(seeds, range(n_v))):
+        run = Engine(tree, requests, TimerMode.EXPONENTIAL, words).run(flush=flush)
+        taus[i], sigmas[i], _, _ = _online_ledgers(tree, run.trace)
+    mean_tau = taus.mean(axis=0)
+    mean_sigma = sigmas.mean(axis=0)
+    diff = sigmas - taus
+    se = diff.std(axis=0, ddof=1) / math.sqrt(trials) if trials > 1 else np.zeros(n_v)
+    violations = tuple(
+        int(v)
+        for v in range(n_v)
+        if mean_sigma[v] > mean_tau[v] + 3.0 * se[v] + 1e-12
+    )
+
+    ratio_max = 0.0
+    if offline is not None:
+        arrivals = {r.id: (r.t, tree.point_leaf[r.point]) for r in requests}
+        tau_star, sigma_star = _star_ledgers(tree, arrivals, offline)
+        for v in range(n_v):
+            if tree.is_leaf(v):
+                continue
+            denom = tau_star[v] + sigma_star[v] + tree.weight[v]
+            ratio_max = max(ratio_max, mean_tau[v] / denom)
+    return SigmaTauReport(
+        trials=trials,
+        mean_tau=mean_tau,
+        mean_sigma=mean_sigma,
+        violations=violations,
+        tau_ratio_max=ratio_max,
+        tau_ratio_ok=ratio_max <= 10.0,
+    )
 
 
 def tree_distance(tree, x: int, y: int) -> float:

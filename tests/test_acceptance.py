@@ -24,16 +24,14 @@ from delaymatch.altpoisson import (
     verify_digestion,
 )
 from delaymatch.core import Schedule, total_cost
-from delaymatch.diagnostics import (
-    monte_carlo_sigma_tau,
-    track_potentials,
-    verify_cost_identities,
-)
+from delaymatch.diagnostics import track_potentials, verify_cost_identities
 from delaymatch.embedding import build_hsbt, sample_hsbt, tree_metric
 from delaymatch.instances import GammaConfig, gen_adversarial_gamma, gen_random
 from delaymatch.offline import greedy_mpmd, optimal_mpmd
-from delaymatch.penalty import run_mpmdfp, verify_benchmark_inequality
+from delaymatch.penalty import run_mpmdfp
 from delaymatch.stiltwalker import TimerMode, run as run_online
+
+from oracles import monte_carlo_sigma_tau, verify_benchmark_inequality
 
 APP_TRIALS = 100_000
 GEOMETRIES = ("line", "square", "uniform")

@@ -1,16 +1,17 @@
 import io
+import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from delaymatch.core import make_requests
-from delaymatch.embedding import build_hsbt, sample_hsbt, tree_metric
+from delaymatch.core import Request, make_requests
+from delaymatch.embedding import Hsbt, build_hsbt, sample_hsbt, tree_metric
 from delaymatch import experiment, penalty, stiltwalker
 from delaymatch.errors import ConfigInvalid
 from delaymatch.experiment import (
     CSV_COLUMNS,
     ExperimentConfig,
-    check_flush_budget,
     offline_baseline,
     run_experiment,
     trial_rng,
@@ -19,7 +20,7 @@ from delaymatch.experiment import (
 from delaymatch.instances import gen_random
 from delaymatch.metric import MetricSpace, stats
 from delaymatch.penalty import REGIME_DOUBLED, REGIME_PER_POINT, REGIME_TWO_COPIES
-from delaymatch.stiltwalker import TimerMode
+from delaymatch.stiltwalker import Engine, TimerMode, stream_words
 
 
 def small_instance(seed=0, n_points=5, n_requests=8):
@@ -223,6 +224,59 @@ def test_offline_baseline_penalty_fallback_clears_everything():
     sol = offline_baseline(space, reqs, penalty=0.01)
     assert not sol.optimal
     assert len(sol.schedule.clears) == len(reqs)
+
+
+@dataclass(frozen=True)
+class FlushBudgetReport:
+    """Post-horizon waiting of no-flush runs against the 2 sum w(v) budget.
+
+    After the last arrival no new stilts appear, so every vertex effective at
+    the horizon fires after at most one fresh exponential budget and the
+    extra waiting is at most twice the budget sum in expectation.  The check
+    runs paired: per seed, extra waiting minus twice the weight of that
+    run's horizon-effective set, tested at mean <= 3 standard errors.
+    """
+
+    trials: int
+    extra_mean: float
+    budget_mean: float
+    std_err: float
+    ok: bool
+
+
+def check_flush_budget(
+    tree: Hsbt,
+    requests: tuple[Request, ...],
+    trials: int = 1000,
+    master_seed: int = 0,
+) -> FlushBudgetReport:
+    if trials < 2:
+        raise ConfigInvalid("the budget check needs at least two trials")
+    extras = np.empty(trials)
+    budgets = np.empty(trials)
+    seeds = [trial_seed(master_seed, i) for i in range(trials)]
+    for i, words in enumerate(stream_words(seeds, range(len(tree)))):
+        engine = Engine(tree, requests, TimerMode.EXPONENTIAL, words)
+        # arrivals win ties with timers, so this stops just after the last one
+        while engine.arrival_index < len(engine.requests):
+            engine.advance_to_next_event()
+        effective = sorted(engine.effective)
+        run = engine.run(flush=False)
+        t_end = run.trace.t_end
+        extras[i] = sum(
+            2.0 * (t - t_end) for _, _, t in run.schedule.pairings if t > t_end
+        )
+        budgets[i] = 2.0 * sum(tree.weight[v] for v in effective)
+    diff = extras - budgets
+    se = float(diff.std(ddof=1)) / math.sqrt(trials)
+    ok = float(diff.mean()) <= 3.0 * se + 1e-12
+    return FlushBudgetReport(
+        trials=trials,
+        extra_mean=float(extras.mean()),
+        budget_mean=float(budgets.mean()),
+        std_err=se,
+        ok=ok,
+    )
 
 
 def test_check_flush_budget_on_two_leaf_tree():

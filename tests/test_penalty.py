@@ -15,11 +15,10 @@ from delaymatch.penalty import (
     hat_orig,
     hat_side,
     run_mpmdfp,
-    verify_benchmark_inequality,
 )
 from delaymatch.stiltwalker import TimerMode
 
-from oracles import build_doubled, clear_fraction
+from oracles import build_doubled, clear_fraction, verify_benchmark_inequality
 
 
 def single_point():
