@@ -124,7 +124,12 @@ def save_bundle(space: MetricSpace, requests, path: str) -> None:
 
 def _out_dir(args) -> str | None:
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise UserError(
+                f"cannot use {args.out} as the output directory: {exc.strerror}"
+            ) from exc
     return args.out
 
 

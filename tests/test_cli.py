@@ -705,6 +705,20 @@ def test_negative_seed_is_user_error(tmp_path, capsys, command):
         assert out == "" and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["run", "embed", "gen random"])
+def test_out_naming_an_existing_file_is_user_error(tmp_path, capsys, command):
+    argv = _seeded_command(tmp_path, capsys, command)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    # gen random's argv names an --out already; argparse keeps the last one
+    code, _, err = run_cli(capsys, *argv, "--out", str(taken))
+    assert code == 1
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        f"error: cannot use {taken} as the output directory: File exists"
+    ]
+    assert "Traceback" not in err
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="binarization defect: a vertex with more than 2^(cap+1) leaf "
