@@ -225,7 +225,8 @@ def _phases_for(tree, reqs, vertex, words):
     result = Engine(tree, reqs, words=words).run(flush=True)
     space = tree_metric(tree)
     offline = optimal_mpmd(space, reqs)
-    return reference_partition_phases(tree, vertex, result.trace, offline.schedule).phases
+    part = reference_partition_phases(tree, vertex, result.trace, offline.schedule)
+    return part.phases
 
 
 def test_phase_boundaries_ignore_streams_inside_the_subtree():
@@ -383,8 +384,8 @@ def _odd_kid_counts(tree, odd):
 
 
 # ---------------------------------------------------------------------------
-# the phase partition of the paper's analysis, checked only here: both runs
-# replayed from scratch, O(|V|) per event
+# the phase partition of the paper's analysis; no command runs it, so this
+# is its one copy, over both runs replayed from scratch
 # ---------------------------------------------------------------------------
 
 def reference_online_odd(tree, trace):
