@@ -48,25 +48,18 @@ of 7 (the benchmark's four colorings, one core of a 2-vCPU host).  The
 price is the generator contract: `verify_digestion` may leave its generator
 up to one block further along than that loop would, so give it a generator
 whose later draws nothing else relies on.
-
-The rate-varying form replaces the unit-rate exponential clock by an
-inhomogeneous one with piecewise-constant rate profile bounded by a cap;
-lower rates only lengthen iterations, so the conditional-digest law becomes
-an inequality (>=) against the cap's closed form.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
-from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from itertools import chain
 
 import numpy as np
 
-from .errors import ConfigInvalid, InstanceLoadError, InvariantViolation, RateAboveCap
+from .errors import ConfigInvalid, InstanceLoadError, InvariantViolation
 
 __all__ = [
     "Coloring",
@@ -75,7 +68,6 @@ __all__ = [
     "closed_form_digest",
     "count_law",
     "simulate_app",
-    "simulate_rate_varying",
     "verify_digestion",
     "load_coloring",
     "dump_coloring",
@@ -129,13 +121,6 @@ class Coloring:
             raise ConfigInvalid(f"window [{self.t0},{self.t1}) is not finite")
         self.gamma = self.t1 - self.t0
         self.discontinuities = len(self.segments) - 1
-        self._starts = [s for s, _, _ in self.segments]
-
-    def color_at(self, t: float) -> Color:
-        if not (self.t0 <= t < self.t1):
-            raise ConfigInvalid(f"t={t} outside the colored window")
-        i = bisect_right(self._starts, t) - 1
-        return self.segments[i][2]
 
     def volume(self, color: int, a: float, b: float) -> float:
         """Measure of {t in [a,b) : c(t) == color}."""
@@ -165,26 +150,6 @@ class AppRealization:
         for g in self.digests:
             total += g
         return total
-
-
-def _alternate(coloring: Coloring, draw_threshold, advance) -> AppRealization:
-    """Common alternation loop; `advance(t_prev, color, z)` -> (T_j, G_j)."""
-    boundaries: list[float] = []
-    digests: list[float] = []
-    t = coloring.t0
-    j = 0
-    while t < coloring.t1:
-        j += 1
-        color = 1 if j % 2 == 1 else 2
-        z = draw_threshold()
-        t, digested = advance(t, color, z)
-        boundaries.append(t)
-        digests.append(digested)
-    return AppRealization(
-        boundaries=tuple(boundaries),
-        digests=tuple(digests),
-        n_meaningful=len(boundaries) - 1,
-    )
 
 
 def _check_rate(lam: float) -> None:
@@ -219,81 +184,20 @@ def simulate_app(
     """One realization of the alternation process at constant rate lambda."""
     _check_rate(lam)
     runs, t1 = coloring.runs, coloring.t1
-    return _alternate(
-        coloring,
-        lambda: float(rng.exponential(1.0 / lam)),
-        lambda t_prev, color, z: _advance(runs[color], t_prev, z, t1),
+    boundaries: list[float] = []
+    digests: list[float] = []
+    t, color = coloring.t0, 2
+    while t < t1:
+        color = 3 - color  # iteration j digests color 1 for odd j, 2 for even j
+        z = float(rng.exponential(1.0 / lam))
+        t, digested = _advance(runs[color], t, z, t1)
+        boundaries.append(t)
+        digests.append(digested)
+    return AppRealization(
+        boundaries=tuple(boundaries),
+        digests=tuple(digests),
+        n_meaningful=len(boundaries) - 1,
     )
-
-
-@functools.lru_cache(maxsize=16)
-def _rate_pieces(
-    coloring: Coloring, rate_segments: tuple[tuple[float, float, float], ...]
-) -> tuple[tuple[float, float, Color, float], ...]:
-    """Both partitions refined to common (start, end, color, rate) pieces.
-
-    Built once per (coloring, profile) and shared by every realization;
-    colorings hash by identity, so each Coloring object has its own entry.
-    """
-    cuts = sorted(
-        {coloring.t0, coloring.t1}
-        | {s for s, _, _ in coloring.segments}
-        | {e for _, e, _ in coloring.segments}
-        | {x for s, e, _ in rate_segments for x in (s, e)}
-    )
-    cuts = [c for c in cuts if coloring.t0 <= c <= coloring.t1]
-
-    def rate_at(t: float) -> float:
-        for s, e, r in rate_segments:
-            if s <= t < e:
-                return r
-        raise ConfigInvalid(f"rate profile does not cover t={t}")
-
-    return tuple(
-        (a, b, coloring.color_at(a), rate_at(a)) for a, b in zip(cuts, cuts[1:])
-    )
-
-
-def simulate_rate_varying(
-    coloring: Coloring,
-    rate_segments: list[tuple[float, float, float]],
-    cap: float,
-    rng: np.random.Generator,
-) -> AppRealization:
-    """Alternation with a piecewise-constant clock rate bounded by `cap`.
-
-    Iteration j ends when the rate-weighted color volume since T_{j-1}
-    reaches an Exp(1) threshold; the digest G_j is still the unweighted
-    color volume consumed.
-    """
-    if cap <= 0:
-        raise ConfigInvalid("rate cap must be positive")
-    for s, e, r in rate_segments:
-        if r < 0:
-            raise ConfigInvalid(f"negative rate on [{s},{e})")
-        if r > cap * (1 + 1e-12):
-            raise RateAboveCap(f"rate {r} on [{s},{e}) exceeds cap {cap}")
-
-    pieces = _rate_pieces(coloring, tuple(map(tuple, rate_segments)))
-
-    def advance(t_prev: float, color: int, z: float) -> tuple[float, float]:
-        weighted = 0.0
-        digested = 0.0
-        t = t_prev
-        for s, e, c, r in pieces:
-            if e <= t_prev:
-                continue
-            s = max(s, t_prev)
-            if c == color:
-                if r > 0 and (e - s) * r > z - weighted:
-                    dt = (z - weighted) / r
-                    return s + dt, digested + dt
-                weighted += (e - s) * r
-                digested += e - s
-            t = e
-        return t, digested
-
-    return _alternate(coloring, lambda: float(rng.exponential(1.0)), advance)
 
 
 @dataclass(frozen=True)

@@ -76,10 +76,6 @@ class OutOfDomain(UserError):
     pass
 
 
-class RateAboveCap(UserError):
-    pass
-
-
 class RegimeMismatch(UserError):
     pass
 

@@ -11,6 +11,9 @@ builds another way, so the tests can hold the library's result against it:
 * `clear_fraction`          -- Monte-Carlo share of requests `run_mpmdfp` clears
 * `tree_distance`,
   `point_distance`          -- one LCA walk per pair of leaves or points
+* `color_at`                -- a coloring's color at one instant, by a scan
+* `alternate`               -- the alternation loop, kept apart from
+                               `altpoisson.simulate_app`'s own
 
 and runs the paper's proof checks that no command runs:
 
@@ -18,6 +21,11 @@ and runs the paper's proof checks that no command runs:
                                    twice the penalty optimum, solved exactly
 * `monte_carlo_sigma_tau`   -- mean stake <= mean effective time per vertex
                                (E sigma_v <= E tau_v) over seeded runs
+* `rate_pieces`,
+  `simulate_rate_varying`   -- the alternation process on a clock rate that
+                               varies below a cap, the rate-varying form of
+                               the waiting-time analysis: pieces built once,
+                               then one realization per call
 
 The no-flush budget check lives in `test_experiment.py` and the phase
 partition in `test_diagnostics.py`, the one module that calls each.
@@ -32,6 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
+from delaymatch.altpoisson import AppRealization, Coloring
 from delaymatch.core import Request, Schedule
 from delaymatch.diagnostics import _online_ledgers, _star_ledgers
 from delaymatch.embedding import Hsbt
@@ -460,3 +469,83 @@ def tree_distance(tree, x: int, y: int) -> float:
 
 def point_distance(tree, a: str, b: str) -> float:
     return tree_distance(tree, tree.point_leaf[a], tree.point_leaf[b])
+
+
+def color_at(coloring: Coloring, t: float) -> int | None:
+    """The color of instant t: that of the segment holding it."""
+    for s, e, c in coloring.segments:
+        if s <= t < e:
+            return c
+    raise ConfigInvalid(f"t={t} outside the colored window")
+
+
+def alternate(coloring: Coloring, draw_threshold, advance) -> AppRealization:
+    """The alternation loop, apart from `altpoisson.simulate_app`'s: iteration
+    j draws its threshold z, then `advance(T_{j-1}, color, z)` returns
+    (T_j, G_j), color 1 for odd j and 2 for even j, until T_j is the window end."""
+    boundaries, digests = [], []
+    t, j = coloring.t0, 0
+    while t < coloring.t1:
+        j += 1
+        color = 1 if j % 2 == 1 else 2
+        z = draw_threshold()
+        t, digested = advance(t, color, z)
+        boundaries.append(t)
+        digests.append(digested)
+    return AppRealization(tuple(boundaries), tuple(digests), len(boundaries) - 1)
+
+
+def rate_pieces(
+    coloring: Coloring, profile: Sequence[tuple[float, float, float]], cap: float
+) -> tuple[tuple[float, float, int | None, float], ...]:
+    """Check a (start, end, rate) profile, rates in [0, cap], covering the
+    window, and refine it and the coloring to (start, end, color, rate) pieces."""
+    if cap <= 0:
+        raise ConfigInvalid("rate cap must be positive")
+    for s, e, r in profile:
+        if r < 0:
+            raise ConfigInvalid(f"negative rate on [{s},{e})")
+        if r > cap * (1 + 1e-12):
+            raise ConfigInvalid(f"rate {r} on [{s},{e}) exceeds cap {cap}")
+    cuts = sorted(
+        {x for s, e, _ in coloring.segments for x in (s, e)}
+        | {x for s, e, _ in profile for x in (s, e)}
+    )
+    cuts = [c for c in cuts if coloring.t0 <= c <= coloring.t1]
+
+    def rate_at(t: float) -> float:
+        for s, e, r in profile:
+            if s <= t < e:
+                return r
+        raise ConfigInvalid(f"rate profile does not cover t={t}")
+
+    return tuple(
+        (a, b, color_at(coloring, a), rate_at(a)) for a, b in zip(cuts, cuts[1:])
+    )
+
+
+def simulate_rate_varying(coloring: Coloring, pieces, rng) -> AppRealization:
+    """One realization of the alternation process on the `rate_pieces` clock.
+
+    Iteration j ends when the rate-weighted color volume since T_{j-1}
+    reaches an Exp(1) threshold; G_j is still the unweighted volume digested.
+    """
+
+    def advance(t_prev: float, color: int, z: float) -> tuple[float, float]:
+        weighted = 0.0
+        digested = 0.0
+        t = t_prev
+        for s, e, c, r in pieces:
+            if e <= t_prev:
+                continue
+            s = max(s, t_prev)
+            if c == color:
+                if r > 0 and (e - s) * r > z - weighted:
+                    dt = (z - weighted) / r
+                    return s + dt, digested + dt
+                weighted += (e - s) * r
+                digested += e - s
+            t = e
+        return t, digested
+
+    return alternate(coloring, lambda: float(rng.exponential(1.0)), advance)

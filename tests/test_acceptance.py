@@ -17,12 +17,7 @@ import numpy as np
 import pytest
 import scipy.stats as sps
 
-from delaymatch.altpoisson import (
-    Coloring,
-    closed_form_digest,
-    simulate_rate_varying,
-    verify_digestion,
-)
+from delaymatch.altpoisson import Coloring, closed_form_digest, verify_digestion
 from delaymatch.core import Schedule, total_cost
 from delaymatch.diagnostics import track_potentials, verify_cost_identities
 from delaymatch.embedding import build_hsbt, sample_hsbt, tree_metric
@@ -31,7 +26,12 @@ from delaymatch.offline import greedy_mpmd, optimal_mpmd
 from delaymatch.penalty import run_mpmdfp
 from delaymatch.stiltwalker import TimerMode, run as run_online
 
-from oracles import monte_carlo_sigma_tau, verify_benchmark_inequality
+from oracles import (
+    monte_carlo_sigma_tau,
+    rate_pieces,
+    simulate_rate_varying,
+    verify_benchmark_inequality,
+)
 
 APP_TRIALS = 100_000
 GEOMETRIES = ("line", "square", "uniform")
@@ -86,12 +86,12 @@ def app_corpus():
     # plain process at rate r, so the same identity holds with lam = r
     col = _block_coloring()
     rate = 1.3
-    profile = [(col.t0, col.t1, rate)]
+    pieces = rate_pieces(col, [(col.t0, col.t1, rate)], rate)
     rng = np.random.default_rng(12)
     totals = np.empty(APP_TRIALS)
     counts = np.empty(APP_TRIALS, dtype=int)
     for i in range(APP_TRIALS):
-        r = simulate_rate_varying(col, profile, rate, rng)
+        r = simulate_rate_varying(col, pieces, rng)
         totals[i] = r.total_digest
         counts[i] = r.n_meaningful
     return {

@@ -11,16 +11,16 @@ from delaymatch.altpoisson import (
     AppRealization,
     AppReport,
     Coloring,
-    _alternate,
     closed_form_digest,
     count_law,
     dump_coloring,
     load_coloring,
     simulate_app,
-    simulate_rate_varying,
     verify_digestion,
 )
-from delaymatch.errors import ConfigInvalid, InvariantViolation, RateAboveCap
+from delaymatch.errors import ConfigInvalid, InvariantViolation
+
+from oracles import alternate, color_at, rate_pieces, simulate_rate_varying
 
 
 class StubRng:
@@ -75,13 +75,13 @@ def test_coloring_rejects_bad_input():
 
 def test_color_at_boundaries():
     c = Coloring([(0, 1, 1), (1, 2, None), (2, 3, 2)])
-    assert c.color_at(0.0) == 1
-    assert c.color_at(1.0) is None
-    assert c.color_at(2.999) == 2
+    assert color_at(c, 0.0) == 1
+    assert color_at(c, 1.0) is None
+    assert color_at(c, 2.999) == 2
     with pytest.raises(ConfigInvalid):
-        c.color_at(3.0)
+        color_at(c, 3.0)
     with pytest.raises(ConfigInvalid):
-        c.color_at(-0.1)
+        color_at(c, -0.1)
 
 
 def test_volume_matches_riemann_oracle():
@@ -91,7 +91,7 @@ def test_volume_matches_riemann_oracle():
         grid = np.linspace(c.t0, c.t1, 40001)
         step = grid[1] - grid[0]
         mids = (grid[:-1] + grid[1:]) / 2
-        colors = np.array([c.color_at(float(t)) or 0 for t in mids])
+        colors = np.array([color_at(c, float(t)) or 0 for t in mids])
         for color in (1, 2):
             a, b = sorted(rng.uniform(c.t0, c.t1, size=2))
             inside = (mids >= a) & (mids < b) & (colors == color)
@@ -266,13 +266,12 @@ def test_sampled_counts_fall_within_the_law_bound():
 
 def test_rate_varying_validates_profile():
     c = Coloring([(0, 2, 1), (2, 4, 2)])
-    rng = np.random.default_rng(0)
-    with pytest.raises(RateAboveCap):
-        simulate_rate_varying(c, [(0, 4, 3.0)], cap=2.0, rng=rng)
+    with pytest.raises(ConfigInvalid, match="exceeds cap"):
+        rate_pieces(c, [(0, 4, 3.0)], cap=2.0)
     with pytest.raises(ConfigInvalid):
-        simulate_rate_varying(c, [(0, 4, -1.0)], cap=2.0, rng=rng)
+        rate_pieces(c, [(0, 4, -1.0)], cap=2.0)
     with pytest.raises(ConfigInvalid):
-        simulate_rate_varying(c, [(0, 1, 1.0)], cap=2.0, rng=rng)  # uncovered
+        rate_pieces(c, [(0, 1, 1.0)], cap=2.0)  # uncovered
 
 
 def test_rate_varying_constant_rate_matches_plain_process():
@@ -280,7 +279,8 @@ def test_rate_varying_constant_rate_matches_plain_process():
     # the plain process at rate r with threshold z / r
     c = Coloring([(0, 2, 1), (2, 4, 2)])
     z = 1.0
-    varying = simulate_rate_varying(c, [(0, 4, 2.0)], cap=2.0, rng=StubRng([z, 99.0]))
+    pieces = rate_pieces(c, [(0, 4, 2.0)], cap=2.0)
+    varying = simulate_rate_varying(c, pieces, rng=StubRng([z, 99.0]))
     plain = simulate_app(c, lam=2.0, rng=StubRng([z / 2.0, 99.0]))
     assert varying.boundaries == plain.boundaries
     assert varying.digests == plain.digests
@@ -291,9 +291,8 @@ def test_rate_varying_zero_rate_consumes_volume_silently():
     # volume still counts toward the digest where the clock rate is zero;
     # only the threshold accumulation pauses
     c = Coloring([(0, 2, 1), (2, 4, 2)])
-    r = simulate_rate_varying(
-        c, [(0, 1, 0.0), (1, 4, 2.0)], cap=2.0, rng=StubRng([1.0, 99.0])
-    )
+    pieces = rate_pieces(c, [(0, 1, 0.0), (1, 4, 2.0)], cap=2.0)
+    r = simulate_rate_varying(c, pieces, rng=StubRng([1.0, 99.0]))
     assert r.boundaries[0] == 1.5
     assert r.digests[0] == 1.5
 
@@ -346,7 +345,7 @@ def reference_advance(coloring, t_prev, color, z):
 
 
 def reference_simulate_app(coloring, lam, rng):
-    return _alternate(
+    return alternate(
         coloring,
         lambda: float(rng.exponential(1.0 / lam)),
         lambda t, color, z: reference_advance(coloring, t, color, z),
@@ -541,88 +540,3 @@ def test_batched_sampler_matches_reference_hypothesis(
             assert altpoisson._advance(
                 coloring.runs[color], t_prev, z, coloring.t1
             ) == reference_advance(coloring, t_prev, color, z)
-
-
-def reference_simulate_rate_varying(coloring, rate_segments, cap, rng):
-    """The rate-varying sampler that builds its cut set and pieces per call,
-    kept as the oracle of the shared per-(coloring, profile) pieces."""
-    if cap <= 0:
-        raise ConfigInvalid("rate cap must be positive")
-    for s, e, r in rate_segments:
-        if r < 0:
-            raise ConfigInvalid(f"negative rate on [{s},{e})")
-        if r > cap * (1 + 1e-12):
-            raise RateAboveCap(f"rate {r} on [{s},{e}) exceeds cap {cap}")
-    cuts = sorted(
-        {coloring.t0, coloring.t1}
-        | {s for s, _, _ in coloring.segments}
-        | {e for _, e, _ in coloring.segments}
-        | {x for s, e, _ in rate_segments for x in (s, e)}
-    )
-    cuts = [c for c in cuts if coloring.t0 <= c <= coloring.t1]
-
-    def rate_at(t):
-        for s, e, r in rate_segments:
-            if s <= t < e:
-                return r
-        raise ConfigInvalid(f"rate profile does not cover t={t}")
-
-    pieces = [(a, b, coloring.color_at(a), rate_at(a)) for a, b in zip(cuts, cuts[1:])]
-
-    def advance(t_prev, color, z):
-        weighted = 0.0
-        digested = 0.0
-        t = t_prev
-        for s, e, c, r in pieces:
-            if e <= t_prev:
-                continue
-            s = max(s, t_prev)
-            if c == color:
-                if r > 0 and (e - s) * r > z - weighted:
-                    dt = (z - weighted) / r
-                    return s + dt, digested + dt
-                weighted += (e - s) * r
-                digested += e - s
-            t = e
-        return t, digested
-
-    return _alternate(coloring, lambda: float(rng.exponential(1.0)), advance)
-
-
-def random_rate_profile(rng, coloring):
-    """Piecewise-constant rates over a cover of the window, some of them 0."""
-    k = int(rng.integers(1, 6))
-    cuts = np.sort(rng.uniform(coloring.t0 - 1.0, coloring.t1 + 1.0, size=k - 1))
-    edges = [coloring.t0 - 1.5, *map(float, cuts), coloring.t1 + 1.5]
-    rates = [0.0 if rng.random() < 0.2 else float(rng.uniform(0.1, 3.0)) for _ in cuts]
-    rates.append(float(rng.uniform(0.1, 3.0)))
-    return [(a, b, r) for a, b, r in zip(edges, edges[1:], rates) if b > a]
-
-
-def test_rate_varying_matches_the_per_call_builder():
-    rng = np.random.default_rng(77)
-    named = [c for c, _ in _named_colorings().values()]
-    for k in range(30):
-        coloring = named[k] if k < len(named) else random_coloring(rng, max_segments=8)
-        profile = random_rate_profile(rng, coloring)
-        cap = max(r for _, _, r in profile)
-        got_rng, want_rng = np.random.default_rng(k), np.random.default_rng(k)
-        for _ in range(40):  # the later calls reuse the shared pieces
-            got = simulate_rate_varying(coloring, profile, cap, got_rng)
-            want = reference_simulate_rate_varying(coloring, profile, cap, want_rng)
-            assert got == want, (k, coloring.segments, profile)
-
-
-def test_rate_varying_pieces_are_built_once_per_coloring_and_profile():
-    coloring = random_coloring(np.random.default_rng(5), max_segments=8)
-    profile = [(coloring.t0, coloring.t1, 1.5)]
-    rng = np.random.default_rng(0)
-    with mock.patch.object(
-        coloring, "color_at", wraps=coloring.color_at
-    ) as color_at:
-        for _ in range(10):
-            simulate_rate_varying(coloring, profile, 1.5, rng)
-        built = color_at.call_count
-        assert 1 <= built <= len(coloring.segments)
-        simulate_rate_varying(coloring, [(coloring.t0, coloring.t1, 1.0)], 1.5, rng)
-        assert color_at.call_count > built  # a new profile builds its own pieces

@@ -15,14 +15,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "delaymatch"
 
-# (module, name) -> why it stays in `src/` though nothing there uses it
-EXEMPT = {
-    ("altpoisson", "simulate_rate_varying"): (
-        "ROADMAP item 12: the altpoisson samplers move to the tests together, "
-        "after perfbench stops reading altpoisson.simulate_app"
-    ),
-}
-
 
 def _exported() -> set[tuple[str, str]]:
     names = set()
@@ -72,11 +64,6 @@ def _used() -> set[tuple[str, str]]:
 
 
 def test_every_public_name_is_used_outside_the_tests():
-    unused = _exported() - _used() - EXEMPT.keys()
+    unused = _exported() - _used()
     assert not unused, f"public names only the tests use: {sorted(unused)}"
 
-
-def test_every_exemption_is_still_needed():
-    exported, used = _exported(), _used()
-    for key in EXEMPT:
-        assert key in exported and key not in used, f"drop the exemption {key}"
