@@ -17,7 +17,13 @@ import numpy as np
 import pytest
 import scipy.stats as sps
 
-from delaymatch.altpoisson import Coloring, closed_form_digest, verify_digestion
+from delaymatch.altpoisson import (
+    LAW_ALPHA,
+    Coloring,
+    closed_form_digest,
+    count_law,
+    verify_digestion,
+)
 from delaymatch.core import Schedule, total_cost
 from delaymatch.diagnostics import track_potentials, verify_cost_identities
 from delaymatch.embedding import build_hsbt, sample_hsbt, tree_metric
@@ -231,6 +237,23 @@ def test_criterion_03_count_bound_and_dominance(app_corpus):
     dt = _elapsed_ok(t0, 60.0)
     margin = min(r.dominance_margin for r in app_corpus["reports"].values())
     print(f"criterion 03 PASS: 0 count violations, dominance margin {margin:.4f} ({dt:.1f}s)")
+
+
+def test_criterion_03_rate_varying_counts_follow_the_exact_law(app_corpus):
+    # at a constant clock rate r, an Exp(1) threshold on r-weighted volume is
+    # an Exp(r) threshold on volume, so count_law at lam = r is the exact law
+    # of the rate-varying counts; the bound is the one verify_digestion uses
+    t0 = time.perf_counter()
+    col = app_corpus["rate_coloring"]
+    counts = app_corpus["rate_counts"]
+    law, _ = count_law(col, app_corpus["rate"])
+    k = col.discontinuities
+    hist = np.bincount(counts, minlength=k + 2) / len(counts)
+    distance = float(np.abs(hist - np.pad(law, (0, len(hist) - k - 2))).sum())
+    eps = math.sqrt(2.0 * ((k + 2) * math.log(2.0) - math.log(LAW_ALPHA)) / len(counts))
+    assert distance < eps, f"rate-varying counts: L1 distance {distance:.5f} >= {eps:.5f}"
+    dt = _elapsed_ok(t0, 30.0)
+    print(f"criterion 03 PASS: rate-varying law distance {distance:.5f} < {eps:.5f} ({dt:.1f}s)")
 
 
 def test_criterion_04_embedding_invariants_and_distortion():
