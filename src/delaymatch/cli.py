@@ -150,6 +150,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_embed(args) -> int:
+    out = _out_dir(args)
     space, _ = load_bundle(args.instance)
     rng = np.random.default_rng(args.seed)
     tree = sample_hsbt(space, rng)
@@ -160,8 +161,7 @@ def _cmd_embed(args) -> int:
     print(f"alpha {tree.alpha!r}")
     print(f"max_stretch {float(stretches.max())!r}")
     print(f"mean_stretch {float(np.mean(stretches))!r}")
-    if args.out:
-        out = _out_dir(args)
+    if out:
         tree.to_json(os.path.join(out, "tree.json"))
         print(f"wrote {os.path.join(out, 'tree.json')}")
     return 0
@@ -175,6 +175,7 @@ def _require_requests(requests) -> tuple:
 
 def _cmd_run(args) -> int:
     t0 = time.perf_counter()
+    out = _out_dir(args)
     space, requests = load_bundle(args.instance)
     requests = _require_requests(requests)
     fixed_tree = Hsbt.from_json(args.fixed_tree) if args.fixed_tree else None
@@ -190,7 +191,6 @@ def _cmd_run(args) -> int:
     )
     report = run_experiment(config)
     sys.stdout.write(report.to_text())
-    out = _out_dir(args)
     if out:
         _write_atomic(
             os.path.join(out, "report.json"),

@@ -711,8 +711,9 @@ def test_out_naming_an_existing_file_is_user_error(tmp_path, capsys, command):
     taken = tmp_path / "taken"
     taken.write_text("")
     # gen random's argv names an --out already; argparse keeps the last one
-    code, _, err = run_cli(capsys, *argv, "--out", str(taken))
-    assert code == 1
+    # checked before any work, so nothing reaches stdout
+    code, out, err = run_cli(capsys, *argv, "--out", str(taken))
+    assert code == 1 and out == ""
     assert [line for line in err.splitlines() if line.startswith("error:")] == [
         f"error: cannot use {taken} as the output directory: File exists"
     ]
