@@ -37,11 +37,12 @@ Two stages:
    metric on 17 points, say) raises an internal error.
 
 `sample_hsbt` composes the two and is the one place a sampled tree is
-checked: on the leaf-distance matrices of H and its binarization T, filled
-once each in the metric's point order, it checks d_H <= d_T <= 2*d_H and then
-that T dominates the metric (`undominated_pair`, shared with trees from
-elsewhere).  Failures are bug sentinels, not bad input, naming the first bad
-pair.  `leaf_distances` lays the leaves out in preorder and fills each
+checked.  It checks d_H <= d_T <= 2*d_H gadget vertex by gadget vertex, from
+the origins `binarize` records, and then that T dominates the metric on T's
+one leaf-distance matrix in the metric's point order (`undominated_pair`,
+shared with trees from elsewhere).  Failures are bug sentinels, not bad
+input, naming the first bad pair; only a failing gadget builds H's matrix to
+find it.  `leaf_distances` lays the leaves out in preorder and fills each
 internal vertex's square block of the distance matrix with its weight,
 parents first: one slice assignment per internal vertex and an O(n^2) gather
 per call.
@@ -210,12 +211,15 @@ class Hsbt(_Tree):
     Vertex ids are breadth-first, checked by `validate`: no vertex's parent
     precedes its predecessor's, so ids are sorted by depth and sorting ids
     is the canonical deterministic event order.  Leaves carry weight 0;
-    every non-root vertex satisfies w(parent) >= alpha * w(v).
+    every non-root vertex satisfies w(parent) >= alpha * w(v).  A tree from
+    `binarize` keeps each vertex's `origin`, the input-tree vertex whose
+    gadget holds it; other trees have none.
     """
 
-    def __init__(self, parent, weight, leaf_point, alpha: float):
+    def __init__(self, parent, weight, leaf_point, alpha: float, origin=None):
         super().__init__(parent, weight, leaf_point)
         self.alpha = float(alpha)
+        self.origin: list[int] | None = origin
         self.validate()
 
     def internal_vertices(self) -> list[int]:
@@ -452,8 +456,10 @@ def binarize(tree: Hst) -> Hsbt:
 
     Mapped vertices carry doubled weights; auxiliary vertices decay from
     their parent by the factor alpha, so leaf-pair distances land in
-    [d_H, 2*d_H] where d_H is the distance in the input tree.  Only
-    `Hsbt.validate` runs here; `sample_hsbt` checks that sandwich.
+    [d_H, 2*d_H] where d_H is the distance in the input tree.  Each output
+    vertex records its `origin`: a mapped vertex the input vertex itself, an
+    auxiliary vertex its parent's origin.  Only `Hsbt.validate` runs here;
+    `sample_hsbt` checks the sandwich from those origins.
 
     A vertex with more than two children gets a `_gadget` that puts each
     child at depth at most its bound: the depth at which alpha-decay still
@@ -471,6 +477,7 @@ def binarize(tree: Hst) -> Hsbt:
     h_kids, h_weight, labels = tree.children, tree.weight, tree.leaf_point
     parent = [-1]
     weight = [2.0 * h_weight[tree.root]]
+    origin = [tree.root]
     leaf_point: dict[int, str] = {}
     queue: list = [tree.root]  # input vertex ids, and auxiliary vertices as pairs
     for u, node in enumerate(queue):
@@ -503,24 +510,42 @@ def binarize(tree: Hst) -> Hsbt:
         for c in pair:
             if isinstance(c, tuple):
                 weight.append(weight[u] / alpha)
+                origin.append(origin[u])
             else:
                 weight.append(2.0 * h_weight[c] if h_kids[c] else 0.0)
-    return Hsbt(parent, weight, leaf_point, alpha)
+                origin.append(c)
+    return Hsbt(parent, weight, leaf_point, alpha, origin)
 
 
 def sample_hsbt(space: MetricSpace, rng: np.random.Generator) -> Hsbt:
     """Sample a dominating binary tree for `space` (embed + binarize), and
     check it: d_H <= d_T <= 2*d_H up to round-off (else `InvariantViolation`),
-    then domination (else `DominationViolation`), on one pair of leaf-distance
-    matrices in `space`'s point order."""
+    then domination (else `DominationViolation`) on T's leaf-distance matrix
+    in `space`'s point order.
+
+    The sandwich is checked gadget by gadget, in O(|T|): every internal
+    vertex g of T needs w_H(origin[g]) <= w_T(g) <= 2*w_H(origin[g]), under
+    the pair scan's float expression.  That decides exactly what the scan
+    over every leaf pair decides.  T is a full binary tree, so every
+    internal g is the LCA of some leaf pair (a leaf from each child
+    subtree).  The leaves under g's two children lie under different
+    H children of origin[g], as a gadget only regroups its vertex's
+    children, so origin[lca_T] = lca_H for every pair.  The (d_H, d_T)
+    values the pair scan tests are therefore exactly the (w_H(origin[g]),
+    w_T(g)) values.  Only when a gadget fails are H's matrix and the pair
+    scan built, to name the first bad pair in `space`'s point order.
+    """
     h = frt_embed(space, rng)
     t = binarize(h)
-    dh_all = h.leaf_distances(space.points)
     dt_all = t.leaf_distances(space.points)
-    inside = (dh_all * (1 - 1e-12) <= dt_all) & (dt_all <= 2 * dh_all * (1 + 1e-12))
-    pair = _first_pair(~inside)
-    if pair is not None:
-        i, j = pair
+    h_weight, t_weight, t_kids = h.weight, t.weight, t.children
+    if not all(
+        h_weight[o] * (1 - 1e-12) <= t_weight[g] <= 2 * h_weight[o] * (1 + 1e-12)
+        for g, o in enumerate(t.origin) if t_kids[g]
+    ):
+        dh_all = h.leaf_distances(space.points)
+        inside = (dh_all * (1 - 1e-12) <= dt_all) & (dt_all <= 2 * dh_all * (1 + 1e-12))
+        i, j = _first_pair(~inside)  # the failing gadget vertex is some pair's LCA
         dh, dt = float(dh_all[i, j]), float(dt_all[i, j])
         a, b = space.points[i], space.points[j]
         raise InvariantViolation(

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -552,6 +555,75 @@ def test_domination_check_names_first_underweighted_pair(seed, monkeypatch):
     assert str(err.value) == want
 
 
+def sandwich_family(kind, seed):
+    """A metric of 14-16 points from one of the families the gadget check
+    is held against."""
+    rng = np.random.default_rng([31, seed])
+    if kind == "square":
+        return from_coords(rng.uniform(size=(14, 2)))
+    if kind == "multi-scale-line":
+        return from_coords(rng.uniform(size=(14, 1)) * 10.0 ** rng.uniform(-6, 6, (14, 1)))
+    if kind == "tight-clusters":
+        centres = np.repeat([[0.0, 0.0], [1e3, 0.0], [0.0, 1e3], [1e3, 1e3]], 4, axis=0)
+        return from_coords(centres + rng.uniform(-1e-3, 1e-3, (16, 2)))
+    if kind == "integer-grid":  # a 4 x 4 grid with a partial last row
+        return from_coords([(i, j) for i in range(4) for j in range(4)][:14])
+    return gen_random("uniform", 16, 0, 1.0, rng)[0]
+
+
+@pytest.mark.parametrize(
+    "kind", ["square", "multi-scale-line", "tight-clusters", "integer-grid", "uniform"]
+)
+def test_gadget_check_decides_what_the_pair_scan_decides(kind, monkeypatch):
+    binarize_real, edits = embedding.binarize, {"mapped": 0, "auxiliary": 0}
+    for seed in range(3):
+        space = sandwich_family(kind, seed)
+        h = frt_embed(space, np.random.default_rng(seed))
+        t = binarize(h)
+        for a in space.points:
+            for b in space.points:
+                x, y = h.point_leaf[a], h.point_leaf[b]
+                if x != y:
+                    assert t.origin[t.lca(t.point_leaf[a], t.point_leaf[b])] == h.lca(x, y)
+        inner = {"mapped": [], "auxiliary": []}
+        for g in t.internal_vertices():
+            aux = g != t.root and t.origin[g] == t.origin[t.parent[g]]
+            inner["auxiliary" if aux else "mapped"].append(g)
+        for role, vertices in inner.items():
+            if not vertices:
+                continue
+            g = vertices[len(vertices) // 2]
+            w_h, w_t = h.weight[t.origin[g]], t.weight[g]
+            # just inside and just outside each end of the band, then far out
+            for weight, inside in ((w_h * (1 - 1e-13), True), (w_h * (1 - 1e-11), False),
+                                   (2 * w_h * (1 + 1e-13), True),
+                                   (2 * w_h * (1 + 1e-11), False),
+                                   (w_t * 3, False), (w_t / 3, False)):
+                built = []
+
+                def edited(h):
+                    t = binarize_real(h)
+                    t.weight[g] = weight
+                    built.append((h, t))
+                    return t
+
+                monkeypatch.setattr(embedding, "binarize", edited)
+                try:
+                    sample_hsbt(space, np.random.default_rng(seed))
+                    raised = None
+                except (InvariantViolation, DominationViolation) as exc:
+                    raised = exc
+                want = sandwich_scan(space, *built[0])
+                assert (want is None) == inside
+                if want is not None:
+                    assert type(raised) is InvariantViolation and str(raised) == want
+                else:
+                    want = domination_scan(space, built[0][1])
+                    assert (None if raised is None else str(raised)) == want
+                edits[role] += 1
+    assert edits["mapped"] and edits["auxiliary"]
+
+
 def test_sample_hsbt_fills_each_leaf_distance_matrix_once(monkeypatch):
     filled, real = [], embedding._Tree.leaf_distances
 
@@ -561,7 +633,35 @@ def test_sample_hsbt_fills_each_leaf_distance_matrix_once(monkeypatch):
 
     monkeypatch.setattr(embedding._Tree, "leaf_distances", counted)
     sample_hsbt(grid_space(3), np.random.default_rng(0))
-    assert sorted(filled) == ["Hsbt", "Hst"]
+    assert filled == ["Hsbt"]  # H's matrix is built only when a gadget fails
+
+
+SAMPLE_1000 = """
+import resource
+import numpy as np
+from delaymatch.embedding import sample_hsbt
+from delaymatch.metric import MetricSpace
+
+x = np.sort(np.random.default_rng(0).uniform(0.0, 1.0, 1000))
+space = MetricSpace([f"p{i}" for i in range(1000)], np.abs(x[:, None] - x[None, :]))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+sample_hsbt(space, np.random.default_rng(1))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+def test_sample_hsbt_holds_one_leaf_distance_matrix():
+    # the metric is one 7.6 MB matrix; a second leaf-distance matrix with its
+    # gather and compare temporaries would take the growth past three
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", SAMPLE_1000],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    growth_kb = int(out.stdout.strip())  # ru_maxrss is in KB on Linux
+    assert growth_kb < 3 * 1000 * 1000 * 8 / 1024
 
 
 def test_build_hsbt_renumbers_depth_first_input():
