@@ -79,6 +79,8 @@ Color = int | None
 LAW_ALPHA = 1e-6
 # thresholds drawn per generator call in verify_digestion
 DRAW_BLOCK = 4096
+# realizations per verify_digestion call: three float arrays of that length
+MAX_REALIZATIONS = 10**7
 
 
 class Coloring:
@@ -277,6 +279,8 @@ def verify_digestion(
     _check_rate(lam)
     if trials < 1:
         raise ConfigInvalid(f"trials must be at least 1, got {trials}")
+    if trials > MAX_REALIZATIONS:
+        raise ConfigInvalid(f"trials must be at most {MAX_REALIZATIONS}, got {trials}")
     # solved first, so that its O(K^2) arrays are gone before the table's rows come
     law, digest = count_law(coloring, lam)
     runs = [seg for seg in coloring.segments if seg[2] is not None]

@@ -42,7 +42,13 @@ from .core import make_requests, total_cost
 from .diagnostics import track_potentials, verify_cost_identities
 from .embedding import Hsbt, sample_hsbt, tree_metric
 from .errors import InstanceLoadError, InvariantViolation, UserError
-from .experiment import ExperimentConfig, batch_summary, run_experiment, trial_rng
+from .experiment import (
+    MAX_TRIALS,
+    ExperimentConfig,
+    batch_summary,
+    run_experiment,
+    trial_rng,
+)
 from .instances import (
     GammaConfig,
     gen_adversarial_gamma,
@@ -219,6 +225,8 @@ def _cmd_verify_app(args) -> int:
 def _cmd_verify_identities(args) -> int:
     if args.trials < 1:
         raise UserError(f"trials must be >= 1, got {args.trials}")
+    if args.trials > MAX_TRIALS:
+        raise UserError(f"trials must be <= {MAX_TRIALS}, got {args.trials}")
     space, requests = load_bundle(args.instance)
     requests = _require_requests(requests)
     # each field's worst value over the trials, in print order

@@ -47,6 +47,10 @@ from .offline import (
 from .penalty import PenaltyReduction
 from .stiltwalker import Engine, TimerMode, stream_words
 
+# trials per batch: each trial's seed key and generator are built up front,
+# about 1 KB apiece
+MAX_TRIALS = 100_000
+
 __all__ = [
     "CSV_COLUMNS",
     "TrialRecord",
@@ -108,6 +112,8 @@ class ExperimentConfig:
     def validated(self) -> "ExperimentConfig":
         if self.trials < 1:
             raise ConfigInvalid(f"trials must be >= 1, got {self.trials}")
+        if self.trials > MAX_TRIALS:
+            raise ConfigInvalid(f"trials must be <= {MAX_TRIALS}, got {self.trials}")
         if self.master_seed < 0:
             raise ConfigInvalid("master seed must be non-negative")
         if self.penalty is not None:

@@ -45,6 +45,11 @@ __all__ = [
     "gen_two_point",
 ]
 
+# count arguments are bounded before anything is built; a metric costs O(n^3)
+# to validate, and 4096 points already take about a minute
+MAX_POINTS = 4096
+MAX_REQUESTS = 10**6
+
 
 # ---------------------------------------------------------------------------
 # adversarial cascade
@@ -60,6 +65,8 @@ class GammaConfig:
         n = self.n
         if n < 8 or n & (n - 1) != 0:
             raise ConfigInvalid(f"leaf count must be a power of two >= 8, got {n}")
+        if n > MAX_POINTS:
+            raise ConfigInvalid(f"leaf count must be <= {MAX_POINTS}, got {n}")
         lg = n.bit_length() - 1
         eps = self.epsilon if self.epsilon is not None else 1.0 / (100 * n * lg)
         if not (0 < eps < 1.0 / n):
@@ -260,10 +267,16 @@ def gen_random(
     or "uniform"."""
     if n_points < 2:
         raise OutOfDomain("need at least two points")
+    if n_points > MAX_POINTS:
+        raise ConfigInvalid(f"point count must be <= {MAX_POINTS}, got {n_points}")
     if not 0.0 <= horizon < math.inf:
         raise ConfigInvalid(f"horizon must be finite and >= 0, got {horizon}")
     if request_count < 0:
         raise ConfigInvalid(f"request count must be >= 0, got {request_count}")
+    if request_count > MAX_REQUESTS:
+        raise ConfigInvalid(
+            f"request count must be <= {MAX_REQUESTS}, got {request_count}"
+        )
     names = [f"p{i}" for i in range(n_points)]
     if kind == "line":
         coords = np.sort(rng.uniform(0.0, 1.0, n_points))
@@ -317,6 +330,10 @@ def gen_two_point(
             ) from None
         if k < 1:
             raise ConfigInvalid("stagger pattern needs k >= 1")
+        if 2 * k > MAX_REQUESTS:
+            raise ConfigInvalid(
+                f"stagger:k makes 2k requests; k must be <= {MAX_REQUESTS // 2}, got {k}"
+            )
         step = 1.0 if spacing is None else spacing
         arrivals = [("a" if i % 2 == 0 else "b", i * step) for i in range(2 * k)]
     else:

@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +11,10 @@ import pytest
 
 from delaymatch import altpoisson, embedding, offline
 from delaymatch.cli import _build_parser, load_bundle, main, save_bundle
+from delaymatch.altpoisson import MAX_REALIZATIONS
 from delaymatch.embedding import Hsbt
+from delaymatch.experiment import MAX_TRIALS
+from delaymatch.instances import MAX_POINTS, MAX_REQUESTS
 from delaymatch.penalty import (
     REGIME_DOUBLED,
     REGIME_PER_POINT,
@@ -718,6 +724,55 @@ def test_out_naming_an_existing_file_is_user_error(tmp_path, capsys, command):
         f"error: cannot use {taken} as the output directory: File exists"
     ]
     assert "Traceback" not in err
+
+
+# main() under a 1.5 GB address-space cap; prints its own wall time
+CAPPED_MAIN = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+from delaymatch.cli import main
+t0 = time.perf_counter()
+code = main(sys.argv[1:])
+print(f"{time.perf_counter() - t0:.6f}")
+sys.exit(code)
+"""
+
+HUGE = str(10**20)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "two-point", "--pattern", f"stagger:{HUGE}"],
+     f"k must be <= {MAX_REQUESTS // 2}, got {HUGE}"),
+    (["verify-app", "--trials", HUGE], f"trials must be at most {MAX_REALIZATIONS}"),
+    (["verify-app", "--trials", str(10**12)],
+     f"trials must be at most {MAX_REALIZATIONS}"),
+    (["run", "--trials", HUGE], f"trials must be <= {MAX_TRIALS}, got {HUGE}"),
+    (["verify-identities", "--trials", HUGE], f"trials must be <= {MAX_TRIALS}"),
+    (["gen", "random", "--points", HUGE], f"point count must be <= {MAX_POINTS}"),
+    (["gen", "random", "--requests", HUGE], f"request count must be <= {MAX_REQUESTS}"),
+    (["gen", "gamma", "--n", str(2**60)], f"leaf count must be <= {MAX_POINTS}"),
+], ids=["stagger", "verify-app-1e20", "verify-app-1e12", "run", "verify-identities",
+        "gen-points", "gen-requests", "gamma"])
+def test_huge_count_is_user_error_under_a_memory_cap(tmp_path, capsys, argv, message):
+    if argv[0] == "gen":
+        argv = [*argv, "--out", str(tmp_path / "gen")]
+    elif argv[0] == "verify-app":
+        coloring = tmp_path / "coloring.json"
+        coloring.write_text(json.dumps(_COLORING_ROWS))
+        argv = [*argv, "--coloring", str(coloring)]
+    else:
+        argv = _seeded_command(tmp_path, capsys, argv[0]) + argv[1:]
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-W", "error", "-c", CAPPED_MAIN, *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 1, out.stderr
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+    assert message in out.stderr
+    assert float(out.stdout) < 1.0
 
 
 @pytest.mark.xfail(
