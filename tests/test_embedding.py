@@ -562,7 +562,8 @@ def sandwich_family(kind, seed):
     if kind == "square":
         return from_coords(rng.uniform(size=(14, 2)))
     if kind == "multi-scale-line":
-        return from_coords(rng.uniform(size=(14, 1)) * 10.0 ** rng.uniform(-6, 6, (14, 1)))
+        scale = 10.0 ** rng.uniform(-6, 6, (14, 1))
+        return from_coords(rng.uniform(size=(14, 1)) * scale)
     if kind == "tight-clusters":
         centres = np.repeat([[0.0, 0.0], [1e3, 0.0], [0.0, 1e3], [1e3, 1e3]], 4, axis=0)
         return from_coords(centres + rng.uniform(-1e-3, 1e-3, (16, 2)))
@@ -584,7 +585,8 @@ def test_gadget_check_decides_what_the_pair_scan_decides(kind, monkeypatch):
             for b in space.points:
                 x, y = h.point_leaf[a], h.point_leaf[b]
                 if x != y:
-                    assert t.origin[t.lca(t.point_leaf[a], t.point_leaf[b])] == h.lca(x, y)
+                    lca_t = t.lca(t.point_leaf[a], t.point_leaf[b])
+                    assert t.origin[lca_t] == h.lca(x, y)
         inner = {"mapped": [], "auxiliary": []}
         for g in t.internal_vertices():
             aux = g != t.root and t.origin[g] == t.origin[t.parent[g]]
