@@ -80,10 +80,6 @@ class RegimeMismatch(UserError):
     pass
 
 
-class NotEffective(InvariantViolation):
-    pass
-
-
 class DominationViolation(InvariantViolation):
     pass
 

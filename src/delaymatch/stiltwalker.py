@@ -33,23 +33,20 @@ past t_end with the same timers until no active request remains.
 State upkeep.  An arrival flips parity along one leaf-to-root path and a
 match along the two feet-to-vertex paths below the matched vertex, so only
 the vertices on those paths can change parity and only their parents can
-gain or lose effectiveness.  One loop, the generator `Engine._events`, runs
-every event: arrivals, same-leaf arrivals, timer matches and the flush's
-matches.  One block in it flips those paths, updating the parity list and
-the effective set along them and nowhere else.  The stepwise methods reach
-it by sending it a command each (`run` sends one for the whole run), and it
-hands back the time and the arrival index with each event.  A vertex
-entering the effective set pushes (deadline, vertex) onto a heap; the next
-timer is the smallest entry whose vertex is still effective with that
-deadline, and stale entries are dropped as they reach the top.  A push that
-leaves the heap longer than twice the effective set plus 16 rebuilds it in
-place from that set, so it stays within a constant factor of it at
-amortised O(1) per push.  An event thus costs O(height + log heap).  The
-event trace is the engine's one record: the schedule is read off it, and
-neither it nor the engine keeps state snapshots or potential ledgers.  The
-analysis in `diagnostics` rebuilds the state before every event, and the
-ledgers tau and sigma, from the trace alone, with the parity replay it
-shares with the offline schedule.
+gain or lose effectiveness.  One loop, in `Engine.run`, runs every event:
+arrivals, same-leaf arrivals, timer matches and the flush's matches.  One
+block in it flips those paths, updating the parity list and the effective
+set along them and nowhere else.  A vertex entering the effective set
+pushes (deadline, vertex) onto a heap; the next timer is the smallest entry
+whose vertex is still effective with that deadline, and stale entries are
+dropped as they reach the top.  A push that leaves the heap longer than
+twice the effective set plus 16 rebuilds it in place from that set, so it
+stays within a constant factor of it at amortised O(1) per push.  An event
+thus costs O(height + log heap).  The event trace is the engine's one
+record: the schedule is read off it, and neither it nor the engine keeps
+state snapshots or potential ledgers.  The analysis in `diagnostics`
+rebuilds the state before every event, and the ledgers tau and sigma, from
+the trace alone, with the parity replay it shares with the offline schedule.
 
 Determinism.  Each internal vertex draws from its own named RNG stream keyed
 by (seed, vertex id), so runs are bit-for-bit reproducible and the timers
@@ -77,20 +74,14 @@ import enum
 import json
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from typing import Callable, Generator, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .core import Request, Schedule
 from .embedding import Hsbt
-from .errors import (
-    ConfigInvalid,
-    InvariantViolation,
-    NotEffective,
-    OddRequestSet,
-    UnknownLocation,
-)
+from .errors import ConfigInvalid, InvariantViolation, OddRequestSet, UnknownLocation
 
 __all__ = [
     "TimerMode",
@@ -248,8 +239,8 @@ class EngineRun:
 
 
 class Engine:
-    """Stepwise form of the matching process; `run()` drives it to the end.
-    Both step the one event loop, `_events`."""
+    """The matching process on one tree and request sequence; `run()` runs
+    it, once."""
 
     def __init__(
         self,
@@ -289,33 +280,39 @@ class Engine:
         self.parity = [0] * n_v
         self.active_at: dict[int, int] = {}  # leaf -> request id
         self.effective: set[int] = set()
-        self.now = 0.0
-        self.arrival_index = 0
         self.trace = EngineTrace()
         self.trace.t_end = self.requests[-1].t if self.requests else 0.0
-        self._loop = self._events()
-        next(self._loop)
+        self._ran = False  # the loop keeps its place in `run`'s locals
 
-    def _events(self) -> Generator[tuple, tuple, None]:
-        """The engine's one event loop; see "State upkeep" in the module doc.
+    def run(self, flush: bool = True) -> EngineRun:
+        """Run the matching process to its end, once per engine; see "State
+        upkeep" in the module doc.
 
-        Sent (until, queue, kind): with vertices queued, it matches across
-        each at the current instant, popping the queue from its end, as
-        events of that kind; else it runs arrivals and timer matches until
-        `until` requests have arrived, one event at least.  It then yields
-        (the last event, or None when no event remains; now; arrival index).
+        Arrivals and timer matches run in time order until no event remains,
+        or with `flush` until the last arrival, which wins ties with timers;
+        then every effective vertex is matched across by increasing id.
         """
+        if self._ran:
+            raise InvariantViolation("an engine runs once")
+        self._ran = True
         tree, arrivals, draw = self.tree, self._arrivals, self._draw
         parent, children, root = tree.parent, tree.children, tree.root
         sibling, parity, effective = self._sibling, self.parity, self.effective
         budget, deadline, timers = self.budget, self.deadline, self._timers
         active_at, record = self.active_at, self.trace.events.append
-        del self  # the loop holds the engine's state but not the engine: no cycle
         n, i, now = len(arrivals), 0, 0.0
-        until, queue, kind = yield
+        stop = n if flush else -1  # the arrival count at which the flush starts
+        kind, flushed, queue = "match", [], []  # queue: popped from its end
         while True:
             if queue:
                 v = queue.pop()
+            elif i == stop:
+                if self.trace.flushed:
+                    break
+                self.trace.flushed = True
+                flushed = sorted(effective)
+                kind, queue = "flush", flushed[::-1]
+                continue
             else:
                 while timers:  # drop stale tops: left the set, or re-entered since
                     d, v = timers[0]
@@ -336,14 +333,13 @@ class Engine:
                         event = _new(EngineEvent, (t, "same_leaf", leaf, (partner, rid)))
                 elif d is not None:
                     heappop(timers)
-                    t, kind = d, "match"
+                    t = d
+                elif active_at:
+                    raise InvariantViolation(
+                        "stuck: active requests but no effective vertex"
+                    )
                 else:
-                    if active_at:
-                        raise InvariantViolation(
-                            "stuck: active requests but no effective vertex"
-                        )
-                    until, queue, kind = yield None, now, i
-                    continue
+                    break
                 if t < now:
                     raise InvariantViolation("time went backwards")
                 now = t
@@ -392,61 +388,18 @@ class Engine:
             else:
                 budget[v] = draw(v)
             record(event)
-            if queue or i < until:
-                continue
-            until, queue, kind = yield event, now, i
-
-    def _step(self, until: int, queue: list[int] | tuple = (), kind: str = "match"):
-        event, self.now, self.arrival_index = self._loop.send((until, queue, kind))
-        return event
-
-    def match_across(self, v: int) -> EngineEvent:
-        """Match the two supporting requests of effective vertex v at `now`."""
-        if v not in self.effective:
-            raise NotEffective(f"vertex {v} is not effective at t={self.now}")
-        return self._step(0, [v])
-
-    # -- stepping -----------------------------------------------------------------
-
-    def advance_to_next_event(self) -> EngineEvent | None:
-        """Advance to and process the next event; None when nothing remains.
-
-        The next event is the earlier of the next arrival and the earliest
-        effective-vertex expiry; at equal times the arrival wins, and tied
-        timers fire shallowest-lowest-id first.
-        """
-        return self._step(0)
-
-    def flush_now(self) -> None:
-        """Match across every effective vertex at the current instant.
-
-        Supporting pairs of distinct effective vertices are disjoint and
-        matching across one leaves the others effective, so a single pass by
-        increasing depth clears every remaining active request.
-        """
-        self.trace.flushed = True
-        flushed = sorted(self.effective)
-        if flushed:
-            self._step(0, flushed[::-1], "flush")
-        c_end = 0.0
-        for v in flushed:
-            c_end += self.tree.weight[v]
-        if self.active_at:
-            raise InvariantViolation("flush left active requests behind")
-        n_pts = len(self.tree.leaf_point)
-        ceiling = (n_pts / 2.0) * self.tree.weight[self.tree.root]
-        if c_end > ceiling * (1 + 1e-12):
-            raise InvariantViolation(f"flush space {c_end} exceeds ceiling {ceiling}")
-        self.trace.c_end_space = c_end
-
-    def run(self, flush: bool = True) -> EngineRun:
-        n = len(self._arrivals)
-        if flush and not self.trace.flushed:
-            if self.arrival_index < n:
-                self._step(n)  # up to the last arrival, which wins ties with timers
-            self.flush_now()
-        else:
-            self._step(n + 1)  # until no event remains
+        if flush:
+            c_end = 0.0
+            for v in flushed:
+                c_end += tree.weight[v]
+            if active_at:
+                raise InvariantViolation("flush left active requests behind")
+            ceiling = (len(tree.leaf_point) / 2.0) * tree.weight[root]
+            if c_end > ceiling * (1 + 1e-12):
+                raise InvariantViolation(
+                    f"flush space {c_end} exceeds ceiling {ceiling}"
+                )
+            self.trace.c_end_space = c_end
         # every event but an arrival pairs its two requests at its time
         pairings = tuple(
             (*e.requests, e.t) for e in self.trace.events if e.kind != "arrival"

@@ -5,7 +5,7 @@ builds another way, so the tests can hold the library's result against it:
 
 * `recompute_state`         -- the engine's stilt state, from the active leaves
 * `ReferenceEngine`         -- the engine as a chain of methods, one per step
-                               of an event, against which its one loop runs
+                               of an event: the one stepwise engine
 * `build_doubled`           -- the penalty reduction's doubled instance, with
                                its regime and aspect-ratio checks
 * `clear_fraction`          -- Monte-Carlo share of requests `run_mpmdfp` clears
@@ -47,7 +47,6 @@ from delaymatch.embedding import Hsbt
 from delaymatch.errors import (
     ConfigInvalid,
     InvariantViolation,
-    NotEffective,
     OddRequestSet,
     RegimeMismatch,
     TooLarge,
@@ -116,9 +115,9 @@ def recompute_state(tree: Hsbt, active_leaves: Sequence[int]) -> StiltState:
 
 
 class ReferenceEngine:
-    """The engine as a chain of methods, one per step of an event: the
-    reference that `stiltwalker.Engine`'s one loop must match event for
-    event and, after every event, in its stepwise state."""
+    """The engine as a chain of methods, one per step of an event, and the
+    one engine that can be stepped: the reference that `stiltwalker.Engine`
+    must match in its trace and in its state after a run."""
 
     def __init__(
         self,
@@ -261,7 +260,7 @@ class ReferenceEngine:
     def match_across(self, v: int, kind: str = "match") -> EngineEvent:
         """Match the two supporting requests of effective vertex v at `now`."""
         if v not in self.effective:
-            raise NotEffective(f"vertex {v} is not effective at t={self.now}")
+            raise InvariantViolation(f"vertex {v} is not effective at t={self.now}")
         f1, f2 = self._supporting(v)
         r1 = self.active_at.pop(f1)
         r2 = self.active_at.pop(f2)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from delaymatch.core import Request, make_requests
+from delaymatch.diagnostics import _replay_trace
 from delaymatch.embedding import Hsbt, build_hsbt, sample_hsbt, tree_metric
 from delaymatch import experiment, penalty, stiltwalker
 from delaymatch.errors import ConfigInvalid
@@ -244,6 +245,17 @@ class FlushBudgetReport:
     ok: bool
 
 
+def _effective_after_last_arrival(tree: Hsbt, trace) -> list[int]:
+    """The effective set at t_end, read off the trace replay: arrivals win
+    ties with timers, so it is the set just after the last arrival."""
+    kinds = [e.kind for e in trace.events]
+    last = max(k for k, kind in enumerate(kinds) if kind in ("arrival", "same_leaf"))
+    for k, (_, _, _, odd_kids) in enumerate(_replay_trace(tree, trace)):
+        if k > last:  # the state before event k is the state after event k - 1
+            break
+    return sorted(v for v, c in odd_kids.items() if c == 2)
+
+
 def check_flush_budget(
     tree: Hsbt,
     requests: tuple[Request, ...],
@@ -256,12 +268,8 @@ def check_flush_budget(
     budgets = np.empty(trials)
     seeds = [trial_seed(master_seed, i) for i in range(trials)]
     for i, words in enumerate(stream_words(seeds, range(len(tree)))):
-        engine = Engine(tree, requests, TimerMode.EXPONENTIAL, words)
-        # arrivals win ties with timers, so this stops just after the last one
-        while engine.arrival_index < len(engine.requests):
-            engine.advance_to_next_event()
-        effective = sorted(engine.effective)
-        run = engine.run(flush=False)
+        run = Engine(tree, requests, TimerMode.EXPONENTIAL, words).run(flush=False)
+        effective = _effective_after_last_arrival(tree, run.trace)
         t_end = run.trace.t_end
         extras[i] = sum(
             2.0 * (t - t_end) for _, _, t in run.schedule.pairings if t > t_end

@@ -11,7 +11,7 @@ from delaymatch.diagnostics import _online_ledgers, _replay_trace
 from delaymatch.embedding import build_hsbt, sample_hsbt, tree_metric
 from delaymatch.errors import (
     ConfigInvalid,
-    NotEffective,
+    InvariantViolation,
     OddRequestSet,
     UnknownLocation,
 )
@@ -213,16 +213,18 @@ def _replay_check(tree, reqs, result):
 
 
 def _step_check(tree, reqs, mode, seed, flush):
-    """Step an engine event by event, checking its live state after each."""
-    engine = Engine(tree, reqs, mode, next(stream_words([seed], range(len(tree)))))
-    while not (flush and engine.arrival_index == len(engine.requests)):
-        if engine.advance_to_next_event() is None:
+    """Step the reference engine event by event, checking its live state
+    after each."""
+    words = next(stream_words([seed], range(len(tree))))
+    ref = ReferenceEngine(tree, reqs, mode, words)
+    while not (flush and ref.arrival_index == len(ref.requests)):
+        if ref.advance_to_next_event() is None:
             break
-        _assert_state(tree, engine.active_at, _odd(engine.parity), engine.effective)
+        _assert_state(tree, ref.active_at, _odd(ref.parity), ref.effective)
     if flush:
-        engine.flush_now()
-        _assert_state(tree, engine.active_at, _odd(engine.parity), engine.effective)
-    return engine
+        ref.flush_now()
+        _assert_state(tree, ref.active_at, _odd(ref.parity), ref.effective)
+    return ref
 
 
 @pytest.mark.parametrize("flush", [True, False])
@@ -254,11 +256,11 @@ def test_live_state_matches_recompute_after_every_event(
     rng = np.random.default_rng(instance_seed)
     space, reqs = gen_random(kind, n_points, 2 * pairs, horizon, rng)
     tree = sample_hsbt(space, rng)
-    engine = _step_check(tree, reqs, mode, seed, flush)
+    ref = _step_check(tree, reqs, mode, seed, flush)
     result = run(tree, reqs, mode=mode, seed=seed, flush=flush)
-    assert engine.trace.events == result.trace.events
+    assert repr(result.trace) == repr(ref.trace)
     # the schedule lists every non-arrival event's pair at the event's time
-    pairs = [(*e.requests, e.t) for e in engine.trace.events if e.kind != "arrival"]
+    pairs = [(*e.requests, e.t) for e in ref.trace.events if e.kind != "arrival"]
     assert pairs == list(result.schedule.pairings)
     _replay_check(tree, reqs, result)
 
@@ -275,9 +277,10 @@ def test_words_table_defaults_to_seed_vertex_pairs():
     root, w = tree.root, tree.weight[tree.root]
     want = np.random.default_rng(np.random.SeedSequence((17, root))).exponential(w)
     engine = Engine(tree, reqs, words=table)
-    while root not in engine.effective:  # its first budget is drawn then
-        assert engine.advance_to_next_event() is not None
-    assert engine.budget[root] == want
+    engine.run()
+    # the root became effective, and drew its first budget then
+    assert any(root in before for _, before, _ in _effective_sets(tree, engine.trace))
+    assert engine._streams[root][0][0] == want
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -300,17 +303,17 @@ def test_first_budgets_are_drawn_when_first_effective(seed):
         (Engine(tree, reqs, words=rows), key),
     ):
         assert engine._streams == {} and set(engine.budget) == {None}
-        first = {}  # vertex -> budget right after the event that made it effective
-        while engine.advance_to_next_event() is not None:
-            for v in engine.effective:
-                first.setdefault(v, engine.budget[v])
-        assert set(engine._streams) == set(first)
-        never = set(tree.internal_vertices()) - set(first)
+        engine.run(flush=False)
+        ever = set()  # the vertices that were effective at some instant
+        for _, before, after in _effective_sets(tree, engine.trace):
+            ever |= after
+        assert set(engine._streams) == ever
+        never = set(tree.internal_vertices()) - ever
         assert never, "every vertex became effective; the instance tests nothing"
         assert all(engine.budget[v] is None for v in never)
-        for v, budget in first.items():
+        for v in ever:  # a stream's first value is the budget drawn on entry
             stream = np.random.default_rng(np.random.SeedSequence(key_of(v)))
-            assert budget == stream.exponential(tree.weight[v])
+            assert engine._streams[v][0][0] == stream.exponential(tree.weight[v])
     det = Engine(tree, reqs, mode=TimerMode.DETERMINISTIC)
     det.run(flush=True)
     assert det._streams == {}
@@ -400,13 +403,32 @@ def test_engine_checks_its_seed_word_table():
     assert longer == Engine(tree, reqs, words=table[: len(tree)]).run().trace
 
 
-def test_match_across_requires_effective_vertex():
+def test_an_engine_runs_once():
     tree = two_leaf_tree()
     space = tree_metric(tree)
     reqs = make_requests(space, [("a", 0.0), ("b", 1.0)])
-    engine = Engine(tree, reqs, TimerMode.DETERMINISTIC)
-    with pytest.raises(NotEffective):
-        engine.match_across(0)
+    for flush in (True, False):
+        engine = Engine(tree, reqs, TimerMode.DETERMINISTIC)
+        events = list(engine.run(flush=flush).trace.events)
+        for again in (True, False):
+            with pytest.raises(InvariantViolation, match="an engine runs once"):
+                engine.run(flush=again)
+        assert engine.trace.events == events
+
+
+def test_timer_tied_with_the_last_arrival_waits_for_the_flush():
+    # vertex 1 is due at 2.5, the instant d arrives: the arrival goes first
+    # and the flush then matches across both depth-1 vertices, 1 before 2
+    tree = four_leaf_tree()
+    space = tree_metric(tree)
+    reqs = make_requests(space, [("a", 0.0), ("b", 0.5), ("c", 1.0), ("d", 2.5)])
+    result = run(tree, reqs, mode=TimerMode.DETERMINISTIC, flush=True)
+    got = [(e.t, e.kind, e.vertex) for e in result.trace.events[4:]]
+    assert got == [(2.5, "flush", 1), (2.5, "flush", 2)]
+    assert result.trace.c_end_space == 4.0
+    # without the flush the tied timer fires right after the arrival
+    result = run(tree, reqs, mode=TimerMode.DETERMINISTIC, flush=False)
+    assert (result.trace.events[4].t, result.trace.events[4].kind) == (2.5, "match")
 
 
 def test_trace_jsonl_dump(tmp_path):
@@ -418,6 +440,59 @@ def test_trace_jsonl_dump(tmp_path):
     result.trace.to_jsonl(str(path))
     lines = path.read_text().strip().splitlines()
     assert len(lines) == len(result.trace.events)
+
+
+def _effective_sets(tree, trace):
+    """(event, effective set before it, effective set after it) for every
+    event of a run, from the trace replay alone."""
+
+    def effective(odd_kids):
+        return {v for v, c in odd_kids.items() if c == 2}
+
+    last = None
+    for _, ev, _, odd_kids in _replay_trace(tree, trace):
+        now = effective(odd_kids)
+        if last is not None:
+            yield last[0], last[1], now
+        last = ev, now
+    if last is not None:  # the replay has applied the last event by now
+        yield last[0], last[1], effective(odd_kids)
+
+
+def _timers_before_each_event(tree, trace, budgets):
+    """(event, {effective vertex: deadline}, paused) just before every event
+    of a run, then (None, ...) after the last, with each timer kept as the
+    module doc says: a vertex entering the effective set at t with budget b
+    is due at t + b, one leaving it at t keeps what is left, and a match
+    across a vertex draws its next budget.  `budgets(v)` returns vertex v's
+    next budget; `paused` holds the effective vertices that have left the
+    set since their last draw."""
+    due: dict[int, float] = {}
+    rest: dict[int, float] = {}  # vertex out of the effective set -> its budget
+    paused: set[int] = set()
+    for ev, before, after in _effective_sets(tree, trace):
+        yield ev, dict(due), set(paused)
+        left = before - after
+        if ev.kind in ("match", "flush"):
+            left.remove(ev.vertex)
+            due.pop(ev.vertex)
+            paused.discard(ev.vertex)
+            rest[ev.vertex] = budgets(ev.vertex)
+        for v in left:
+            rest[v] = due.pop(v) - ev.t
+            paused.add(v)
+        for v in after - before:
+            due[v] = ev.t + (rest.pop(v) if v in rest else budgets(v))
+    yield None, due, paused
+
+
+def _stream_budgets(engine):
+    """`budgets` for `_timers_before_each_event`: the values engine's streams
+    drew, in order."""
+    if engine.mode is TimerMode.DETERMINISTIC:
+        return engine.tree.weight.__getitem__
+    drawn = {v: iter(values[:used]) for v, (values, used) in engine._streams.items()}
+    return lambda v: next(drawn[v])
 
 
 def _matches_outside(events, subtree):
@@ -460,10 +535,10 @@ def test_next_timer_is_the_earliest_effective_deadline(seed, mode):
     space, reqs = gen_random("square", 24, 96, 2.0, rng)
     tree = sample_hsbt(space, rng)
     engine = Engine(tree, reqs, mode, next(stream_words([seed], range(len(tree)))))
+    trace = engine.run(flush=False).trace
     steps = timers = 0
-    while True:
-        live = [(engine.deadline[v], v) for v in engine.effective]
-        ev = engine.advance_to_next_event()
+    for ev, due, _ in _timers_before_each_event(tree, trace, _stream_budgets(engine)):
+        live = [(d, v) for v, d in due.items()]
         if ev is None:
             assert not live
             break
@@ -473,21 +548,33 @@ def test_next_timer_is_the_earliest_effective_deadline(seed, mode):
         elif live:  # an arrival goes first, and wins a tie
             assert ev.t <= min(live)[0]
         steps += 1
-    assert steps > len(reqs) and timers
+    assert steps == len(trace.events) > len(reqs) and timers
 
 
-def test_timer_heap_stays_within_twice_the_effective_set():
+def test_timer_heap_stays_within_twice_the_effective_set(monkeypatch):
     # without the flush, vertices leave the effective set long before their
     # deadlines; their stale entries are dropped when the heap outgrows the set
     rng = np.random.default_rng(7)
     space, reqs = gen_random("line", 64, 4096, 1.0, rng)
     tree = sample_hsbt(space, rng)
     engine = Engine(tree, reqs, words=next(stream_words([0], range(len(tree)))))
-    peak_heap = peak_effective = 0
-    while engine.advance_to_next_event() is not None:
-        peak_heap = max(peak_heap, len(engine._timers))
-        peak_effective = max(peak_effective, len(engine.effective))
-    assert not engine.active_at
+    heaps, effective, rebuilds = [], [], []  # heap sizes as each push finds them
+
+    def heappush(heap, item):
+        heaps.append(len(heap))
+        effective.append(len(engine.effective))  # the push follows an entry
+        heapq.heappush(heap, item)
+
+    def heapify(heap):
+        rebuilds.append(len(heap))
+        heapq.heapify(heap)
+
+    monkeypatch.setattr(stiltwalker, "heappush", heappush)
+    monkeypatch.setattr(stiltwalker, "heapify", heapify)
+    engine.run(flush=False)
+    assert not engine.active_at and rebuilds
+    peak_heap = max(heaps + rebuilds + [len(engine._timers)])
+    peak_effective = max(effective)
     assert peak_heap <= 2 * peak_effective + 16, (peak_heap, peak_effective)
 
 
@@ -498,73 +585,40 @@ def test_reentered_vertex_fires_at_its_frozen_remainder():
     space, reqs = gen_random("square", 16, 160, 4.0, rng)
     tree = sample_hsbt(space, rng)
     engine = Engine(tree, reqs, TimerMode.DETERMINISTIC)
-    due: dict[int, float] = {}  # effective vertex -> when it must fire
-    rest: dict[int, float] = {}  # vertex out of the effective set -> its budget
-    paused: set[int] = set()  # left the effective set since its last draw
+    trace = engine.run(flush=False).trace
     resumed_fires = 0
-    while True:
-        before = set(engine.effective)
-        ev = engine.advance_to_next_event()
+    budgets = tree.weight.__getitem__  # deterministic: every budget is w(v)
+    for ev, due, paused in _timers_before_each_event(tree, trace, budgets):
         if ev is None:
-            break
-        left = before - engine.effective
-        if ev.kind == "match":
-            assert ev.t == due.pop(ev.vertex)
+            assert not due
+        elif ev.kind == "match":
+            assert ev.t == due[ev.vertex]
             resumed_fires += ev.vertex in paused
-            paused.discard(ev.vertex)
-            rest[ev.vertex] = tree.weight[ev.vertex]  # drawn afresh
-            left.remove(ev.vertex)
-        for v in left:
-            rest[v] = due.pop(v) - ev.t
-            paused.add(v)
-        for v in engine.effective - before:
-            due[v] = ev.t + rest.get(v, tree.weight[v])
-    assert not engine.active_at and not due
+    assert not engine.active_at
     assert resumed_fires > 0
 
 
 def _assert_same_state(engine, ref):
-    """Everything the stepwise API exposes, after the same step of both."""
+    """The state a run leaves behind."""
     assert engine.parity == ref.parity
     assert engine.effective == ref.effective
     assert engine.budget == ref.budget
     assert engine.deadline == ref.deadline
     assert engine._timers == ref._timers
     assert engine.active_at == ref.active_at
-    assert engine.arrival_index == ref.arrival_index
-    assert engine.now == ref.now
     assert engine._streams == ref._streams
 
 
-def _assert_engine_matches_reference(tree, reqs, mode, words, flush, outside=0):
-    """Step the engine and the method-chain reference side by side, then run
-    both afresh: the same events and stepwise state, bit for bit.  Every
-    `outside`-th step (0: none) matches across an effective vertex from
-    outside, as a test can."""
+def _assert_engine_matches_reference(tree, reqs, mode, words, flush):
+    """Run the engine and the method-chain reference on the same input: the
+    same trace and schedule, bit for bit, and the same state after."""
     engine = Engine(tree, reqs, mode, words)
     ref = ReferenceEngine(tree, reqs, mode, words)
     _assert_same_state(engine, ref)
-    step = 0
-    while not (flush and ref.arrival_index == len(ref.requests)):
-        step += 1
-        if outside and step % outside == 0 and ref.effective:
-            v = max(ref.effective)
-            ev, want = engine.match_across(v), ref.match_across(v)
-        else:
-            ev, want = engine.advance_to_next_event(), ref.advance_to_next_event()
-        assert repr(ev) == repr(want)
-        _assert_same_state(engine, ref)
-        if ev is None:
-            break
-    if flush:
-        engine.flush_now()
-        ref.flush_now()
-        _assert_same_state(engine, ref)
-    assert engine.trace == ref.trace and repr(engine.trace) == repr(ref.trace)
-    got = Engine(tree, reqs, mode, words).run(flush=flush)
-    want = ReferenceEngine(tree, reqs, mode, words).run(flush=flush)
+    got, want = engine.run(flush=flush), ref.run(flush=flush)
     assert repr(got.trace) == repr(want.trace)
     assert got.schedule == want.schedule
+    _assert_same_state(engine, ref)
     return got.trace
 
 
@@ -578,10 +632,9 @@ def _assert_engine_matches_reference(tree, reqs, mode, words, flush, outside=0):
     seed=st.integers(0, 2**64 - 1),
     mode=st.sampled_from(list(TimerMode)),
     flush=st.booleans(),
-    outside=st.sampled_from([0, 0, 3, 7]),
 )
 def test_engine_matches_the_method_chain_reference(
-    kind, n_points, pairs, horizon, instance_seed, seed, mode, flush, outside
+    kind, n_points, pairs, horizon, instance_seed, seed, mode, flush
 ):
     if kind == "uniform":
         # above 16 points a uniform metric cannot be embedded yet: the
@@ -591,7 +644,7 @@ def test_engine_matches_the_method_chain_reference(
     space, reqs = gen_random(kind, n_points, 2 * pairs, horizon, rng)
     tree = sample_hsbt(space, rng)
     words = next(stream_words([seed], range(len(tree))))
-    _assert_engine_matches_reference(tree, reqs, mode, words, flush, outside)
+    _assert_engine_matches_reference(tree, reqs, mode, words, flush)
 
 
 @pytest.mark.parametrize("mode", list(TimerMode))
