@@ -28,12 +28,14 @@ as a user error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
 import sys
 import time
 from dataclasses import asdict
+from typing import Iterable
 
 import numpy as np
 
@@ -112,20 +114,45 @@ def load_bundle(path: str):
     return space, requests
 
 
-def _write_atomic(path: str, text: str) -> None:
+def _write_atomic(path: str, chunks: Iterable[str]) -> None:
+    """The one writer of command outputs: the chunks go to `path.tmp`, which
+    then replaces `path`.  A failed write removes the temporary file, and a
+    path that cannot be written is a user error."""
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise UserError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise
 
 
 def save_bundle(space: MetricSpace, requests, path: str) -> None:
-    obj = {"points": list(space.points), "dist": space.dist.tolist()}
-    if requests is not None:
-        obj["requests"] = [
-            {"point": r.point, "t": r.t} for r in sorted(requests, key=lambda r: r.id)
-        ]
-    _write_atomic(path, json.dumps(obj) + "\n")
+    """Write `json.dumps` of the bundle object, encoding the matrix a block
+    of rows at a time so that it is never held as Python floats whole."""
+
+    def chunks():
+        yield '{"points": ' + json.dumps(list(space.points)) + ', "dist": ['
+        rows = max(1, 2**16 // space.n)
+        for at in range(0, space.n, rows):
+            block = json.dumps(space.dist[at : at + rows].tolist())
+            yield (", " if at else "") + block[1:-1]
+        yield "]"
+        if requests is not None:
+            ordered = sorted(requests, key=lambda r: r.id)
+            rows = [{"point": r.point, "t": r.t} for r in ordered]
+            yield ', "requests": ' + json.dumps(rows)
+        yield "}\n"
+
+    _write_atomic(path, chunks())
+
+
+def _write_json(path: str, obj) -> None:
+    _write_atomic(path, (json.dumps(obj, indent=1), "\n"))
 
 
 def _out_dir(args) -> str | None:
@@ -168,8 +195,9 @@ def _cmd_embed(args) -> int:
     print(f"max_stretch {float(stretches.max())!r}")
     print(f"mean_stretch {float(np.mean(stretches))!r}")
     if out:
-        tree.to_json(os.path.join(out, "tree.json"))
-        print(f"wrote {os.path.join(out, 'tree.json')}")
+        path = os.path.join(out, "tree.json")
+        _write_json(path, tree.to_dict())
+        print(f"wrote {path}")
     return 0
 
 
@@ -198,15 +226,12 @@ def _cmd_run(args) -> int:
     report = run_experiment(config)
     sys.stdout.write(report.to_text())
     if out:
-        _write_atomic(
-            os.path.join(out, "report.json"),
-            json.dumps(report.to_dict(), indent=1) + "\n",
-        )
+        _write_json(os.path.join(out, "report.json"), report.to_dict())
         import io
 
         buf = io.StringIO()
         report.to_csv(buf)
-        _write_atomic(os.path.join(out, "trials.csv"), buf.getvalue())
+        _write_atomic(os.path.join(out, "trials.csv"), (buf.getvalue(),))
     print(f"runtime {time.perf_counter() - t0:.3f}s", file=sys.stderr)
     return 0
 
@@ -269,7 +294,7 @@ def _cmd_gen(args) -> int:
         cfg = GammaConfig(n=args.n, epsilon=args.epsilon, max_depth=args.max_depth)
         inst = gen_adversarial_gamma(cfg)
         save_bundle(inst.space, inst.requests, os.path.join(out, "instance.json"))
-        inst.tree.to_json(os.path.join(out, "tree.json"))
+        _write_json(os.path.join(out, "tree.json"), inst.tree.to_dict())
         meta = {
             "n": inst.n,
             "epsilon": inst.epsilon,
@@ -280,9 +305,7 @@ def _cmd_gen(args) -> int:
                 for a in inst.applications
             ],
         }
-        _write_atomic(
-            os.path.join(out, "gamma.json"), json.dumps(meta, indent=1) + "\n"
-        )
+        _write_json(os.path.join(out, "gamma.json"), meta)
     print(f"wrote {out}")
     return 0
 

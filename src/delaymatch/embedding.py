@@ -254,16 +254,15 @@ class Hsbt(_Tree):
             if v > 1 and p < self.parent[v - 1]:
                 raise InvariantViolation(f"vertex {v}: ids are not breadth-first")
 
-    def to_json(self, path: str) -> None:
+    def to_dict(self) -> dict:
+        """The object of a tree file, which `from_json` reads."""
         rows = []
         for v in range(len(self.parent)):
             row = {"id": v, "parent": self.parent[v], "weight": self.weight[v]}
             if v in self.leaf_point:
                 row["point"] = self.leaf_point[v]
             rows.append(row)
-        with open(path, "w") as fh:
-            json.dump({"alpha": self.alpha, "vertices": rows}, fh, indent=1)
-            fh.write("\n")
+        return {"alpha": self.alpha, "vertices": rows}
 
     @classmethod
     def from_json(cls, path: str) -> "Hsbt":

@@ -726,6 +726,80 @@ def test_out_naming_an_existing_file_is_user_error(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, name", [
+    ("run", "report.json"),
+    ("run", "trials.csv"),
+    ("embed", "tree.json"),
+    ("gen random", "instance.json"),
+    ("gen gamma", "instance.json"),
+    ("gen gamma", "tree.json"),
+    ("gen gamma", "gamma.json"),
+])
+def test_output_that_cannot_be_written_is_user_error(tmp_path, capsys, command, name):
+    if command == "gen gamma":
+        argv = ["gen", "gamma", "--n", "8"]
+    else:
+        argv = _seeded_command(tmp_path, capsys, command)
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)  # the output file's path is taken
+    code, _, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 1
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        f"error: cannot write {out / name}: Is a directory"
+    ]
+    assert "Traceback" not in err
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def _bundle_bytes(space, requests):
+    """What `save_bundle` must write: one `json.dumps` of the whole bundle."""
+    obj = {"points": list(space.points), "dist": space.dist.tolist()}
+    if requests is not None:
+        obj["requests"] = [
+            {"point": r.point, "t": r.t} for r in sorted(requests, key=lambda r: r.id)
+        ]
+    return (json.dumps(obj) + "\n").encode()
+
+
+@pytest.mark.parametrize("n", [2, 64, 300])  # 300 points: two blocks of rows
+def test_save_bundle_writes_one_json_dumps(tmp_path, n):
+    from delaymatch.instances import gen_random
+
+    space, reqs = gen_random("square", n, 6, 1.0, np.random.default_rng(n))
+    for requests in (reqs, None):
+        path = tmp_path / "instance.json"
+        save_bundle(space, requests, str(path))
+        assert path.read_bytes() == _bundle_bytes(space, requests)
+
+
+SAVE_1000 = """
+import os, resource, sys
+import numpy as np
+from delaymatch.cli import save_bundle
+from delaymatch.metric import MetricSpace
+
+x = np.sort(np.random.default_rng(0).uniform(0.0, 1.0, 1000))
+space = MetricSpace([f"p{i}" for i in range(1000)], np.abs(x[:, None] - x[None, :]))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+save_bundle(space, None, os.path.join(sys.argv[1], "instance.json"))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+def test_save_bundle_holds_the_metric_once(tmp_path):
+    # the metric is one 7.6 MB matrix; as Python floats it is 32 MB, and its
+    # JSON text about 19 MB
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", SAVE_1000, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    growth_kb = int(out.stdout.strip())  # ru_maxrss is in KB on Linux
+    assert growth_kb < 16 * 1024
+
+
 # main() under a 1.5 GB address-space cap; prints its own wall time
 CAPPED_MAIN = """
 import resource, sys, time

@@ -761,8 +761,8 @@ def test_depth_first_tree_file_loads_breadth_first(tmp_path):
     assert t.weight == [4.0, 2.0, 2.0, 0.0, 0.0, 0.0, 0.0]
     assert all(type(w) is float for w in t.weight)
     assert t.leaf_point == {3: "a", 4: "b", 5: "c", 6: "d"}
-    # files written by to_json load unchanged
-    t.to_json(str(path))
+    # the object to_dict gives loads unchanged
+    path.write_text(json.dumps(t.to_dict()))
     assert Hsbt.from_json(str(path)).parent == BREADTH_FIRST
 
 
@@ -800,9 +800,9 @@ def test_trees_at_the_float_range_bounds_stay_finite(near, far):
 def test_hsbt_json_round_trip(tmp_path):
     space = grid_space(2)
     t = sample_hsbt(space, np.random.default_rng(5))
-    path = str(tmp_path / "tree.json")
-    t.to_json(path)
-    back = Hsbt.from_json(path)
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(t.to_dict(), indent=1) + "\n")
+    back = Hsbt.from_json(str(path))
     assert back.parent == t.parent
     assert back.weight == t.weight
     assert back.leaf_point == t.leaf_point
