@@ -49,7 +49,7 @@ from .experiment import (
     ExperimentConfig,
     batch_summary,
     run_experiment,
-    trial_rng,
+    trial_keys,
 )
 from .instances import (
     GammaConfig,
@@ -259,9 +259,9 @@ def _cmd_verify_identities(args) -> int:
             "time_bound_margin": min, "space_bound_margin": min}
     worst: dict[str, float] = {}
     for trial in range(args.trials):
-        rng = trial_rng(args.seed, trial)
+        rng, seed = trial_keys(args.seed, trial)  # the trial `run` reports
         tree = sample_hsbt(space, rng)
-        out = run(tree, requests, TimerMode(args.mode), int(rng.integers(2**62)))
+        out = run(tree, requests, TimerMode(args.mode), seed)
         space_t = tree_metric(tree)
         online_cost = total_cost(space_t, requests, out.schedule)
         offline = optimal_mpmd(space_t, requests)

@@ -6,9 +6,11 @@ online run `trials` times.  Each trial draws a fresh embedded tree by default
 a fixed tree can be supplied instead to isolate timer randomness.
 
 Reproducibility contract: every random draw of trial i descends from the
-seed key (master_seed, i), which seeds the tree generator (`trial_rng`) and
-whose first state word is a plain trial's engine seed (`trial_seed`), so two
-batches with equal configuration produce identical records byte for byte.
+seed key (master_seed, i).  Its generator draws the trial's engine seed
+first and the tree after it (`trial_keys`), for every kind of batch and for
+`verify-identities`, so two batches with equal configuration produce
+identical records byte for byte, and `verify-identities` checks the very
+trees and timers that `run` reports.
 Wall-clock time never enters a report; callers that want timing print it to
 stderr themselves.
 
@@ -47,8 +49,8 @@ from .offline import (
 from .penalty import PenaltyReduction
 from .stiltwalker import Engine, TimerMode, stream_words
 
-# trials per batch: each trial's seed key and generator are built up front,
-# about 1 KB apiece
+# trials per batch: each trial's generator and engine seed are built up
+# front, about 1 KB apiece
 MAX_TRIALS = 100_000
 
 __all__ = [
@@ -57,32 +59,22 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentReport",
     "batch_summary",
-    "trial_seed",
-    "trial_rng",
+    "trial_keys",
     "offline_baseline",
     "run_experiment",
 ]
 
 
-def trial_seed(master_seed: int, trial: int) -> int:
-    """A plain trial's engine seed: the first 64-bit state word of the key
-    (master seed, trial), shifted right by one."""
-    ss = np.random.SeedSequence((master_seed, trial))
-    return int(ss.generate_state(1, np.uint64)[0] >> 1)
-
-
-def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
-    """Per-trial generator of the tree, keyed (master seed, trial) as
-    `trial_seed` is, which for trials below 2^32 is the same sequence as the
-    key (master seed, trial, 0) of earlier releases (numpy zero-pads keys);
-    with a penalty it first gives the trial's engine seed."""
-    return np.random.default_rng(np.random.SeedSequence((master_seed, trial)))
+def trial_keys(master_seed: int, trial: int) -> tuple[np.random.Generator, int]:
+    """A trial's generator, keyed (master seed, trial), and its engine seed,
+    the generator's first draw; the trial's tree is drawn after it."""
+    rng = np.random.default_rng(np.random.SeedSequence((master_seed, trial)))
+    return rng, int(rng.integers(2**62))
 
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One trial's costs.  `seed` is `trial_seed(master, trial)`, or the
-    `trial_rng(master, trial).integers(2**62)` a penalty trial's engine ran on."""
+    """One trial's costs.  `seed` is the engine seed of `trial_keys(master, trial)`."""
 
     trial: int
     seed: int
@@ -252,22 +244,18 @@ class ExperimentReport:
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run the batch; deterministic given the configuration."""
     cfg = config.validated()
-    seeds = [trial_seed(cfg.master_seed, trial) for trial in range(cfg.trials)]
-    rngs = [trial_rng(cfg.master_seed, trial) for trial in range(cfg.trials)]
-    space, requests, engine_seeds, fp = cfg.space, cfg.requests, seeds, None
+    rngs, seeds = zip(*(trial_keys(cfg.master_seed, t) for t in range(cfg.trials)))
+    space, requests, fp = cfg.space, cfg.requests, None
     if cfg.penalty is not None:
         fp = PenaltyReduction(cfg.space, cfg.requests, cfg.penalty)
         if fp.fixed is not None:  # the regime draws nothing: one run for all
             return _report(cfg, seeds, [(fp.fixed.cost, None)] * cfg.trials)
         space, requests = fp.metric_hat, fp.requests_hat
-        # each trial's engine seed comes off its generator before its tree,
-        # in every mode, as in `run_mpmdfp`
-        engine_seeds = [int(rng.integers(2**62)) for rng in rngs]
     # every tree of the batch is a full binary tree over the same points;
     # deterministic timers never draw, so their engines get no words
     words = itertools.repeat(None)
     if cfg.mode is TimerMode.EXPONENTIAL:
-        words = stream_words(engine_seeds, range(2 * space.n - 1))
+        words = stream_words(seeds, range(2 * space.n - 1))
     runs = []
     for rng, table in zip(rngs, words):
         if fp is not None:
@@ -276,16 +264,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             tree = cfg.fixed_tree
         else:
             tree = sample_hsbt(space, rng)
-        run = Engine(tree, requests, cfg.mode, table).run(flush=cfg.flush)
+        run = Engine(tree, requests, table).run(flush=cfg.flush)
         if fp is not None:
             runs.append((fp.project(run.schedule, tree).cost, None))
         else:
             c_end = run.trace.c_end_space if run.trace.flushed else None
             runs.append((total_cost(space, requests, run.schedule), c_end))
-    return _report(cfg, engine_seeds, runs)
+    return _report(cfg, seeds, runs)
 
 
-def _report(cfg: ExperimentConfig, seeds: list[int], runs: list) -> ExperimentReport:
+def _report(cfg: ExperimentConfig, seeds: Sequence[int], runs: list) -> ExperimentReport:
     """Solve the offline reference once and build the records from the
     trials' (cost, c_end) runs."""
     opt = offline_baseline(cfg.space, cfg.requests, cfg.penalty)

@@ -279,5 +279,5 @@ def run_mpmdfp(
     if mode is TimerMode.EXPONENTIAL:
         words = next(stream_words([seed], range(2 * reduction.metric_hat.n - 1)))
     tree, words = reduction.sample(rng, words)
-    hat_run = Engine(tree, reduction.requests_hat, mode, words).run(flush=flush)
+    hat_run = Engine(tree, reduction.requests_hat, words).run(flush=flush)
     return reduction.project(hat_run.schedule, tree)

@@ -58,8 +58,9 @@ streams by the rows they pass.  Stream v then yields what
 yields, call after call.  It is opened when v first becomes effective, by
 seeding a PCG64 from its row and drawing a block of values, and its first
 value is the first budget; a stream that uses its block up redraws a prefix
-twice as long.  Leaves, vertices that never become effective and
-deterministic engines open none, and deterministic engines take no table.
+twice as long.  Leaves, vertices that never become effective and engines
+without a table open none: an engine's timers are exponential exactly when
+it has a table.
 Streams are independent and each yields its values in the same order
 whenever they are drawn, so drawing first budgets at engine start would
 move no bit.
@@ -71,7 +72,6 @@ timers by (depth, vertex id); vertex ids are depth-sorted, so the heap's
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -221,16 +221,6 @@ class EngineTrace:
     c_end_space: float = 0.0       # connection cost paid by the final flush
     flushed: bool = False
 
-    def to_jsonl(self, path: str) -> None:
-        with open(path, "w") as fh:
-            for e in self.events:
-                row: dict = {"t": e.t, "kind": e.kind}
-                if e.vertex is not None:
-                    row["vertex"] = e.vertex
-                if e.requests:
-                    row["requests"] = list(e.requests)
-                fh.write(json.dumps(row) + "\n")
-
 
 @dataclass
 class EngineRun:
@@ -240,17 +230,13 @@ class EngineRun:
 
 class Engine:
     """The matching process on one tree and request sequence; `run()` runs
-    it, once."""
+    it, once.  The timer mode is the word table: with `words`, row v seeding
+    vertex v's stream, budgets are exponential; without, each is w(v)."""
 
     def __init__(
-        self,
-        tree: Hsbt,
-        requests: Sequence[Request],
-        mode: TimerMode = TimerMode.EXPONENTIAL,
-        words: np.ndarray | None = None,
+        self, tree: Hsbt, requests: Sequence[Request], words: np.ndarray | None = None
     ):
         self.tree = tree
-        self.mode = mode
         self.requests = sorted(requests, key=lambda r: (r.t, r.id))
         if len(self.requests) % 2 != 0:
             raise OddRequestSet("engine needs an even number of requests")
@@ -262,10 +248,8 @@ class Engine:
         # vertex -> [values of its stream drawn so far, how many are used]
         self._streams: dict[int, list] = {}
         n_v = len(tree)
-        if mode is TimerMode.DETERMINISTIC:
+        if words is None:  # deterministic timers: every budget is w(v)
             self._draw = tree.weight.__getitem__
-        elif words is None:
-            raise ConfigInvalid("exponential timers need a seed-word table")
         elif np.ndim(words) != 2 or len(words) < n_v or np.shape(words)[1] != 4:
             shape = np.shape(words)
             raise ConfigInvalid(f"seed-word table {shape} needs {n_v} rows of 4 words")
@@ -420,4 +404,4 @@ def run(
     """
     exponential = mode is TimerMode.EXPONENTIAL
     words = next(stream_words([seed], range(len(tree)))) if exponential else None
-    return Engine(tree, requests, mode, words).run(flush=flush)
+    return Engine(tree, requests, words).run(flush=flush)

@@ -44,13 +44,14 @@ def _tree_rows(tree):
 
 
 def _case(name, tree, requests, mode, flush, seed=None, keys=None):
-    """`seed` runs the streams keyed (seed, v), `keys` aliased ones: key v
-    is (seed, u) for one seed, and vertex v reads the words of key u."""
+    """`seed` runs the streams keyed (seed, v), `keys` aliased exponential
+    ones: key v is (seed, u) for one seed, and vertex v reads the words of
+    key u."""
     if keys is None:
         out = run(tree, requests, mode, seed, flush)
     else:
         words = next(stream_words([keys[0][0]], [u for _, u in keys]))
-        out = Engine(tree, requests, mode, words).run(flush=flush)
+        out = Engine(tree, requests, words).run(flush=flush)
     tau, sigma, _, _ = _online_ledgers(tree, out.trace)
     streams = {"seed": seed} if keys is None else {"stream_keys": keys}
     return {

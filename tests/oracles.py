@@ -66,7 +66,6 @@ from delaymatch.stiltwalker import (
     EngineEvent,
     EngineRun,
     EngineTrace,
-    TimerMode,
     _Words,
     stream_words,
 )
@@ -120,14 +119,9 @@ class ReferenceEngine:
     must match in its trace and in its state after a run."""
 
     def __init__(
-        self,
-        tree: Hsbt,
-        requests: Sequence[Request],
-        mode: TimerMode = TimerMode.EXPONENTIAL,
-        words: np.ndarray | None = None,
+        self, tree: Hsbt, requests: Sequence[Request], words: np.ndarray | None = None
     ):
         self.tree = tree
-        self.mode = mode
         self.requests = sorted(requests, key=lambda r: (r.t, r.id))
         if len(self.requests) % 2 != 0:
             raise OddRequestSet("engine needs an even number of requests")
@@ -135,9 +129,8 @@ class ReferenceEngine:
             if r.point not in tree.point_leaf:
                 raise UnknownLocation(f"request {r.id} at {r.point!r} not a tree leaf")
         self.leaf_of = {r.id: tree.point_leaf[r.point] for r in self.requests}
-        # row v of `words` holds the seed words of vertex v's stream
-        if mode is TimerMode.EXPONENTIAL and words is None:
-            raise ConfigInvalid("exponential timers need a seed-word table")
+        # row v of `words` holds the seed words of vertex v's stream; without
+        # a table the timers are deterministic
         self._words = words
         # vertex -> [values of its stream drawn so far, how many are used]
         self._streams: dict[int, list] = {}
@@ -158,7 +151,7 @@ class ReferenceEngine:
 
     def _draw(self, v: int) -> float:
         w = self.tree.weight[v]
-        if self.mode is TimerMode.DETERMINISTIC:
+        if self._words is None:
             return w
         stream = self._streams.setdefault(v, [[], 0])
         values, used = stream
@@ -428,7 +421,7 @@ def monte_carlo_sigma_tau(
     sigmas = np.zeros((trials, n_v))
     seeds = [int(rng.integers(2**62)) for _ in range(trials)]
     for i, words in enumerate(stream_words(seeds, range(n_v))):
-        run = Engine(tree, requests, TimerMode.EXPONENTIAL, words).run(flush=flush)
+        run = Engine(tree, requests, words).run(flush=flush)
         taus[i], sigmas[i], _, _ = _online_ledgers(tree, run.trace)
     mean_tau = taus.mean(axis=0)
     mean_sigma = sigmas.mean(axis=0)

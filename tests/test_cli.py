@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -13,8 +14,9 @@ from delaymatch import altpoisson, embedding, offline
 from delaymatch.cli import _build_parser, load_bundle, main, save_bundle
 from delaymatch.altpoisson import MAX_REALIZATIONS
 from delaymatch.embedding import Hsbt
-from delaymatch.experiment import MAX_TRIALS
+from delaymatch.experiment import MAX_TRIALS, trial_keys
 from delaymatch.instances import MAX_POINTS, MAX_REQUESTS
+from delaymatch.metric import stats
 from delaymatch.penalty import (
     REGIME_DOUBLED,
     REGIME_PER_POINT,
@@ -99,6 +101,26 @@ def test_run_penalty_and_no_flush_paths(tmp_path, capsys):
     assert code == 0 and "flush no" in text
     code, text, _ = run_cli(capsys, "run", "--instance", inst, "--penalty", "0.4")
     assert code == 0 and "penalty 0.4" in text
+
+
+@pytest.mark.parametrize("options", [[], ["--mode", "deterministic"], ["--penalty"]])
+def test_run_writes_each_trials_engine_seed(tmp_path, capsys, options):
+    inst_dir = str(tmp_path / "inst")
+    run_cli(capsys, "gen", "random", "--kind", "line", "--points", "6",
+            "--requests", "8", "--seed", "12", "--out", inst_dir)
+    inst = f"{inst_dir}/instance.json"
+    if options == ["--penalty"]:
+        space, _ = load_bundle(inst)
+        p = stats(space).d_max
+        assert classify_regime(space, p) == REGIME_DOUBLED
+        options = ["--penalty", repr(p)]
+    out = tmp_path / "out"
+    code, _, _ = run_cli(capsys, "run", "--instance", inst, "--trials", "4",
+                         "--seed", "21", "--out", str(out), *options)
+    assert code == 0
+    with open(out / "trials.csv") as fh:
+        seeds = [int(row["seed"]) for row in csv.DictReader(fh)]
+    assert seeds == [trial_keys(21, t)[1] for t in range(4)]
 
 
 def test_embed_and_fixed_tree_round_trip(tmp_path, capsys):

@@ -27,7 +27,6 @@ from delaymatch.errors import (
     InvariantViolation,
     OutOfDomain,
 )
-from delaymatch.experiment import trial_rng
 from delaymatch.instances import gen_random
 from delaymatch.metric import MetricSpace, from_coords, stats
 
@@ -431,9 +430,9 @@ def test_binarize_equals_the_gadget_build_hypothesis(points, seed):
 
 
 def test_uniform_17_points_overflow_as_in_the_reference():
-    # the first tree `run` samples after `gen random --kind uniform --points 17`
+    # `gen random --kind uniform --points 17`, embedded from the key (0, 0)
     space, _ = gen_random("uniform", 17, 12, 10.0, np.random.default_rng(0))
-    h = frt_embed(space, trial_rng(0, 0))
+    h = frt_embed(space, np.random.default_rng(np.random.SeedSequence((0, 0))))
     assert h.children[h.root] == [v for v in range(len(h)) if v != h.root]
     with pytest.raises(InvariantViolation) as want:
         reference_binarize(h, 17)

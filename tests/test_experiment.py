@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from delaymatch.core import Request, make_requests
+from delaymatch.core import Request, make_requests, total_cost
 from delaymatch.diagnostics import _replay_trace
 from delaymatch.embedding import Hsbt, build_hsbt, sample_hsbt, tree_metric
 from delaymatch import experiment, penalty, stiltwalker
@@ -15,8 +15,7 @@ from delaymatch.experiment import (
     ExperimentConfig,
     offline_baseline,
     run_experiment,
-    trial_rng,
-    trial_seed,
+    trial_keys,
 )
 from delaymatch.instances import gen_random
 from delaymatch.metric import MetricSpace, stats
@@ -30,23 +29,24 @@ def small_instance(seed=0, n_points=5, n_requests=8):
 
 
 def test_trial_seed_is_deterministic_and_spread():
-    assert trial_seed(7, 3) == trial_seed(7, 3)
-    seeds = {trial_seed(7, t) for t in range(50)}
+    assert trial_keys(7, 3)[1] == trial_keys(7, 3)[1]
+    seeds = {trial_keys(7, t)[1] for t in range(50)}
     assert len(seeds) == 50
-    assert trial_seed(8, 3) != trial_seed(7, 3)
-    a = trial_rng(1, 2).random()
-    assert a == trial_rng(1, 2).random()
-    assert a != trial_rng(1, 3).random()
+    assert all(0 <= s < 2**62 for s in seeds)
+    assert trial_keys(8, 3)[1] != trial_keys(7, 3)[1]
+    a = trial_keys(1, 2)[0].random()
+    assert a == trial_keys(1, 2)[0].random()
+    assert a != trial_keys(1, 3)[0].random()
 
 
 def test_trial_keys_are_one_seed_sequence():
     for master, trial in [(0, 0), (7, 3), (2**32 + 5, 2**32 - 1)]:
-        rng = trial_rng(master, trial)
-        words = rng.bit_generator.seed_seq.generate_state(1, np.uint64)
-        assert trial_seed(master, trial) == int(words[0] >> 1)
-        # the key (master, trial, 0) draws the same below 2^32 trials
-        padded = np.random.default_rng(np.random.SeedSequence((master, trial, 0)))
-        assert (rng.integers(2**62, size=4) == padded.integers(2**62, size=4)).all()
+        rng, seed = trial_keys(master, trial)
+        assert rng.bit_generator.seed_seq.entropy == (master, trial)
+        # the engine seed is the key's first draw, and the tree's draws follow
+        fresh = np.random.default_rng(np.random.SeedSequence((master, trial)))
+        assert seed == int(fresh.integers(2**62))
+        assert (rng.integers(2**62, size=4) == fresh.integers(2**62, size=4)).all()
 
 
 def test_config_validation():
@@ -191,7 +191,21 @@ def test_penalty_batch_records_its_engine_seeds():
     assert penalty.classify_regime(space, 0.3) == REGIME_DOUBLED
     cfg = ExperimentConfig(space, reqs, trials=3, master_seed=3, penalty=0.3)
     seeds = [r.seed for r in run_experiment(cfg).records]
-    assert seeds == [int(trial_rng(3, i).integers(2**62)) for i in range(3)]
+    assert seeds == [trial_keys(3, i)[1] for i in range(3)]
+
+
+@pytest.mark.parametrize("mode", list(TimerMode))
+def test_batch_trials_are_the_runs_verify_identities_checks(mode):
+    space, reqs = gen_random("square", 64, 128, 10.0, np.random.default_rng(3))
+    cfg = ExperimentConfig(space, reqs, trials=4, master_seed=9, mode=mode)
+    records = run_experiment(cfg).records
+    assert len(records) == 4
+    for record in records:
+        # the path of `verify-identities`: the trial's keys, its tree, its run
+        rng, seed = trial_keys(9, record.trial)
+        tree = sample_hsbt(space, rng)
+        cost = total_cost(space, reqs, stiltwalker.run(tree, reqs, mode, seed).schedule)
+        assert (record.seed, record.space, record.total) == (seed, cost.space, cost.total)
 
 
 @pytest.mark.parametrize("penalty_p", [None, 0.5])
@@ -266,9 +280,14 @@ def check_flush_budget(
         raise ConfigInvalid("the budget check needs at least two trials")
     extras = np.empty(trials)
     budgets = np.empty(trials)
-    seeds = [trial_seed(master_seed, i) for i in range(trials)]
+    # the first state word (>> 1) of the key (master seed, i)
+    seeds = [
+        int(np.random.SeedSequence((master_seed, i)).generate_state(1, np.uint64)[0])
+        >> 1
+        for i in range(trials)
+    ]
     for i, words in enumerate(stream_words(seeds, range(len(tree)))):
-        run = Engine(tree, requests, TimerMode.EXPONENTIAL, words).run(flush=False)
+        run = Engine(tree, requests, words).run(flush=False)
         effective = _effective_after_last_arrival(tree, run.trace)
         t_end = run.trace.t_end
         extras[i] = sum(

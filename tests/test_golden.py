@@ -71,10 +71,11 @@ def test_engine_reproduces_golden_run(case):
     if "stream_keys" in case:
         # every key is (seed, vertex) with one seed: row v of the table
         # holds the words of vertex v's key
+        assert mode is TimerMode.EXPONENTIAL
         (seed,) = {s for s, _ in case["stream_keys"]}
         vertices = [v for _, v in case["stream_keys"]]
         words = next(stream_words([seed], vertices))
-        out = Engine(tree, requests, mode, words).run(flush=case["flush"])
+        out = Engine(tree, requests, words).run(flush=case["flush"])
     else:
         out = run(tree, requests, mode, seed=case["seed"], flush=case["flush"])
     want = case["expected"]

@@ -26,6 +26,13 @@ from delaymatch.stiltwalker import (
 from oracles import ReferenceEngine, recompute_state
 
 
+def _table(mode, seed, tree):
+    """The seed-word table `run` gives an engine: None for deterministic timers."""
+    if mode is TimerMode.DETERMINISTIC:
+        return None
+    return next(stream_words([seed], range(len(tree))))
+
+
 def two_leaf_tree(w=2.0):
     return build_hsbt([-1, 0, 0], [w, 0.0, 0.0], {1: "a", 2: "b"}, alpha=2.0)
 
@@ -98,7 +105,7 @@ def test_same_leaf_match_is_instant_and_free():
     tree = four_leaf_tree()
     space = tree_metric(tree)
     reqs = make_requests(space, [("a", 0.0), ("a", 0.5)])
-    engine = Engine(tree, reqs, mode=TimerMode.DETERMINISTIC)
+    engine = Engine(tree, reqs)
     result = engine.run(flush=False)
     assert result.schedule.pairings == ((0, 1, 0.5),)
     ev = result.trace.events[-1]
@@ -116,7 +123,7 @@ def test_budget_frozen_while_not_effective():
     tree = two_leaf_tree(10.0)
     space = tree_metric(tree)
     reqs = make_requests(space, [("a", 0.0), ("b", 1.0), ("a", 2.0), ("b", 3.0)])
-    engine = Engine(tree, reqs, mode=TimerMode.DETERMINISTIC)
+    engine = Engine(tree, reqs)
     result = engine.run(flush=False)
     # effective only on [1, 2): one unit of budget burned, timer never fires
     assert engine.budget[0] == 9.0
@@ -215,8 +222,8 @@ def _replay_check(tree, reqs, result):
 def _step_check(tree, reqs, mode, seed, flush):
     """Step the reference engine event by event, checking its live state
     after each."""
-    words = next(stream_words([seed], range(len(tree))))
-    ref = ReferenceEngine(tree, reqs, mode, words)
+    words = _table(mode, seed, tree)
+    ref = ReferenceEngine(tree, reqs, words)
     while not (flush and ref.arrival_index == len(ref.requests)):
         if ref.advance_to_next_event() is None:
             break
@@ -314,7 +321,7 @@ def test_first_budgets_are_drawn_when_first_effective(seed):
         for v in ever:  # a stream's first value is the budget drawn on entry
             stream = np.random.default_rng(np.random.SeedSequence(key_of(v)))
             assert engine._streams[v][0][0] == stream.exponential(tree.weight[v])
-    det = Engine(tree, reqs, mode=TimerMode.DETERMINISTIC)
+    det = Engine(tree, reqs)
     det.run(flush=True)
     assert det._streams == {}
 
@@ -381,11 +388,9 @@ def test_engine_rejects_bad_inputs():
     bigger = gen_random("line", 4, 4, horizon=1.0, rng=np.random.default_rng(0))
     with pytest.raises(UnknownLocation):
         Engine(tree, bigger[1])
-    # exponential timers draw from a seed-word table; deterministic ones never draw
+    # without a seed-word table the timers are deterministic and never draw
     reqs = make_requests(space, [("a", 0.0), ("b", 1.0)])
-    with pytest.raises(ConfigInvalid):
-        Engine(tree, reqs)
-    Engine(tree, reqs, TimerMode.DETERMINISTIC).run()
+    Engine(tree, reqs).run()
 
 
 def test_engine_checks_its_seed_word_table():
@@ -408,7 +413,7 @@ def test_an_engine_runs_once():
     space = tree_metric(tree)
     reqs = make_requests(space, [("a", 0.0), ("b", 1.0)])
     for flush in (True, False):
-        engine = Engine(tree, reqs, TimerMode.DETERMINISTIC)
+        engine = Engine(tree, reqs)
         events = list(engine.run(flush=flush).trace.events)
         for again in (True, False):
             with pytest.raises(InvariantViolation, match="an engine runs once"):
@@ -429,17 +434,6 @@ def test_timer_tied_with_the_last_arrival_waits_for_the_flush():
     # without the flush the tied timer fires right after the arrival
     result = run(tree, reqs, mode=TimerMode.DETERMINISTIC, flush=False)
     assert (result.trace.events[4].t, result.trace.events[4].kind) == (2.5, "match")
-
-
-def test_trace_jsonl_dump(tmp_path):
-    tree = two_leaf_tree()
-    space = tree_metric(tree)
-    reqs = make_requests(space, [("a", 0.0), ("b", 0.5)])
-    result = run(tree, reqs, mode=TimerMode.DETERMINISTIC)
-    path = tmp_path / "trace.jsonl"
-    result.trace.to_jsonl(str(path))
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == len(result.trace.events)
 
 
 def _effective_sets(tree, trace):
@@ -488,8 +482,9 @@ def _timers_before_each_event(tree, trace, budgets):
 
 def _stream_budgets(engine):
     """`budgets` for `_timers_before_each_event`: the values engine's streams
-    drew, in order."""
-    if engine.mode is TimerMode.DETERMINISTIC:
+    drew, in order, or the weights for an engine that opened none (one
+    without a table, or one whose vertices never became effective)."""
+    if not engine._streams:
         return engine.tree.weight.__getitem__
     drawn = {v: iter(values[:used]) for v, (values, used) in engine._streams.items()}
     return lambda v: next(drawn[v])
@@ -534,7 +529,7 @@ def test_next_timer_is_the_earliest_effective_deadline(seed, mode):
     rng = np.random.default_rng(200 + seed)
     space, reqs = gen_random("square", 24, 96, 2.0, rng)
     tree = sample_hsbt(space, rng)
-    engine = Engine(tree, reqs, mode, next(stream_words([seed], range(len(tree)))))
+    engine = Engine(tree, reqs, _table(mode, seed, tree))
     trace = engine.run(flush=False).trace
     steps = timers = 0
     for ev, due, _ in _timers_before_each_event(tree, trace, _stream_budgets(engine)):
@@ -584,7 +579,7 @@ def test_reentered_vertex_fires_at_its_frozen_remainder():
     rng = np.random.default_rng(5)
     space, reqs = gen_random("square", 16, 160, 4.0, rng)
     tree = sample_hsbt(space, rng)
-    engine = Engine(tree, reqs, TimerMode.DETERMINISTIC)
+    engine = Engine(tree, reqs)
     trace = engine.run(flush=False).trace
     resumed_fires = 0
     budgets = tree.weight.__getitem__  # deterministic: every budget is w(v)
@@ -609,11 +604,11 @@ def _assert_same_state(engine, ref):
     assert engine._streams == ref._streams
 
 
-def _assert_engine_matches_reference(tree, reqs, mode, words, flush):
+def _assert_engine_matches_reference(tree, reqs, words, flush):
     """Run the engine and the method-chain reference on the same input: the
     same trace and schedule, bit for bit, and the same state after."""
-    engine = Engine(tree, reqs, mode, words)
-    ref = ReferenceEngine(tree, reqs, mode, words)
+    engine = Engine(tree, reqs, words)
+    ref = ReferenceEngine(tree, reqs, words)
     _assert_same_state(engine, ref)
     got, want = engine.run(flush=flush), ref.run(flush=flush)
     assert repr(got.trace) == repr(want.trace)
@@ -643,8 +638,7 @@ def test_engine_matches_the_method_chain_reference(
     rng = np.random.default_rng(instance_seed)
     space, reqs = gen_random(kind, n_points, 2 * pairs, horizon, rng)
     tree = sample_hsbt(space, rng)
-    words = next(stream_words([seed], range(len(tree))))
-    _assert_engine_matches_reference(tree, reqs, mode, words, flush)
+    _assert_engine_matches_reference(tree, reqs, _table(mode, seed, tree), flush)
 
 
 @pytest.mark.parametrize("mode", list(TimerMode))
@@ -654,16 +648,14 @@ def test_engine_matches_the_reference_on_same_leaf_arrivals_and_ties(mode, flush
     rng = np.random.default_rng(11)
     space, reqs = gen_random("line", 2, 40, 5.0, rng)
     tree = sample_hsbt(space, rng)
-    words = next(stream_words([4], range(len(tree))))
-    trace = _assert_engine_matches_reference(tree, reqs, mode, words, flush)
+    trace = _assert_engine_matches_reference(tree, reqs, _table(mode, 4, tree), flush)
     assert any(e.kind == "same_leaf" for e in trace.events)
     # an arrival at the instant of a deadline goes first
     tree = two_leaf_tree(1.0)
     reqs = make_requests(
         tree_metric(tree), [("a", 0.0), ("b", 0.25), ("a", 1.25), ("b", 1.5)]
     )
-    words = next(stream_words([4], range(len(tree))))
-    _assert_engine_matches_reference(tree, reqs, TimerMode.DETERMINISTIC, words, flush)
+    _assert_engine_matches_reference(tree, reqs, None, flush)
 
 
 def test_engine_matches_the_reference_through_heap_rebuilds(monkeypatch):
@@ -678,5 +670,5 @@ def test_engine_matches_the_reference_through_heap_rebuilds(monkeypatch):
     tree = sample_hsbt(space, rng)
     words = next(stream_words([0], range(len(tree))))
     monkeypatch.setattr(stiltwalker, "heapify", heapify)
-    _assert_engine_matches_reference(tree, reqs, TimerMode.EXPONENTIAL, words, False)
+    _assert_engine_matches_reference(tree, reqs, words, False)
     assert rebuilds
