@@ -24,9 +24,12 @@ figures moved by at most 7 ulp and two `residual`s became 0.0.  The
 per-point, two-copies and no-flush penalty cases were added later, from the
 code that still ran penalty trials in a loop of their own.  The penalty
 cases' `trials.csv` `seed` column was rewritten once more, when it began to
-name the seed each trial's engine ran on; nothing else moved.  A mismatch
-means the batch path changed its output; do not rerun this script to absorb
-it.
+name the seed each trial's engine ran on; nothing else moved.  It was
+rewritten again when every trial's engine seed became the first draw of its
+generator (`experiment.trial_keys`): the flush, no-flush and deterministic
+`run` cases moved, and the per-point penalty case's `seed` column only.  A
+mismatch means the batch path changed its output; do not rerun this script
+to absorb it.
 """
 
 from __future__ import annotations

@@ -24,8 +24,12 @@ demands exact equality.
 The file was written once from the memoized recursive oracles, before they
 were replaced by the array-based DP.  The `--penalty` batch's `trials.csv`
 `seed` column was rewritten once, when it began to name the seed each
-trial's engine ran on; nothing else moved.  A mismatch means an oracle changed
-its output; do not rerun this script to absorb it.
+trial's engine ran on; nothing else moved.  The three `verify-identities`
+cases' stdout and the matching-only `run` case were rewritten once more, when
+every trial's engine seed became the first draw of its generator and
+`verify-identities` began to check the trials that `run` reports
+(`experiment.trial_keys`); no oracle case moved.  A mismatch means an oracle
+changed its output; do not rerun this script to absorb it.
 """
 
 from __future__ import annotations
