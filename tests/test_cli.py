@@ -167,10 +167,30 @@ def test_verify_identities_command(tmp_path, capsys):
     )
     assert code == 0
     assert "ok" in text
+    assert "offline greedy" not in text  # within the cap: the exact optimum
     worst = next(
         l for l in text.splitlines() if l.startswith("worst_residual_space")
     )
     assert float(worst.split()[1]) <= 1e-9
+
+
+def test_verify_identities_above_the_exact_cap(tmp_path, capsys):
+    # 2,048 requests on 256 points: the offline reference is `run`'s greedy
+    inst_dir = str(tmp_path / "inst")
+    run_cli(capsys, "gen", "random", "--kind", "square", "--points", "256",
+            "--requests", "2048", "--seed", "0", "--out", inst_dir)
+    code, text, err = run_cli(
+        capsys, "verify-identities",
+        "--instance", f"{inst_dir}/instance.json", "--trials", "1",
+    )
+    assert (code, err) == (0, "")
+    lines = text.splitlines()
+    assert lines[0] == "trials 1" and lines[-2:] == ["offline greedy", "ok"]
+    values = dict(line.split() for line in lines[1:-2])
+    assert float(values["worst_residual_space"]) <= 1e-9
+    assert float(values["worst_residual_time"]) <= 1e-9
+    assert float(values["worst_time_bound_margin"]) >= 0
+    assert float(values["worst_space_bound_margin"]) >= 0
 
 
 _THREE_SEGMENT_ROWS = [
